@@ -36,7 +36,6 @@ from hfib.fibonacci import (
     hfib_recurrence,
 )
 from hfib.genfun import ConvergenceError, OpRatFun, OpSeries, series_expand
-from hfib.kernels import BACKEND
 from hfib.operators import (
     D,
     OpMatrix2,

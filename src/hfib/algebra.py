@@ -28,6 +28,7 @@ is the exact rational (no denominator part when it is 1).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Iterable, Union
 
@@ -395,6 +396,12 @@ def shifted_factorial(start, step, count: int) -> HPoly:
     for j in range(count):
         result = result * (base + j * increment)
     return result
+
+
+@lru_cache(maxsize=None)
+def d_image(k: int) -> HPoly:
+    """The h-deformation weight h^k * (hp)(hp+1)...(hp+k-1), the image of D^k."""
+    return H**k * shifted_factorial(HP, 1, k)
 
 
 def rising_rational(start, count: int) -> Fraction:

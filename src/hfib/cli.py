@@ -46,6 +46,16 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _dump_json(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True)
 
@@ -318,8 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
         "suite",
         choices=("pascal", "fib", "operators", "gf", "weighted", "qh", "all"),
     )
-    p.add_argument("--max", type=int, default=None, help="override per-suite index bounds")
-    p.add_argument("--order", type=int, default=None, help="gf/weighted truncation order")
+    p.add_argument(
+        "--max", type=_positive_int, default=None, help="override per-suite index bounds"
+    )
+    p.add_argument(
+        "--order", type=_positive_int, default=None, help="gf/weighted truncation order"
+    )
     p.add_argument("--p", type=int, default=2, help="weighted series base")
     p.add_argument("--h", type=_rational, default=Fraction(1, 100))
     p.add_argument("--hp", type=_rational, default=Fraction(1, 2))

@@ -30,7 +30,7 @@ from math import comb
 
 from fractions import Fraction
 
-from hfib.algebra import H, HP, HPoly, shifted_factorial
+from hfib.algebra import H, HP, HPoly, d_image
 from hfib.operators import binet_fib, neg_fib_op, op_eval
 from hfib.pascal import h_binomial
 from hfib.report import IdentityReport
@@ -124,7 +124,7 @@ class NegHFib:
 
     @property
     def denominator(self) -> HPoly:
-        return H**self.n * shifted_factorial(HP, 1, self.n)
+        return d_image(self.n)
 
 
 def hfib_negative(n: int) -> NegHFib:
@@ -237,10 +237,6 @@ def verify_partial_sum(n_max: int = 20) -> IdentityReport:
     return report
 
 
-def _doubling_weight(n: int, k: int) -> HPoly:
-    return H ** (n - k) * shifted_factorial(HP, 1, n - k)
-
-
 def verify_odd_even_sums(n_max: int = 20) -> IdentityReport:
     """Weighted sums of odd-index terms to F_(2n) and even-index to F_(2n+1)."""
     report = IdentityReport("fib-odd-even-sums")
@@ -248,14 +244,14 @@ def verify_odd_even_sums(n_max: int = 20) -> IdentityReport:
         odd_acc = HPoly.zero()
         even_acc = HPoly.zero()
         for k in range(1, n + 1):
-            weight = _doubling_weight(n, k)
+            weight = d_image(n - k)
             odd_acc = odd_acc + weight * hfib_diagonal(2 * k - 1).shift_hprime(n - k)
             even_acc = even_acc + weight * hfib_diagonal(2 * k).shift_hprime(n - k)
         report.check({"n": n, "parity": "odd indices"}, odd_acc, hfib_diagonal(2 * n))
         report.check(
             {"n": n, "parity": "even indices"},
             even_acc,
-            hfib_diagonal(2 * n + 1) - _doubling_weight(n, 0),
+            hfib_diagonal(2 * n + 1) - d_image(n),
         )
     return report
 
@@ -280,7 +276,7 @@ def verify_doubling_sum(n_max: int = 12) -> IdentityReport:
     def weighted(n: int) -> HPoly:
         acc = HPoly.zero()
         for i in range(1, n + 1):
-            acc = acc + comb(n, i) * _doubling_weight(n, i) * hfib_diagonal(i).shift_hprime(n - i)
+            acc = acc + comb(n, i) * d_image(n - i) * hfib_diagonal(i).shift_hprime(n - i)
         return acc
 
     literal_ok = all(literal(n) == hfib_diagonal(2 * n) for n in range(1, n_max + 1))

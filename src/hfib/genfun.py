@@ -255,6 +255,8 @@ def weighted_series_check(
     hv, hpv = Fraction(h), Fraction(hp)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
+    if order < 0:
+        raise ValueError("order must be non-negative")
 
     lhs = Fraction(0)
     lhs_term = Fraction(0)

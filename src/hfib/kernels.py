@@ -1,36 +1,76 @@
-"""Backend selection for the term-map kernels.
+"""Term-map kernels: the four inner loops of both polynomial rings.
 
-The compiled backend (hfib._kernels_c, built from Cython) is preferred
-when it imported cleanly; otherwise the pure-Python backend is used.
-Set HFIB_BACKEND=python to force the fallback, HFIB_BACKEND=c to fail
-loudly when the extension is missing.  The choice is made once at
-import; `BACKEND` records which one won.
+A term map is a dict from an integer exponent key to a nonzero exact
+rational coefficient (int or fractions.Fraction).  Keys add under
+multiplication, so callers that pack several exponents into one integer
+(hfib.algebra packs three 21-bit lanes) get multivariate arithmetic for
+free as long as no lane overflows; the univariate operator ring uses the
+bare exponent as the key.
+
+Coefficients live in an integral domain, so a product of nonzero
+coefficients is never zero and only sums need a zero check.  Kernels
+never mutate their arguments and never store a zero coefficient.
 """
 
 from __future__ import annotations
 
-import os
 
-_requested = os.environ.get("HFIB_BACKEND", "auto")
-if _requested not in ("auto", "c", "python"):
-    raise ValueError(
-        f"HFIB_BACKEND must be 'auto', 'c' or 'python', got {_requested!r}"
-    )
+def kadd(a: dict, b: dict) -> dict:
+    if not a:
+        return dict(b)
+    if not b:
+        return dict(a)
+    out = dict(a)
+    for key, coeff in b.items():
+        have = out.get(key)
+        if have is None:
+            out[key] = coeff
+        else:
+            total = have + coeff
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+    return out
 
-if _requested == "python":
-    from hfib._kernels_py import kadd, kmul, kpow, kscale
 
-    BACKEND = "python"
-else:
-    try:
-        from hfib._kernels_c import kadd, kmul, kpow, kscale
+def kscale(a: dict, c) -> dict:
+    if not c:
+        return {}
+    return {key: coeff * c for key, coeff in a.items()}
 
-        BACKEND = "c"
-    except ImportError:
-        if _requested == "c":
-            raise
-        from hfib._kernels_py import kadd, kmul, kpow, kscale
 
-        BACKEND = "python"
+def kmul(a: dict, b: dict) -> dict:
+    if not a or not b:
+        return {}
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = ka + kb
+            prod = ca * cb
+            have = out.get(key)
+            if have is None:
+                out[key] = prod
+            else:
+                total = have + prod
+                if total:
+                    out[key] = total
+                else:
+                    del out[key]
+    return out
 
-__all__ = ["BACKEND", "kadd", "kmul", "kpow", "kscale"]
+
+def kpow(a: dict, n: int) -> dict:
+    if n < 0:
+        raise ValueError("kpow exponent must be non-negative")
+    result = {0: 1}
+    base = a
+    while n:
+        if n & 1:
+            result = kmul(result, base)
+        n >>= 1
+        if n:
+            base = kmul(base, base)
+    return result

@@ -31,14 +31,7 @@ from functools import lru_cache
 from math import comb
 from typing import Union
 
-from hfib.algebra import (
-    H,
-    HP,
-    HPoly,
-    _coerce_scalar,
-    render_terms,
-    shifted_factorial,
-)
+from hfib.algebra import HPoly, _coerce_scalar, d_image, render_terms
 from hfib.kernels import kadd, kmul, kpow, kscale
 from hfib.report import IdentityReport
 
@@ -196,16 +189,11 @@ def fib_op(n: int) -> OpPoly:
     return OpPoly({k: comb(n - 1 - k, k) for k in range((n - 1) // 2 + 1)})
 
 
-@lru_cache(maxsize=None)
-def _d_image(k: int) -> HPoly:
-    return H**k * shifted_factorial(HP, 1, k)
-
-
 def op_eval(x: OpPoly) -> HPoly:
     """Substitute D^k -> h^k * (hp)(hp+1)...(hp+k-1), landing in Q[h, hp]."""
     acc = HPoly.zero()
     for exp, coeff in x._terms.items():
-        acc = acc + coeff * _d_image(exp)
+        acc = acc + coeff * d_image(exp)
     return acc
 
 
@@ -399,7 +387,7 @@ def neg_fib_op(n: int) -> NegIndexOp:
 
 def _ev_shift(x: OpPoly, weight: int) -> HPoly:
     """op_eval of D^weight * x via the composition rule."""
-    return _d_image(weight) * op_eval(x).shift_hprime(weight)
+    return d_image(weight) * op_eval(x).shift_hprime(weight)
 
 
 def verify_matrix_powers(n_max: int = 10) -> IdentityReport:

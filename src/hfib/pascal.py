@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from hfib.algebra import H, HP, HPoly, rising_rational, shifted_factorial
+from hfib.algebra import H, HP, HPoly, d_image, rising_rational
 from hfib.report import DEFAULT_SEED, IdentityReport
 
 
@@ -36,7 +36,7 @@ def h_binomial(n: int, k: int) -> HPoly:
         raise ValueError("row index must be non-negative")
     if k < 0 or k > n:
         return HPoly.zero()
-    return comb(n, k) * H**k * shifted_factorial(HP, 1, k)
+    return comb(n, k) * d_image(k)
 
 
 @dataclass(frozen=True)

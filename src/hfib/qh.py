@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from hfib.algebra import H, HP, HPoly, Q, shifted_factorial
+from hfib.algebra import H, HP, HPoly, Q, d_image
 from hfib.fibonacci import hfib_diagonal
 from hfib.pascal import h_binomial
 from hfib.report import SCHEMA, IdentityReport, PinnedConvention
@@ -61,7 +61,7 @@ def qh_binomial(n: int, k: int) -> HPoly:
         raise ValueError("row index must be non-negative")
     if k < 0 or k > n:
         return HPoly.zero()
-    return q_binomial(n, k) * H**k * shifted_factorial(HP, 1, k)
+    return q_binomial(n, k) * d_image(k)
 
 
 def _qh_binomial_stepped(n: int, k: int) -> HPoly:
@@ -276,13 +276,13 @@ def experimental_report(n_max: int = 10) -> ExperimentalReport:
         odd_acc = HPoly.zero()
         even_acc = HPoly.zero()
         for k in range(1, n + 1):
-            weight = H ** (n - k) * shifted_factorial(HP, 1, n - k)
+            weight = d_image(n - k)
             odd_acc = odd_acc + Q ** (2 * k) * weight * q_fibonacci(2 * k - 1).shift_hprime(n - k)
             even_acc = even_acc + Q ** (2 * n - 2 * k) * weight * q_fibonacci(2 * k).shift_hprime(
                 n - k
             )
         report.record("odd-index-sum", n, odd_acc, q_fibonacci(2 * n))
-        head = H**n * shifted_factorial(HP, 1, n)
+        head = d_image(n)
         report.record(
             "even-index-sum-cleared",
             n,

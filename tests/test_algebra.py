@@ -13,10 +13,12 @@ from hfib.algebra import (
     Q,
     DivergentLimitError,
     HPoly,
+    d_image,
     render_terms,
     rising_rational,
     shifted_factorial,
 )
+from oracles import H as SH
 from oracles import HP as SHP
 from oracles import assert_matches, hpoly_to_sympy, oracle_shift
 
@@ -181,6 +183,8 @@ def test_shifted_factorial_values() -> None:
     assert shifted_factorial(HP, 1, 2) == HP + HP**2
     assert shifted_factorial(H * HP, H, 3) == 2 * H**3 * HP + 3 * H**3 * HP**2 + H**3 * HP**3
     assert_matches(shifted_factorial(HP, 1, 5), sympy.expand(sympy.rf(SHP, 5)))
+    for k in range(7):
+        assert_matches(d_image(k), SH**k * sympy.rf(SHP, k))
     with pytest.raises(ValueError):
         shifted_factorial(HP, 1, -1)
 

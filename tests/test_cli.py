@@ -206,6 +206,22 @@ def test_verify_weighted_divergent_params_error(capsys) -> None:
     assert "decrease |h|" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "weighted", "--order", "-1"),
+        ("verify", "fib", "--max", "0"),
+        ("verify", "gf", "--order", "0"),
+    ],
+)
+def test_verify_bound_below_one_exits_2(argv, monkeypatch, capsys) -> None:
+    monkeypatch.setattr(cli, "_verify_groups", lambda args: pytest.fail("a suite started"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys) -> None:
     failing = IdentityReport("pascal-recurrences")
     failing.cases = 1

@@ -115,6 +115,8 @@ def test_weighted_check_domain_errors() -> None:
         weighted_series_check(1, Fraction(1, 100), Fraction(1, 2))
     with pytest.raises(ValueError):
         weighted_series_check(2, Fraction(1, 100), Fraction(1, 2), tol=Fraction(0))
+    with pytest.raises(ValueError):
+        weighted_series_check(2, Fraction(1, 100), Fraction(1, 2), order=-1)
 
 
 def test_weighted_check_advice_names_failing_side() -> None:

@@ -1,20 +1,10 @@
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hfib import _kernels_py as kpy
 from hfib import kernels
-
-try:
-    from hfib import _kernels_c as kc
-except ImportError:
-    kc = None
-
-backends = [kpy] if kc is None else [kpy, kc]
 
 term_maps = st.dictionaries(
     st.integers(min_value=0, max_value=1 << 12),
@@ -26,8 +16,7 @@ term_maps = st.dictionaries(
 )
 
 
-def test_selected_backend_is_exported() -> None:
-    assert kernels.BACKEND in ("c", "python")
+def test_four_kernels_are_exported() -> None:
     for name in ("kadd", "kmul", "kpow", "kscale"):
         assert callable(getattr(kernels, name))
 
@@ -35,62 +24,35 @@ def test_selected_backend_is_exported() -> None:
 def test_small_values() -> None:
     a = {0: 1, 1: 2}
     b = {1: 3}
-    for mod in backends:
-        assert mod.kadd(a, b) == {0: 1, 1: 5}
-        assert mod.kmul(a, b) == {1: 3, 2: 6}
-        assert mod.kscale(a, -1) == {0: -1, 1: -2}
-        assert mod.kscale(a, 0) == {}
-        assert mod.kpow(a, 0) == {0: 1}
-        assert mod.kpow(a, 3) == {0: 1, 1: 6, 2: 12, 3: 8}
+    assert kernels.kadd(a, b) == {0: 1, 1: 5}
+    assert kernels.kmul(a, b) == {1: 3, 2: 6}
+    assert kernels.kscale(a, -1) == {0: -1, 1: -2}
+    assert kernels.kscale(a, 0) == {}
+    assert kernels.kpow(a, 0) == {0: 1}
+    assert kernels.kpow(a, 3) == {0: 1, 1: 6, 2: 12, 3: 8}
 
 
 def test_cancellation_drops_keys() -> None:
-    for mod in backends:
-        assert mod.kadd({3: 5}, {3: -5}) == {}
-        assert mod.kmul({0: 1, 1: 1}, {0: 1, 1: -1}) == {0: 1, 2: -1}
+    assert kernels.kadd({3: 5}, {3: -5}) == {}
+    assert kernels.kmul({0: 1, 1: 1}, {0: 1, 1: -1}) == {0: 1, 2: -1}
 
 
 def test_kpow_rejects_negative() -> None:
-    for mod in backends:
-        with pytest.raises(ValueError):
-            mod.kpow({0: 1}, -1)
-
-
-@given(term_maps, term_maps)
-def test_backend_parity_add_mul(a: dict, b: dict) -> None:
-    if kc is None:
-        pytest.skip("compiled backend unavailable")
-    assert kpy.kadd(a, b) == kc.kadd(a, b)
-    assert kpy.kmul(a, b) == kc.kmul(a, b)
-
-
-@given(term_maps, st.integers(min_value=0, max_value=4))
-def test_backend_parity_pow(a: dict, n: int) -> None:
-    if kc is None:
-        pytest.skip("compiled backend unavailable")
-    assert kpy.kpow(a, n) == kc.kpow(a, n)
-
-
-@given(term_maps, st.fractions(min_value=-5, max_value=5, max_denominator=6))
-def test_backend_parity_scale(a: dict, c: Fraction) -> None:
-    if kc is None:
-        pytest.skip("compiled backend unavailable")
-    assert kpy.kscale(a, c) == kc.kscale(a, c)
+    with pytest.raises(ValueError):
+        kernels.kpow({0: 1}, -1)
 
 
 @given(term_maps, term_maps)
 def test_inputs_not_mutated(a: dict, b: dict) -> None:
     snap_a, snap_b = dict(a), dict(b)
-    for mod in backends:
-        mod.kadd(a, b)
-        mod.kmul(a, b)
-        mod.kscale(a, 7)
-        mod.kpow(a, 2)
+    kernels.kadd(a, b)
+    kernels.kmul(a, b)
+    kernels.kscale(a, 7)
+    kernels.kpow(a, 2)
     assert a == snap_a and b == snap_b
 
 
 @given(term_maps, term_maps)
 def test_no_zero_coefficients_in_results(a: dict, b: dict) -> None:
-    for mod in backends:
-        for result in (mod.kadd(a, b), mod.kmul(a, b), mod.kscale(a, 3)):
-            assert all(result.values())
+    for result in (kernels.kadd(a, b), kernels.kmul(a, b), kernels.kscale(a, 3)):
+        assert all(result.values())
