@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from itertools import accumulate
+from math import lcm
 from typing import Iterable, Union
 
 from hfib.kernels import kadd, kmul, kpow, kscale
@@ -73,6 +74,40 @@ def _coerce_scalar(value) -> Scalar:
 def _sort_key(exponents: tuple[int, int, int]) -> tuple[int, int, int, int]:
     eh, ehp, eq = exponents
     return (eh + ehp + eq, eh, ehp, eq)
+
+
+def _taylor_shift(coeffs: list[int], delta: int) -> list[int]:
+    """Ascending coefficients of p(x + delta), given those of p(x).
+
+    The shift by one is d rounds of running sums (Horner's scheme, by
+    additions only).  Any other delta is that shift between two diagonal
+    scalings: with b_j = a_j * delta**j, p(delta*y + delta) = sum b_j (y+1)**j,
+    and the coefficient of y**j there is delta**j times that of x**j.
+    """
+    d = len(coeffs) - 1
+    if d == 0:
+        return coeffs
+    if delta != 1:
+        powers = [delta**j for j in range(d + 1)]
+        coeffs = [c * p for c, p in zip(coeffs, powers)]
+    top_down = coeffs[::-1]
+    for n in range(d + 1, 1, -1):
+        top_down[:n] = accumulate(top_down[:n])
+    shifted = top_down[::-1]
+    if delta != 1:
+        shifted = [c // p for c, p in zip(shifted, powers)]
+    return shifted
+
+
+def _power_table(x: Fraction, exponents: set[int]) -> tuple[dict[int, int], int]:
+    """x**e as t[e] / b**m for each e in exponents, with x = a/b and m the largest.
+
+    Returns (t, b**m).  Only the exponents that occur get an entry, so a
+    sparse high-degree polynomial does not pay for every power below m.
+    """
+    a, b = x.numerator, x.denominator
+    m = max(exponents, default=0)
+    return {e: a**e * b ** (m - e) for e in exponents}, b**m
 
 
 class HPoly:
@@ -240,32 +275,34 @@ class HPoly:
     # -- substitutions ------------------------------------------------
 
     def shift_hprime(self, delta: int) -> "HPoly":
-        """Substitute hp -> hp + delta, expanding exactly."""
+        """Substitute hp -> hp + delta, expanding exactly.
+
+        Terms are grouped by their (h, q) exponents; each group is a dense
+        polynomial in hp and gets a Taylor shift by integer additions
+        (von zur Gathen & Gerhard, "Fast algorithms for Taylor shifts and
+        certain difference equations", ISSAC 1997).  Fraction coefficients
+        are first put over one common denominator, so the shift runs on
+        ints and integral results come back as ints.
+        """
         if not isinstance(delta, int):
             raise TypeError("shift amount must be an integer")
         if delta == 0 or not self._terms:
             return self
-        acc: dict[int, Scalar] = {}
+        den = lcm(*(c.denominator for c in self._terms.values() if type(c) is not int))
+        groups: dict[int, list[int]] = {}
         for key, coeff in self._terms.items():
-            eh, ehp, eq = _unpack(key)
-            if ehp == 0:
-                total = acc.get(key, 0) + coeff
-                if total:
-                    acc[key] = total
-                else:
-                    acc.pop(key, None)
-                continue
-            base = (eh << _H_SHIFT) | eq
-            for j in range(ehp + 1):
-                c = coeff * comb(ehp, j) * delta ** (ehp - j)
-                if not c:
-                    continue
-                new_key = base | (j << _HP_SHIFT)
-                total = acc.get(new_key, 0) + c
-                if total:
-                    acc[new_key] = total
-                else:
-                    acc.pop(new_key, None)
+            ehp = (key >> _HP_SHIFT) & _LANE_MASK
+            lane = groups.setdefault(key ^ (ehp << _HP_SHIFT), [])
+            if len(lane) <= ehp:
+                lane.extend([0] * (ehp + 1 - len(lane)))
+            lane[ehp] = coeff if den == 1 else (coeff * den).numerator
+        acc: dict[int, Scalar] = {}
+        for base, lane in groups.items():
+            for ehp, c in enumerate(_taylor_shift(lane, delta)):
+                if c:
+                    acc[base | (ehp << _HP_SHIFT)] = (
+                        c if den == 1 else _coerce_scalar(Fraction(c, den))
+                    )
         return HPoly(acc)
 
     def substitute_q(self, value) -> "HPoly":
@@ -286,13 +323,28 @@ class HPoly:
         return HPoly(acc)
 
     def eval_point(self, h, hp, q=0) -> Fraction:
-        """Evaluate at an exact rational point."""
+        """Evaluate at an exact rational point.
+
+        With h = a/b, hp = c/d, q = e/f and (mh, mhp, mq) the maximum
+        exponents, every term is an integer over the one denominator
+        b**mh * d**mhp * f**mq, read from power tables built once.
+        """
         hv, hpv, qv = Fraction(h), Fraction(hp), Fraction(q)
-        total = Fraction(0)
+        keys = self._terms.keys()
+        th, h_den = _power_table(hv, {key >> _H_SHIFT for key in keys})
+        thp, hp_den = _power_table(hpv, {(key >> _HP_SHIFT) & _LANE_MASK for key in keys})
+        tq, q_den = _power_table(qv, {key & _LANE_MASK for key in keys})
+        whole = 0
+        part = Fraction(0)
         for key, coeff in self._terms.items():
-            eh, ehp, eq = _unpack(key)
-            total += coeff * hv**eh * hpv**ehp * qv**eq
-        return total
+            value = (
+                th[key >> _H_SHIFT] * thp[(key >> _HP_SHIFT) & _LANE_MASK] * tq[key & _LANE_MASK]
+            )
+            if type(coeff) is int:
+                whole += coeff * value
+            else:
+                part += coeff * value
+        return (whole + part) / (h_den * hp_den * q_den)
 
     def classical_limit(self) -> Fraction:
         """Limit under hp = 1/h, h -> 0 (the constraint h*hp = 1).

@@ -33,7 +33,7 @@ from fractions import Fraction
 from hfib.algebra import H, HP, HPoly, d_image
 from hfib.operators import binet_fib, neg_fib_op, op_eval
 from hfib.pascal import h_binomial
-from hfib.report import IdentityReport
+from hfib.report import IdentityReport, suite_scale
 
 
 @lru_cache(maxsize=None)
@@ -327,12 +327,13 @@ def verify_negative_reflection(n_max: int = 15) -> IdentityReport:
 
 def verify_fibonacci(n_max: int | None = None) -> list[IdentityReport]:
     """All h-Fibonacci suites; n_max, when given, overrides every scale."""
+    scale = suite_scale(n_max)
     return [
-        verify_routes(n_max or 30),
-        verify_classical_limit(n_max or 30),
-        verify_partial_sum(n_max or 20),
-        verify_odd_even_sums(n_max or 20),
-        verify_doubling_sum(n_max or 12),
-        verify_alternating_sum(n_max or 12),
-        verify_negative_reflection(n_max or 15),
+        verify_routes(scale(30)),
+        verify_classical_limit(scale(30)),
+        verify_partial_sum(scale(20)),
+        verify_odd_even_sums(scale(20)),
+        verify_doubling_sum(scale(12)),
+        verify_alternating_sum(scale(12)),
+        verify_negative_reflection(scale(15)),
     ]

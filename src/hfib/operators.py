@@ -33,7 +33,7 @@ from typing import Union
 
 from hfib.algebra import HPoly, _coerce_scalar, d_image, render_terms
 from hfib.kernels import kadd, kmul, kpow, kscale
-from hfib.report import IdentityReport
+from hfib.report import IdentityReport, suite_scale
 
 Scalar = Union[int, Fraction]
 
@@ -372,13 +372,16 @@ def _g(n: int) -> OpPoly:
     if n == 1:
         return OpPoly.one()
     # Backward recurrence F_(-n) = F_(-n+2) - F_(-n+1), cleared by D^n:
-    # g_n = -g_(n-1) + D * g_(n-2).
+    # g_n = -g_(n-1) + D * g_(n-2).  neg_fib_op fills the cache bottom-up,
+    # so both calls are cache hits.
     return -_g(n - 1) + D * _g(n - 2)
 
 
 def neg_fib_op(n: int) -> NegIndexOp:
     if n < 0:
         raise ValueError("neg_fib_op takes the positive magnitude n of the index -n")
+    for k in range(n):
+        _g(k)
     return NegIndexOp(n, _g(n))
 
 
@@ -531,7 +534,7 @@ def verify_docagne(bound: int = 15) -> IdentityReport:
                 rhs = (-1) ** n * D**n * fib_op(m - n)
                 branch = "m >= n"
             else:
-                rhs = (-1) ** n * D**m * _g(n - m)
+                rhs = (-1) ** n * D**m * neg_fib_op(n - m).g
                 branch = "m < n"
             report.check({"m": m, "n": n, "branch": branch}, lhs, rhs)
     return report
@@ -613,18 +616,19 @@ def verify_symmetric_lemmas() -> IdentityReport:
 
 def verify_operators(n_max: int | None = None) -> list[IdentityReport]:
     """All operator suites; n_max, when given, overrides every scale."""
+    scale = suite_scale(n_max)
     return [
-        verify_matrix_powers(n_max or 10),
-        verify_cassini(n_max or 20),
-        verify_addition(n_max or 12, n_max or 12),
-        verify_cayley_hamilton(n_max or 15),
-        verify_inverse_powers(n_max or 12),
-        verify_power_sums(n_max or 6, n_max or 6),
-        verify_catalan(n_max or 15),
-        verify_docagne(n_max or 15),
-        verify_neg_index(n_max or 20),
-        verify_doubling(n_max or 20),
-        verify_alternating(n_max or 20),
-        verify_binet(n_max or 25),
+        verify_matrix_powers(scale(10)),
+        verify_cassini(scale(20)),
+        verify_addition(scale(12), scale(12)),
+        verify_cayley_hamilton(scale(15)),
+        verify_inverse_powers(scale(12)),
+        verify_power_sums(scale(6), scale(6)),
+        verify_catalan(scale(15)),
+        verify_docagne(scale(15)),
+        verify_neg_index(scale(20)),
+        verify_doubling(scale(20)),
+        verify_alternating(scale(20)),
+        verify_binet(scale(25)),
         verify_symmetric_lemmas(),
     ]

@@ -189,6 +189,8 @@ def verify_charlier_link(
 
 def verify_pascal(n_max: int = 12, seed: int | None = None) -> list[IdentityReport]:
     """All h-Pascal suites at their default scales."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     return [
         verify_pascal_recurrences(n_max),
         verify_column_sum(n_max),

@@ -29,7 +29,7 @@ from functools import lru_cache
 from hfib.algebra import H, HP, HPoly, Q, d_image
 from hfib.fibonacci import hfib_diagonal
 from hfib.pascal import h_binomial
-from hfib.report import SCHEMA, IdentityReport, PinnedConvention
+from hfib.report import SCHEMA, IdentityReport, PinnedConvention, suite_scale
 
 
 def q_int(n: int) -> HPoly:
@@ -42,16 +42,27 @@ def q_int(n: int) -> HPoly:
     return total
 
 
-@lru_cache(maxsize=None)
 def q_binomial(n: int, k: int) -> HPoly:
-    """Gaussian binomial coefficient via the q-Pascal recurrence."""
+    """Gaussian binomial coefficient via the q-Pascal recurrence.
+
+    The entries (m, j) it depends on, those with j <= k and m - j <= n - k,
+    are filled row by row first, so no call recurses more than one level.
+    """
     if n < 0:
         raise ValueError("row index must be non-negative")
+    for m in range(2, n):
+        for j in range(max(1, k - n + m), min(k, m - 1) + 1):
+            _q_pascal(m, j)
+    return _q_pascal(n, k)
+
+
+@lru_cache(maxsize=None)
+def _q_pascal(n: int, k: int) -> HPoly:
     if k < 0 or k > n:
         return HPoly.zero()
     if k == 0 or k == n:
         return HPoly.one()
-    return q_binomial(n - 1, k - 1) + Q**k * q_binomial(n - 1, k)
+    return _q_pascal(n - 1, k - 1) + Q**k * _q_pascal(n - 1, k)
 
 
 @lru_cache(maxsize=None)
@@ -160,9 +171,11 @@ def verify_q_one_reduction(n_max: int = 12) -> IdentityReport:
 
 
 def verify_qh(n_max: int | None = None) -> list[IdentityReport]:
+    """Both (q, h) suites; n_max, when given, overrides every scale."""
+    scale = suite_scale(n_max)
     return [
-        verify_qh_recurrences(n_max or 10),
-        verify_q_one_reduction(n_max or 12),
+        verify_qh_recurrences(scale(10)),
+        verify_q_one_reduction(scale(12)),
     ]
 
 

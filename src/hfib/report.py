@@ -9,6 +9,7 @@ checks could run.  Reports serialize under the "hfib-report/1" schema.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 SCHEMA = "hfib-report/1"
 
@@ -79,3 +80,14 @@ def merge_reports(suite: str, reports: list[IdentityReport]) -> IdentityReport:
             )
         merged.pinned_conventions.extend(r.pinned_conventions)
     return merged
+
+
+def suite_scale(n_max: int | None) -> Callable[[int], int]:
+    """The scale of each sub-suite: its own default, or n_max when given.
+
+    An n_max below 1 would check no case and report a vacuous pass, so it
+    is refused.
+    """
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    return lambda default: default if n_max is None else n_max

@@ -20,6 +20,7 @@ from hfib.algebra import (
 )
 from oracles import H as SH
 from oracles import HP as SHP
+from oracles import Q as SQ
 from oracles import assert_matches, hpoly_to_sympy, oracle_shift
 
 coeffs = st.one_of(
@@ -130,6 +131,18 @@ def test_shift_hprime_matches_substitution() -> None:
     p = 2 * H**2 * HP**3 + HP - 5
     for delta in (-2, -1, 0, 1, 3):
         assert_matches(p.shift_hprime(delta), oracle_shift(hpoly_to_sympy(p), delta))
+    # Fraction coefficients, gaps in the hp exponents and q terms
+    polys = [
+        Fraction(3, 4) * HP**5 - Fraction(1, 6) * H * HP**2 + Fraction(5, 2),
+        H**3 * HP**7 * Q**2 - 4 * HP**4 * Q + Q**3 + Fraction(2, 9) * H * HP,
+        Fraction(1, 2) * HP**2 + Fraction(1, 2) * HP,
+    ]
+    for p in polys:
+        for delta in (-7, -1, 1, 5):
+            shifted = p.shift_hprime(delta)
+            assert_matches(shifted, oracle_shift(hpoly_to_sympy(p), delta))
+            for _, coeff in shifted.terms():
+                assert coeff and (type(coeff) is int or coeff.denominator > 1)
 
 
 def test_shift_hprime_rejects_non_integer() -> None:
@@ -151,6 +164,26 @@ def test_eval_point() -> None:
     assert p.eval_point(Fraction(1, 2), 2) == 1 + 3 + Fraction(1, 2) + 1
     assert (H * Q).eval_point(2, 1, q=3) == 6
     assert (H * Q).eval_point(2, 1) == 0
+    # h = 0, q != 0, negative rationals, the zero polynomial and a Fraction coefficient
+    polys = [
+        p,
+        HPoly.zero(),
+        Fraction(-5, 3) * H**2 * HP**3 * Q + 7 * HP**2 * Q**4 - Fraction(1, 2) + H,
+        HP**6 - Q**2,
+    ]
+    points = [
+        (0, Fraction(2, 5), Fraction(-3, 2)),
+        (Fraction(-7, 3), Fraction(2, 5), 0),
+        (Fraction(-1, 4), Fraction(-9, 7), Fraction(5, 6)),
+        (0, 0, 0),
+    ]
+    for poly in polys:
+        expr = hpoly_to_sympy(poly)
+        for hv, hpv, qv in points:
+            value = poly.eval_point(hv, hpv, qv)
+            assert type(value) is Fraction
+            point = {SH: sympy.Rational(hv), SHP: sympy.Rational(hpv), SQ: sympy.Rational(qv)}
+            assert value == Fraction(str(expr.subs(point)))
 
 
 def test_classical_limit() -> None:

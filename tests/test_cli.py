@@ -233,6 +233,27 @@ def test_verify_failure_exit_code(monkeypatch, capsys) -> None:
     assert data["failures"]
 
 
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (("verify", "all", "--seed", "7"), "verify_all_seed7.txt"),
+        (
+            ("eval", "--n", "60", "--route", "recurrence", "--h=-7/3", "--hp", "2/5"),
+            "eval_n60_recurrence.txt",
+        ),
+        (
+            ("fib", "--n", "90", "--route", "recurrence", "--format", "json"),
+            "fib_n90_recurrence.json",
+        ),
+    ],
+)
+def test_stdout_matches_golden(argv, golden, capsys) -> None:
+    # Pins stdout across versions; criterion 9 pins it within one version.
+    code, out = run_cli(*argv, capsys=capsys)
+    assert code == 0
+    assert out.encode() == (REPO / "tests" / "golden" / golden).read_bytes()
+
+
 def test_cli_determinism_subprocess() -> None:
     cmd = [sys.executable, "-m", "hfib.cli", "verify", "all", "--max", "6"]
     a = subprocess.run(cmd, capture_output=True, text=True)

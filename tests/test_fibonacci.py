@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hfib.algebra import H, HP, HPoly, shifted_factorial
@@ -81,6 +81,7 @@ def test_diagonal_matches_sympy_oracle(n: int) -> None:
 
 
 @given(st.integers(min_value=0, max_value=30))
+@example(80)
 def test_recurrence_route_agrees(n: int) -> None:
     assert hfib_recurrence(n) == hfib_diagonal(n)
 

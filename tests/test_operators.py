@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hfib.algebra import H, HP, HPoly, shifted_factorial
-from hfib.fibonacci import hfib_diagonal
+from hfib.fibonacci import classical_fib, hfib_diagonal
 from hfib.operators import (
     D,
     OpMatrix2,
@@ -158,6 +158,8 @@ def test_neg_fib_op_values() -> None:
     assert neg_fib_op(1).g == fib_op(1)
     assert neg_fib_op(2).g == -fib_op(2)
     assert neg_fib_op(3).g == fib_op(3)
+    # beyond the recursion limit; g_n at D = 1 is F_(-n) = (-1)^(n+1) F_n
+    assert sum(coeff for _, coeff in neg_fib_op(1500).g.terms()) == -classical_fib(1500)
     with pytest.raises(ValueError):
         neg_fib_op(-1)
 

@@ -48,6 +48,8 @@ def test_q_binomial_values() -> None:
     assert q_binomial(5, 0) == 1
     assert q_binomial(3, 4) == 0
     assert q_binomial(3, -1) == 0
+    # beyond the recursion limit
+    assert q_binomial(1500, 1) == q_int(1500)
     with pytest.raises(ValueError):
         q_binomial(-1, 0)
 

@@ -1,5 +1,11 @@
 from __future__ import annotations
 
+import pytest
+
+from hfib.fibonacci import verify_fibonacci
+from hfib.operators import verify_operators
+from hfib.pascal import verify_pascal
+from hfib.qh import verify_qh
 from hfib.report import SCHEMA, Failure, IdentityReport, merge_reports
 
 
@@ -37,3 +43,21 @@ def test_merge_prefixes_params_with_sub_suite() -> None:
     assert merged.failures[0].params == {"suite": "alpha", "n": 7}
     assert len(merged.pinned_conventions) == 1
     assert not merged.passed
+
+
+@pytest.mark.parametrize(
+    "suite, n_max",
+    [
+        (verify_fibonacci, 0),
+        (verify_fibonacci, -1),
+        (verify_operators, 0),
+        (verify_qh, 0),
+        (verify_qh, -1),
+        (verify_pascal, 0),
+        (verify_pascal, -1),
+    ],
+)
+def test_suites_refuse_n_max_below_one(suite, n_max) -> None:
+    # 0 used to run the default scales and -1 a vacuous pass with no cases
+    with pytest.raises(ValueError, match="at least 1"):
+        suite(n_max)
