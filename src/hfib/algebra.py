@@ -451,9 +451,20 @@ def shifted_factorial(start, step, count: int) -> HPoly:
 
 
 @lru_cache(maxsize=None)
+def _d_step(k: int) -> HPoly:
+    if k == 0:
+        return HPoly.one()
+    # d_image fills the cache bottom-up, so this read is a cache hit.
+    return _d_step(k - 1) * (H * (HP + (k - 1)))
+
+
 def d_image(k: int) -> HPoly:
     """The h-deformation weight h^k * (hp)(hp+1)...(hp+k-1), the image of D^k."""
-    return H**k * shifted_factorial(HP, 1, k)
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("d_image needs a non-negative integer power of D")
+    for j in range(k):
+        _d_step(j)
+    return _d_step(k)
 
 
 def rising_rational(start, count: int) -> Fraction:

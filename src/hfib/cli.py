@@ -38,6 +38,14 @@ _ROUTES = {
     "binet": lambda n: operators.op_eval(operators.binet_fib(n)),
 }
 
+# Largest n that `fib` and `eval` take by the recurrence route: on 2 vCPUs
+# it takes 16-19 s at n = 400, and about 11 times longer per doubling of n.
+RECURRENCE_MAX_N = 400
+
+# argparse reads a value that starts with "-" and is not a plain number as
+# an option, so a negative rational must be attached to its flag.
+_RATIONAL_HELP = "exact rational such as 1/3; attach a negative value, as in {flag}=-7/3"
+
 
 def _rational(text: str) -> Fraction:
     try:
@@ -87,8 +95,18 @@ def cmd_pascal(args) -> int:
     return 0
 
 
+def _route_value(route: str, n: int):
+    """F_n by the named route, refused before any work above the route's cap."""
+    if route == "recurrence" and n > RECURRENCE_MAX_N:
+        raise ValueError(
+            f"--route recurrence is capped at n = {RECURRENCE_MAX_N}, got n = {n}; "
+            "use --route hypergeom for larger n"
+        )
+    return _ROUTES[route](n)
+
+
 def cmd_fib(args) -> int:
-    value = _ROUTES[args.route](args.n)
+    value = _route_value(args.route, args.n)
     if args.format == "json":
         print(_dump_json({"n": args.n, "route": args.route, "terms": value.to_json_terms()}))
     else:
@@ -170,7 +188,7 @@ def cmd_qh(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    value = _ROUTES[args.route](args.n).eval_point(args.h, args.hp)
+    value = _route_value(args.route, args.n).eval_point(args.h, args.hp)
     if args.format == "json":
         print(
             _dump_json(
@@ -317,8 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate F_n at an exact rational point")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--h", type=_rational, required=True)
-    p.add_argument("--hp", type=_rational, required=True)
+    p.add_argument("--h", type=_rational, required=True, help=_RATIONAL_HELP.format(flag="--h"))
+    p.add_argument(
+        "--hp", type=_rational, required=True, help=_RATIONAL_HELP.format(flag="--hp")
+    )
     p.add_argument("--route", choices=tuple(_ROUTES), default="diagonal")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_eval)
@@ -335,8 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--order", type=_positive_int, default=None, help="gf/weighted truncation order"
     )
     p.add_argument("--p", type=int, default=2, help="weighted series base")
-    p.add_argument("--h", type=_rational, default=Fraction(1, 100))
-    p.add_argument("--hp", type=_rational, default=Fraction(1, 2))
+    p.add_argument(
+        "--h", type=_rational, default=Fraction(1, 100), help=_RATIONAL_HELP.format(flag="--h")
+    )
+    p.add_argument(
+        "--hp", type=_rational, default=Fraction(1, 2), help=_RATIONAL_HELP.format(flag="--hp")
+    )
     p.add_argument("--tol", type=_rational, default=Fraction(1, 10**12))
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
     p.add_argument(

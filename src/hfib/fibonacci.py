@@ -61,15 +61,22 @@ def hfib_diagonal(n: int) -> HPoly:
 
 
 @lru_cache(maxsize=None)
-def hfib_recurrence(n: int) -> HPoly:
-    """Recurrence route: F_(n+1) = F_n + h*hp * F_(n-1) with hp shifted by one."""
-    if n < 0:
-        raise ValueError("index must be non-negative; use hfib_negative")
+def _recurrence_step(n: int) -> HPoly:
     if n == 0:
         return HPoly.zero()
     if n <= 2:
         return HPoly.one()
-    return hfib_recurrence(n - 1) + H * HP * hfib_recurrence(n - 2).shift_hprime(1)
+    # hfib_recurrence fills the cache bottom-up, so both reads are cache hits.
+    return _recurrence_step(n - 1) + H * HP * _recurrence_step(n - 2).shift_hprime(1)
+
+
+def hfib_recurrence(n: int) -> HPoly:
+    """Recurrence route: F_(n+1) = F_n + h*hp * F_(n-1) with hp shifted by one."""
+    if n < 0:
+        raise ValueError("index must be non-negative; use hfib_negative")
+    for k in range(n):
+        _recurrence_step(k)
+    return _recurrence_step(n)
 
 
 def hfib_hypergeometric(n: int) -> HPoly:

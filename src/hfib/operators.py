@@ -344,14 +344,26 @@ def binet_fib(n: int) -> OpPoly:
     """Operator Fibonacci number via (lp^n - lm^n) / (lp - lm), exactly.
 
     lp - lm = s, so the quotient is the odd part of lp^n - lm^n; the even
-    part must vanish identically and is asserted to.
+    part must vanish identically and is asserted to.  With lp, lm =
+    (1 +- s)/2 that odd part is the one of (1 + s)^n - (1 - s)^n, divided
+    by 2^n.  Both powers are raised in Z[D][s] and the division is exact
+    and asserted to, so no coefficient is ever a fraction (integer-
+    preserving arithmetic, as in Bareiss, Math. Comp. 22, 1968).
     """
     if n < 0:
         raise ValueError("index must be non-negative")
-    diff = lambda_plus() ** n - lambda_minus() ** n
+    one = OpPoly.one()
+    diff = SqrtExt(one, one) ** n - SqrtExt(one, -one) ** n
     if not diff.even.is_zero:
         raise ArithmeticError("even part of lambda_+^n - lambda_-^n did not cancel")
-    return diff.odd
+    scale = 1 << n
+    terms: dict[int, int] = {}
+    for exp, coeff in diff.odd._terms.items():
+        quotient, remainder = divmod(coeff, scale)
+        if remainder:
+            raise ArithmeticError("odd part of (1 + s)^n - (1 - s)^n is not divisible by 2^n")
+        terms[exp] = quotient
+    return OpPoly(terms)
 
 
 # -- negative indices ---------------------------------------------------
@@ -489,20 +501,29 @@ def verify_inverse_powers(n_max: int = 12) -> IdentityReport:
     return report
 
 
+def _power_ladder(x: OpPoly, top: int) -> list[OpPoly]:
+    """x^0, x^1, ..., x^top by repeated multiplication."""
+    ladder = [OpPoly.one()]
+    for _ in range(top):
+        ladder.append(ladder[-1] * x)
+    return ladder
+
+
 def verify_power_sums(n_max: int = 6, k_max: int = 6) -> IdentityReport:
     """Binomial expansions of F_(kn) in terms of F_k, F_(k-1) and F_(k+1)."""
     report = IdentityReport("op-power-sums")
     for k in range(1, k_max + 1):
-        f_k, f_km1, f_kp1 = fib_op(k), fib_op(k - 1), fib_op(k + 1)
+        # every power of F_k, F_(k-1) and F_(k+1) the sums below read
+        p_k, p_km1, p_kp1 = (_power_ladder(fib_op(j), n_max) for j in (k, k - 1, k + 1))
         for n in range(1, n_max + 1):
             target = fib_op(k * n)
             lhs = OpPoly.zero()
             for i in range(n + 1):
-                lhs = lhs + comb(n, i) * D ** (n - i) * f_k**i * f_km1 ** (n - i) * fib_op(i)
+                lhs = lhs + comb(n, i) * D ** (n - i) * p_k[i] * p_km1[n - i] * fib_op(i)
             report.check({"k": k, "n": n, "form": "F_(k-1) weights"}, lhs, target)
             alt = OpPoly.zero()
             for i in range(n + 1):
-                alt = alt + comb(n, i) * (-1) ** (i + 1) * f_k**i * f_kp1 ** (n - i) * fib_op(i)
+                alt = alt + comb(n, i) * (-1) ** (i + 1) * p_k[i] * p_kp1[n - i] * fib_op(i)
             report.check({"k": k, "n": n, "form": "F_(k+1) weights"}, alt, target)
     return report
 

@@ -218,6 +218,11 @@ def test_shifted_factorial_values() -> None:
     assert_matches(shifted_factorial(HP, 1, 5), sympy.expand(sympy.rf(SHP, 5)))
     for k in range(7):
         assert_matches(d_image(k), SH**k * sympy.rf(SHP, k))
+    for k in range(41):
+        assert d_image(k) == H**k * shifted_factorial(HP, 1, k)
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError):
+            d_image(bad)
     with pytest.raises(ValueError):
         shifted_factorial(HP, 1, -1)
 

@@ -222,6 +222,33 @@ def test_verify_bound_below_one_exits_2(argv, monkeypatch, capsys) -> None:
     assert "must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fib", "--n", "450", "--route", "recurrence"),
+        ("eval", "--n", "401", "--route", "recurrence", "--h", "1", "--hp", "1"),
+    ],
+)
+def test_recurrence_route_cap_exits_2(argv, monkeypatch, capsys) -> None:
+    monkeypatch.setitem(cli._ROUTES, "recurrence", lambda n: pytest.fail("the route started"))
+    code = cli.main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--route recurrence" in err
+    assert str(cli.RECURRENCE_MAX_N) in err
+    assert "--route hypergeom" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "verify"])
+def test_help_names_attached_negative_form(command, capsys) -> None:
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--h=-7/3" in out
+    assert "--hp=-7/3" in out
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys) -> None:
     failing = IdentityReport("pascal-recurrences")
     failing.cases = 1
@@ -245,6 +272,7 @@ def test_verify_failure_exit_code(monkeypatch, capsys) -> None:
             ("fib", "--n", "90", "--route", "recurrence", "--format", "json"),
             "fib_n90_recurrence.json",
         ),
+        (("fib", "--n", "60", "--route", "binet"), "fib_n60_binet.txt"),
     ],
 )
 def test_stdout_matches_golden(argv, golden, capsys) -> None:

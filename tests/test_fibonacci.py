@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hfib.algebra import H, HP, HPoly, shifted_factorial
+from hfib import fibonacci
 from hfib.fibonacci import (
     classical_fib,
     fib_table,
@@ -89,6 +91,25 @@ def test_recurrence_route_agrees(n: int) -> None:
 @given(st.integers(min_value=1, max_value=30))
 def test_hypergeometric_route_agrees(n: int) -> None:
     assert hfib_hypergeometric(n) == hfib_diagonal(n)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_recurrence_route_stays_shallow() -> None:
+    # a cold cache is filled bottom-up, so the depth does not grow with n
+    fibonacci._recurrence_step.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 100)
+    try:
+        value = hfib_recurrence(150)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value.classical_limit() == classical_fib(150)
 
 
 def test_hypergeometric_rejects_nonpositive() -> None:

@@ -3,7 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hfib.algebra import H, HP, HPoly, shifted_factorial
@@ -22,6 +22,7 @@ from hfib.operators import (
     qh_matrix,
     qh_power,
     verify_operators,
+    verify_power_sums,
 )
 
 op_polys = st.dictionaries(
@@ -149,8 +150,16 @@ def test_sqrt_ext_squares() -> None:
 
 
 @given(st.integers(min_value=0, max_value=25))
+@example(120)
+@example(240)
 def test_binet_route(n: int) -> None:
     assert binet_fib(n) == fib_op(n)
+
+
+def test_binet_coefficients_are_int() -> None:
+    # integral coefficients are stored as int, never as Fraction(k, 1)
+    for n in range(61):
+        assert all(type(c) is int for _, c in binet_fib(n).terms()), n
 
 
 def test_neg_fib_op_values() -> None:
@@ -173,6 +182,12 @@ def test_cassini_spot() -> None:
     # F_4 F_6 - F_5^2 = (-D)^... : check the n = 5 instance directly
     lhs = fib_op(4) * fib_op(6) - fib_op(5) * fib_op(5)
     assert lhs == -(D**4)
+
+
+def test_verify_power_sums_cases() -> None:
+    report = verify_power_sums(8, 8)
+    assert report.cases == 2 * 8 * 8
+    assert not report.failures
 
 
 def test_verify_operators_all_pass() -> None:
