@@ -18,6 +18,7 @@ Module map:
   cli        - the `hfib` command
 """
 
+from hfib import algebra, fibonacci, genfun, operators, pascal, qh
 from hfib.algebra import (
     H,
     HP,
@@ -53,3 +54,28 @@ from hfib.qh import q_binomial, q_fibonacci, q_int, qh_binomial
 from hfib.report import DEFAULT_SEED, IdentityReport
 
 __version__ = "0.1.0"
+
+# Every memo cache in the package; all are unbounded lru_caches.
+_CACHES = (
+    algebra._d_step,
+    fibonacci.classical_fib,
+    fibonacci.hfib_diagonal,
+    fibonacci._recurrence_step,
+    genfun._require_lemmas,
+    operators.fib_op,
+    operators._g,
+    pascal.h_binomial,
+    qh._q_pascal,
+    qh.qh_binomial,
+    qh.q_fibonacci,
+    qh._q_fibonacci_alt,
+)
+
+
+def clear_caches() -> None:
+    """Empty every memo cache in the package, so a long-lived process can free them.
+
+    Results do not change: each cached value is recomputed on its next use.
+    """
+    for cache in _CACHES:
+        cache.cache_clear()

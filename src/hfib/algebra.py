@@ -118,11 +118,13 @@ class HPoly:
     :meth:`variable`, :meth:`from_terms` or the module constants H, HP, Q.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_max_exponents")
 
     def __init__(self, terms: dict[int, Scalar] | None = None):
         # Internal: `terms` must already be packed, coerced and zero-free.
         self._terms: dict[int, Scalar] = {} if terms is None else terms
+        # Filled by max_exponents on first use; the term map never changes.
+        self._max_exponents: tuple[int, int, int] | None = None
 
     # -- construction ------------------------------------------------
 
@@ -189,6 +191,8 @@ class HPoly:
 
     def max_exponents(self) -> tuple[int, int, int]:
         """Per-variable maximum exponents (0, 0, 0) for the zero polynomial."""
+        if self._max_exponents is not None:
+            return self._max_exponents
         mh = mhp = mq = 0
         for key in self._terms:
             eh, ehp, eq = _unpack(key)
@@ -198,7 +202,8 @@ class HPoly:
                 mhp = ehp
             if eq > mq:
                 mq = eq
-        return mh, mhp, mq
+        self._max_exponents = (mh, mhp, mq)
+        return self._max_exponents
 
     def constant_term(self) -> Scalar:
         return self._terms.get(0, 0)

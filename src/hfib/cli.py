@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -42,9 +43,14 @@ _ROUTES = {
 # it takes 16-19 s at n = 400, and about 11 times longer per doubling of n.
 RECURRENCE_MAX_N = 400
 
-# argparse reads a value that starts with "-" and is not a plain number as
-# an option, so a negative rational must be attached to its flag.
-_RATIONAL_HELP = "exact rational such as 1/3; attach a negative value, as in {flag}=-7/3"
+_RATIONAL_HELP = "exact rational such as 1/3; a negative one as {flag} -7/3 or {flag}=-7/3"
+
+# argparse reads a value that starts with "-" and is not a plain number
+# ("-7/3") as an option, so main() attaches such a value to its flag
+# ("--h=-7/3") before parsing.  No option of this parser starts "-<digit>"
+# or "-.", so a token that does is always a value.
+_NEGATIVE_RATIONAL_FLAGS = ("--h", "--hp")
+_NEGATIVE_NUMBER = re.compile(r"-[\d.]")
 
 
 def _rational(text: str) -> Fraction:
@@ -52,6 +58,17 @@ def _rational(text: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
+
+
+def _attach_negative_rationals(argv: list[str]) -> list[str]:
+    """argv with each `--h -7/3` written `--h=-7/3`, so argparse takes the value."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _NEGATIVE_RATIONAL_FLAGS and _NEGATIVE_NUMBER.match(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _positive_int(text: str) -> int:
@@ -381,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_rationals(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ValueError, OverflowError, ArithmeticError) as exc:

@@ -29,10 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 from typing import Union
 
 from hfib.algebra import HPoly, _coerce_scalar, d_image, render_terms
-from hfib.kernels import kadd, kmul, kpow, kscale
+from hfib.kernels import binary_power, kadd, kmul, kpow, kscale
 from hfib.report import IdentityReport, suite_scale
 
 Scalar = Union[int, Fraction]
@@ -251,16 +252,7 @@ class OpMatrix2:
     def __pow__(self, exponent: int) -> "OpMatrix2":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("matrix power needs a non-negative integer exponent")
-        result = OpMatrix2.identity()
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return binary_power(self, exponent, OpMatrix2.identity(), mul)
 
     def det(self) -> OpPoly:
         return self.a11 * self.a22 - self.a12 * self.a21
@@ -315,16 +307,7 @@ class SqrtExt:
     def __pow__(self, exponent: int) -> "SqrtExt":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("extension power needs a non-negative integer exponent")
-        result = SqrtExt.one()
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return binary_power(self, exponent, SqrtExt.one(), mul)
 
     def __str__(self) -> str:
         return f"({self.even}) + ({self.odd})*s"

@@ -1,7 +1,8 @@
-"""Independent sympy oracles used to cross-check package results.
+"""Independent oracles used to cross-check package results.
 
 Everything here is built from sympy primitives (symbols, rf, binomial)
-and shares no code paths with the package, so agreement is meaningful.
+or from plain loops, and shares no code paths with the package, so
+agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -11,6 +12,15 @@ from fractions import Fraction
 import sympy
 
 H, HP, Q = sympy.symbols("h hp q")
+
+
+def oracle_term_product(a: dict, b: dict) -> dict:
+    """Schoolbook product of two term maps; zero sums are dropped at the end."""
+    acc: dict = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            acc[ka + kb] = acc.get(ka + kb, 0) + ca * cb
+    return {key: coeff for key, coeff in acc.items() if coeff}
 
 
 def hpoly_to_sympy(value) -> sympy.Expr:

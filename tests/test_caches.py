@@ -1,0 +1,42 @@
+from __future__ import annotations
+
+import hfib
+from hfib import algebra, cli, fibonacci, genfun, kernels, operators, pascal, qh, report
+
+
+def _package_caches() -> dict:
+    """Every lru_cache defined in an hfib module, found by inspection."""
+    found = {}
+    for module in (algebra, cli, fibonacci, genfun, kernels, operators, pascal, qh, report):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear") and obj.__module__.startswith("hfib"):
+                found[obj.__qualname__] = obj
+    return found
+
+
+def _compute() -> list:
+    return [
+        algebra.d_image(6),
+        fibonacci.classical_fib(20),
+        fibonacci.hfib_diagonal(8),
+        fibonacci.hfib_recurrence(8),
+        genfun.gf_fib(),
+        operators.fib_op(9),
+        operators.neg_fib_op(5).g,
+        pascal.h_binomial(6, 3),
+        qh.q_binomial(6, 3),
+        qh.qh_binomial(5, 2),
+        qh.q_fibonacci(7),
+        qh._q_fibonacci_alt(7),
+    ]
+
+
+def test_clear_caches_empties_every_cache() -> None:
+    caches = _package_caches()
+    assert set(caches.values()) == set(hfib._CACHES)
+    before = _compute()
+    assert all(cache.cache_info().currsize for cache in caches.values())
+    hfib.clear_caches()
+    assert {name: c.cache_info().currsize for name, c in caches.items()} == dict.fromkeys(caches, 0)
+    after = _compute()
+    assert after == before

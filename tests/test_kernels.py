@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+from fractions import Fraction
+from math import comb
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from oracles import oracle_term_product
 
 from hfib import kernels
 
@@ -56,3 +60,85 @@ def test_inputs_not_mutated(a: dict, b: dict) -> None:
 def test_no_zero_coefficients_in_results(a: dict, b: dict) -> None:
     for result in (kernels.kadd(a, b), kernels.kmul(a, b), kernels.kscale(a, 3)):
         assert all(result.values())
+
+
+# Kronecker-path coverage: dense int maps of 1-80 terms reach both sides of
+# kmul's size threshold, with coefficients up to 2**200 of either sign; zero
+# draws leave gaps but keep the map dense.
+big_ints = st.integers(min_value=-(2**200), max_value=2**200)
+
+
+def _sized(element, key=None):
+    """Maps of 1-80 drawn terms, keyed 0, 1, 2, ... or by a key strategy; zeros dropped."""
+    sizes = st.integers(min_value=1, max_value=80)
+    if key is None:
+        coeffs = sizes.flatmap(lambda n: st.lists(element, min_size=n, max_size=n))
+        return coeffs.map(lambda cs: {k: c for k, c in enumerate(cs) if c})
+    items = sizes.flatmap(lambda n: st.lists(st.tuples(key, element), min_size=n, max_size=n))
+    return items.map(lambda kcs: {k: c for k, c in kcs if c})
+
+
+dense_int_maps = _sized(big_ints)
+# The same maps with some coefficients made Fractions.
+mixed_maps = _sized(st.one_of(big_ints, st.fractions(max_denominator=50)))
+sparse_maps = _sized(big_ints, st.integers(min_value=0, max_value=1 << 12))
+# Keys packed as hfib.algebra packs (h, hp, q) exponents in 21-bit lanes.
+packed_maps = _sized(
+    big_ints,
+    st.tuples(*[st.integers(min_value=0, max_value=12)] * 3).map(
+        lambda e: (e[0] << 42) | (e[1] << 21) | e[2]
+    ),
+)
+
+_T = kernels._KRONECKER_MIN_TERMS
+
+
+def _check_product(a: dict, b: dict) -> dict:
+    snap_a, snap_b = dict(a), dict(b)
+    got = kernels.kmul(a, b)
+    assert got == oracle_term_product(a, b)
+    assert all(got.values())
+    assert a == snap_a and b == snap_b
+    return got
+
+
+@example({k: 1 for k in range(_T - 1)}, {k: -(2**200) for k in range(80)})
+# 9 * 63 * 63 = 35721 has 16 bits, so its lane needs a 17th for the sign.
+@example({k: 63 for k in range(9)}, {k: -63 for k in range(9)})
+@example({k: 3 - k for k in range(_T)}, {k: (-1) ** k * 2**199 for k in range(_T)})
+@given(dense_int_maps, dense_int_maps)
+def test_kmul_dense_int_matches_oracle(a: dict, b: dict) -> None:
+    got = _check_product(a, b)
+    assert all(type(c) is int for c in got.values())
+
+
+other_maps = st.one_of(mixed_maps, sparse_maps, packed_maps)
+
+
+@given(other_maps, other_maps)
+def test_kmul_fraction_sparse_and_packed_match_oracle(a: dict, b: dict) -> None:
+    _check_product(a, b)
+
+
+def test_kmul_cancelling_products() -> None:
+    # (1 + x)^k (1 - x)^k = (1 - x^2)^k: every odd coefficient cancels.
+    for k in range(1, 61):
+        got = _check_product(kernels.kpow({0: 1, 1: 1}, k), kernels.kpow({0: 1, 1: -1}, k))
+        assert got == {2 * j: (-1) ** j * comb(k, j) for j in range(k + 1)}
+    # The same with coefficients near 2**400 in the product, on the Kronecker path.
+    plus = kernels.kscale(kernels.kpow({0: 1, 1: 1}, 12), 2**200)
+    minus = kernels.kscale(kernels.kpow({0: 1, 1: -1}, 12), -(3**126))
+    got = _check_product(plus, minus)
+    assert got == {2 * j: (-1) ** (j + 1) * 2**200 * 3**126 * comb(12, j) for j in range(13)}
+
+
+def test_kronecker_path_gate() -> None:
+    dense = {key: key + 1 for key in range(_T)}
+    assert kernels._kronecker(dense, dense) == oracle_term_product(dense, dense)
+    with_fraction = {**dense, 0: Fraction(1, 2)}
+    assert kernels._kronecker(with_fraction, dense) is None
+    assert kernels._kronecker(dense, with_fraction) is None
+    sparse = {2 * key * _T: 1 for key in range(_T)}
+    assert kernels._kronecker(sparse, dense) is None
+    packed = {(key << 21) | key: 1 for key in range(_T)}
+    assert kernels._kronecker(packed, dense) is None
