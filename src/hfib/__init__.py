@@ -8,10 +8,10 @@ exact (rational coefficients, polynomial identities); nothing floats.
 
 Module map:
 
-  algebra    - HPoly, the exact polynomial ring Q[h, hp, q]
+  algebra    - TermRing, the base of both exact rings, and HPoly, Q[h, hp, q]
   pascal     - deformed binomials, triangle, Charlier link
   fibonacci  - the deformed Fibonacci numbers, four routes
-  operators  - the ring Q[D], matrix calculus, exact Binet
+  operators  - OpPoly, the ring Q[D]; matrix calculus, exact Binet
   genfun     - generating functions and the weighted series
   qh         - the two-parameter (q, h) layer and its measured report
   report     - IdentityReport plumbing shared by the suites

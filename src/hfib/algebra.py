@@ -1,28 +1,33 @@
-"""Exact sparse polynomials in the deformation parameters h, h' and q.
+"""Exact sparse polynomials: the base class TermRing and its ring HPoly.
 
-Everything downstream reduces its claims to equalities in the ring
-Q[h, h', q], so this module is deliberately strict: coefficients are
-exact rationals (int or fractions.Fraction), floats are rejected, and
-equality of polynomials is equality of term maps.  The second parameter
-h' is written ``hp`` throughout (it is an independent variable, not a
-derivative).
+TermRing holds what the library's two exact rings share: construction,
+arithmetic over the term-map kernels (hfib.kernels), equality, rendering
+and the JSON wire format.  Its subclasses are HPoly, the ring Q[h, h', q]
+defined here, and OpPoly, the operator ring Q[D] in hfib.operators.
 
-Representation.  A polynomial is a dict from a packed exponent key to a
-nonzero coefficient.  The three exponents occupy 21-bit lanes of one
-integer, ``(eh << 42) | (ehp << 21) | eq``, so that integer addition of
-keys is exponent-vector addition and the shared term-map kernels
-(hfib.kernels) stay univariate in shape.  Lane overflow is impossible in
-practice (degrees beyond 2**21 are unreachable at this library's scale)
-but multiplication guards it anyway.
+Everything downstream reduces its claims to equalities in these rings,
+so this module is deliberately strict: coefficients are exact rationals
+(int or fractions.Fraction; bools and integral Fractions are stored as
+int), floats are rejected, and equality of polynomials is equality of
+term maps.  The second parameter h' is written ``hp`` throughout (it is
+an independent variable, not a derivative).
 
-Canonical term order is graded lexicographic with h > hp > q, ascending,
-i.e. sorted by (total degree, h-exponent, hp-exponent, q-exponent).
-Rendering and the JSON wire format both follow it.
+Representation.  A polynomial is a dict from an integer key to a nonzero
+coefficient.  OpPoly's key is the D-exponent.  HPoly's three exponents
+occupy 21-bit lanes of one integer, ``(eh << 42) | (ehp << 21) | eq``,
+so that integer addition of keys is exponent-vector addition.  Lane
+overflow is impossible in practice (degrees beyond 2**21 are unreachable
+at this library's scale) but HPoly's multiplication guards it anyway.
+
+Canonical term order is graded lexicographic, ascending: by total degree,
+then by the exponent tuple (h, hp, q).  Rendering and the JSON wire
+format both follow it.
 
 The JSON wire format for a polynomial is a list of term objects
-``{"coeff": "num/den", "h": int, "hp": int, "q": int}`` in canonical
-order, where omitted exponent keys mean zero and the coefficient string
-is the exact rational (no denominator part when it is 1).
+``{"coeff": "num/den", "h": int, "hp": int, "q": int}`` (``"d"`` for
+OpPoly) in canonical order, where omitted exponent keys mean zero and
+the coefficient string is the exact rational (no denominator part when
+it is 1).
 """
 
 from __future__ import annotations
@@ -63,17 +68,14 @@ def _unpack(key: int) -> tuple[int, int, int]:
 
 
 def _coerce_scalar(value) -> Scalar:
-    """Accept an exact rational, demoting integral Fractions to int."""
-    if isinstance(value, int):
+    """Accept an exact rational, demoting bools and integral Fractions to int."""
+    if type(value) is int:
         return value
+    if isinstance(value, int):
+        return int(value)
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"expected an exact rational (int or Fraction), got {type(value).__name__}")
-
-
-def _sort_key(exponents: tuple[int, int, int]) -> tuple[int, int, int, int]:
-    eh, ehp, eq = exponents
-    return (eh + ehp + eq, eh, ehp, eq)
 
 
 def _taylor_shift(coeffs: list[int], delta: int) -> list[int]:
@@ -110,7 +112,153 @@ def _power_table(x: Fraction, exponents: set[int]) -> tuple[dict[int, int], int]
     return {e: a**e * b ** (m - e) for e in exponents}, b**m
 
 
-class HPoly:
+class TermRing:
+    """The arithmetic and codec HPoly and OpPoly share, over a term map.
+
+    A subclass gives its variable names (VARIABLES, and _JSON_NAMES on the
+    wire), its ring's name for messages (_RING), and the hooks `_exponents`
+    (key -> exponent tuple) and `_key` (exponents -> key, validating).
+    Operands mix only with the same ring and with exact rationals.
+    """
+
+    __slots__ = ("_terms",)
+
+    VARIABLES: tuple[str, ...]
+    _JSON_NAMES: tuple[str, ...]
+    _RING: str
+
+    def __init__(self, terms: dict[int, Scalar] | None = None):
+        # Internal: `terms` must already be keyed, coerced and zero-free.
+        self._terms: dict[int, Scalar] = {} if terms is None else terms
+
+    # -- construction ------------------------------------------------
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls({0: 1})
+
+    @classmethod
+    def const(cls, value):
+        c = _coerce_scalar(value)
+        return cls({0: c} if c else {})
+
+    @classmethod
+    def from_terms(cls, terms: Iterable[tuple[tuple[int, ...], Scalar]]):
+        """Build from (exponent tuple, coeff) pairs, merging duplicates."""
+        acc: dict[int, Scalar] = {}
+        for exponents, coeff in terms:
+            key = cls._key(*exponents)
+            acc[key] = acc.get(key, 0) + _coerce_scalar(coeff)
+        return cls({key: _coerce_scalar(c) for key, c in acc.items() if c})
+
+    # -- predicates --------------------------------------------------
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    # -- ring operations ---------------------------------------------
+
+    def _coerce_operand(self, other):
+        if type(other) is type(self):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.const(other)
+        return None
+
+    def __add__(self, other):
+        rhs = self._coerce_operand(other)
+        if rhs is None:
+            return NotImplemented
+        return type(self)(kadd(self._terms, rhs._terms))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(kscale(self._terms, -1))
+
+    def __sub__(self, other):
+        rhs = self._coerce_operand(other)
+        if rhs is None:
+            return NotImplemented
+        return self + (-rhs)
+
+    def __rsub__(self, other):
+        rhs = self._coerce_operand(other)
+        if rhs is None:
+            return NotImplemented
+        return rhs + (-self)
+
+    def __mul__(self, other):
+        if type(other) is type(self):
+            return type(self)(kmul(self._terms, other._terms))
+        if isinstance(other, (int, Fraction)):
+            return type(self)(kscale(self._terms, _coerce_scalar(other)))
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int):
+            return NotImplemented
+        if exponent < 0:
+            raise ValueError(f"negative powers are not representable in {self._RING}")
+        return type(self)(kpow(self._terms, exponent))
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return self._terms == other._terms
+        if isinstance(other, (int, Fraction)):
+            return self._terms == self.const(other)._terms
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self._terms.items()))
+
+    # -- rendering and wire format ------------------------------------
+
+    def _exponent_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
+        """Terms as (exponent tuple, coeff) in canonical order."""
+        items = [(self._exponents(key), coeff) for key, coeff in self._terms.items()]
+        items.sort(key=lambda item: (sum(item[0]), item[0]))
+        return items
+
+    def __str__(self) -> str:
+        return render_terms(self._exponent_terms(), self.VARIABLES)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+    def to_json_terms(self) -> list[dict]:
+        """Terms as {"coeff": "num/den", <name>: exponent, ...}, zero exponents omitted."""
+        out = []
+        for exponents, coeff in self._exponent_terms():
+            obj: dict = {"coeff": str(coeff)}
+            for name, e in zip(self._JSON_NAMES, exponents):
+                if e:
+                    obj[name] = e
+            out.append(obj)
+        return out
+
+    @classmethod
+    def from_json_terms(cls, data: Iterable[dict]):
+        return cls.from_terms(
+            (tuple(term.get(name, 0) for name in cls._JSON_NAMES), Fraction(term["coeff"]))
+            for term in data
+        )
+
+
+class HPoly(TermRing):
     """Sparse exact polynomial in h, hp and q.
 
     Instances are immutable in intent: no public method mutates, and all
@@ -118,28 +266,16 @@ class HPoly:
     :meth:`variable`, :meth:`from_terms` or the module constants H, HP, Q.
     """
 
-    __slots__ = ("_terms", "_max_exponents")
+    # _max_exponents is set by max_exponents on first use; the term map never changes.
+    __slots__ = ("_max_exponents",)
 
-    def __init__(self, terms: dict[int, Scalar] | None = None):
-        # Internal: `terms` must already be packed, coerced and zero-free.
-        self._terms: dict[int, Scalar] = {} if terms is None else terms
-        # Filled by max_exponents on first use; the term map never changes.
-        self._max_exponents: tuple[int, int, int] | None = None
+    VARIABLES = VARIABLES
+    _JSON_NAMES = VARIABLES
+    _RING = "Q[h, hp, q]"
+    _exponents = staticmethod(_unpack)
+    _key = staticmethod(_pack)
 
     # -- construction ------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "HPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "HPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def const(cls, value) -> "HPoly":
-        c = _coerce_scalar(value)
-        return cls({0: c} if c else {})
 
     @classmethod
     def variable(cls, name: str) -> "HPoly":
@@ -149,39 +285,11 @@ class HPoly:
         exponents[VARIABLES.index(name)] = 1
         return cls({_pack(*exponents): 1})
 
-    @classmethod
-    def from_terms(cls, terms: Iterable[tuple[tuple[int, int, int], Scalar]]) -> "HPoly":
-        """Build from ((eh, ehp, eq), coeff) pairs, merging duplicates."""
-        acc: dict[int, Scalar] = {}
-        for (eh, ehp, eq), coeff in terms:
-            c = _coerce_scalar(coeff)
-            if not c:
-                continue
-            key = _pack(eh, ehp, eq)
-            total = acc.get(key, 0) + c
-            if total:
-                acc[key] = total
-            else:
-                acc.pop(key, None)
-        return cls(acc)
-
-    # -- predicates and views ----------------------------------------
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
+    # -- views ---------------------------------------------------------
 
     def terms(self) -> list[tuple[tuple[int, int, int], Scalar]]:
         """Terms as ((eh, ehp, eq), coeff) in canonical order."""
-        items = [(_unpack(key), coeff) for key, coeff in self._terms.items()]
-        items.sort(key=lambda item: _sort_key(item[0]))
-        return items
-
-    def __len__(self) -> int:
-        return len(self._terms)
+        return self._exponent_terms()
 
     @property
     def total_degree(self) -> int:
@@ -191,8 +299,9 @@ class HPoly:
 
     def max_exponents(self) -> tuple[int, int, int]:
         """Per-variable maximum exponents (0, 0, 0) for the zero polynomial."""
-        if self._max_exponents is not None:
-            return self._max_exponents
+        cached = getattr(self, "_max_exponents", None)
+        if cached is not None:
+            return cached
         mh = mhp = mq = 0
         for key in self._terms:
             eh, ehp, eq = _unpack(key)
@@ -208,40 +317,10 @@ class HPoly:
     def constant_term(self) -> Scalar:
         return self._terms.get(0, 0)
 
-    # -- ring operations ---------------------------------------------
-
-    def _coerce_operand(self, other) -> "HPoly | None":
-        if isinstance(other, HPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return HPoly.const(other)
-        return None
-
-    def __add__(self, other) -> "HPoly":
-        rhs = self._coerce_operand(other)
-        if rhs is None:
-            return NotImplemented
-        return HPoly(kadd(self._terms, rhs._terms))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "HPoly":
-        return HPoly(kscale(self._terms, -1))
-
-    def __sub__(self, other) -> "HPoly":
-        rhs = self._coerce_operand(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other) -> "HPoly":
-        rhs = self._coerce_operand(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
+    # -- lane-guarded products -----------------------------------------
 
     def __mul__(self, other) -> "HPoly":
-        if isinstance(other, HPoly):
+        if type(other) is HPoly:
             sh, shp, sq = self.max_exponents()
             oh, ohp, oq = other.max_exponents()
             if (
@@ -251,31 +330,13 @@ class HPoly:
             ):
                 raise OverflowError("product degree beyond lane capacity")
             return HPoly(kmul(self._terms, other._terms))
-        if isinstance(other, (int, Fraction)):
-            return HPoly(kscale(self._terms, _coerce_scalar(other)))
-        return NotImplemented
-
-    __rmul__ = __mul__
+        return TermRing.__mul__(self, other)
 
     def __pow__(self, exponent: int) -> "HPoly":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            raise ValueError("negative powers are not representable in Q[h, hp, q]")
-        mh, mhp, mq = self.max_exponents()
-        if max(mh, mhp, mq) * max(exponent, 1) >= _LANE_LIMIT:
-            raise OverflowError("power degree beyond lane capacity")
-        return HPoly(kpow(self._terms, exponent))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, HPoly):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self._terms == HPoly.const(other)._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        if isinstance(exponent, int) and exponent > 0:
+            if max(self.max_exponents()) * exponent >= _LANE_LIMIT:
+                raise OverflowError("power degree beyond lane capacity")
+        return TermRing.__pow__(self, exponent)
 
     # -- substitutions ------------------------------------------------
 
@@ -316,16 +377,8 @@ class HPoly:
         acc: dict[int, Scalar] = {}
         for key, coeff in self._terms.items():
             eq = key & _LANE_MASK
-            c = _coerce_scalar(coeff * v**eq) if eq else coeff
-            if not c:
-                continue
-            new_key = key ^ eq
-            total = acc.get(new_key, 0) + c
-            if total:
-                acc[new_key] = total
-            else:
-                acc.pop(new_key, None)
-        return HPoly(acc)
+            acc[key ^ eq] = acc.get(key ^ eq, 0) + (coeff * v**eq if eq else coeff)
+        return HPoly({key: _coerce_scalar(c) for key, c in acc.items() if c})
 
     def eval_point(self, h, hp, q=0) -> Fraction:
         """Evaluate at an exact rational point.
@@ -371,40 +424,6 @@ class HPoly:
             if eh == ehp:
                 total += coeff
         return total
-
-    # -- rendering and wire format ------------------------------------
-
-    def __str__(self) -> str:
-        return render_terms(
-            [((eh, ehp, eq), coeff) for (eh, ehp, eq), coeff in self.terms()],
-            VARIABLES,
-        )
-
-    def __repr__(self) -> str:
-        return f"HPoly({self})"
-
-    def to_json_terms(self) -> list[dict]:
-        out = []
-        for (eh, ehp, eq), coeff in self.terms():
-            obj: dict = {"coeff": str(coeff)}
-            if eh:
-                obj["h"] = eh
-            if ehp:
-                obj["hp"] = ehp
-            if eq:
-                obj["q"] = eq
-            out.append(obj)
-        return out
-
-    @classmethod
-    def from_json_terms(cls, data: Iterable[dict]) -> "HPoly":
-        return cls.from_terms(
-            (
-                (term.get("h", 0), term.get("hp", 0), term.get("q", 0)),
-                Fraction(term["coeff"]),
-            )
-            for term in data
-        )
 
 
 H = HPoly.variable("h")

@@ -43,6 +43,15 @@ _ROUTES = {
 # it takes 16-19 s at n = 400, and about 11 times longer per doubling of n.
 RECURRENCE_MAX_N = 400
 
+# Largest `verify --max` each suite takes.  Times of one `hfib verify
+# <suite> --max <n>` process on 2 vCPUs, at the cap and one step above it:
+# pascal 2.2 s at 80 (0.9 s at 60); fib 1.9 s at 40, 5.4 s at 50;
+# operators 2.1 s at 20, 6.2 s at 24; qh 4.7 s at 20, 15.3 s at 24.
+VERIFY_MAX = {"pascal": 80, "fib": 40, "operators": 20, "qh": 20}
+
+# Markdown `verify` lists at most this many failures per group.
+MARKDOWN_FAILURES = 20
+
 _RATIONAL_HELP = "exact rational such as 1/3; a negative one as {flag} -7/3 or {flag}=-7/3"
 
 # argparse reads a value that starts with "-" and is not a plain number
@@ -268,7 +277,19 @@ def _verify_groups(args) -> tuple[list[IdentityReport], list[dict]]:
     return groups, extras
 
 
+def _check_verify_max(args) -> None:
+    """Refuse, before any suite starts, a --max above the cap of a suite that would run."""
+    over = [
+        f"verify {suite} ({cap})"
+        for suite, cap in VERIFY_MAX.items()
+        if args.suite in (suite, "all") and args.max is not None and args.max > cap
+    ]
+    if over:
+        raise ValueError(f"--max {args.max} is above the cap of {', '.join(over)}")
+
+
 def cmd_verify(args) -> int:
+    _check_verify_max(args)
     groups, extras = _verify_groups(args)
     total_failures = sum(len(g.failures) for g in groups)
     if args.format == "json":
@@ -289,8 +310,11 @@ def cmd_verify(args) -> int:
             print(f"{g.suite}: {status} [{g.cases} cases]")
             for pin in g.pinned_conventions:
                 print(f"  pinned: {pin.ambiguity} -> {pin.resolution}")
-            for f in g.failures[:20]:
+            for f in g.failures[:MARKDOWN_FAILURES]:
                 print(f"  failure {f.params}: {f.lhs} != {f.rhs}")
+            hidden = len(g.failures) - MARKDOWN_FAILURES
+            if hidden > 0:
+                print(f"  ... and {hidden} more failures not shown")
         for blob in extras:
             print("qh-experimental summary:")
             for name, holds in blob["summary"].items():
@@ -366,7 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("pascal", "fib", "operators", "gf", "weighted", "qh", "all"),
     )
     p.add_argument(
-        "--max", type=_positive_int, default=None, help="override per-suite index bounds"
+        "--max",
+        type=_positive_int,
+        default=None,
+        help="override per-suite index bounds; at most "
+        + ", ".join(f"{cap} for {suite}" for suite, cap in VERIFY_MAX.items()),
     )
     p.add_argument(
         "--order", type=_positive_int, default=None, help="gf/weighted truncation order"

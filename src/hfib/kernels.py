@@ -1,4 +1,4 @@
-"""Term-map kernels: the four inner loops of both polynomial rings.
+"""Term-map kernels: the four inner loops of hfib.algebra.TermRing and its two rings.
 
 A term map is a dict from a non-negative integer exponent key to a
 nonzero exact rational coefficient (int or fractions.Fraction).  Keys

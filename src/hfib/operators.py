@@ -29,55 +29,36 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import mul
-from typing import Union
+from operator import index, mul
 
-from hfib.algebra import HPoly, _coerce_scalar, d_image, render_terms
-from hfib.kernels import binary_power, kadd, kmul, kpow, kscale
+from hfib.algebra import HPoly, Scalar, TermRing, d_image
+from hfib.kernels import binary_power
 from hfib.report import IdentityReport, suite_scale
 
-Scalar = Union[int, Fraction]
 
+class OpPoly(TermRing):
+    """Exact polynomial in the commuting indeterminate D, keyed by the D-exponent."""
 
-class OpPoly:
-    """Exact polynomial in the commuting indeterminate D."""
+    __slots__ = ()
 
-    __slots__ = ("_terms",)
+    VARIABLES = ("D",)
+    _JSON_NAMES = ("d",)
+    _RING = "Q[D]"
 
-    def __init__(self, terms: dict[int, Scalar] | None = None):
-        # Internal: keys are D-exponents, values nonzero exact rationals.
-        self._terms: dict[int, Scalar] = {} if terms is None else terms
+    @staticmethod
+    def _exponents(key: int) -> tuple[int]:
+        return (key,)
 
-    @classmethod
-    def zero(cls) -> "OpPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "OpPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def const(cls, value) -> "OpPoly":
-        c = _coerce_scalar(value)
-        return cls({0: c} if c else {})
+    @staticmethod
+    def _key(exp: int) -> int:
+        exp = index(exp)
+        if exp < 0:
+            raise ValueError("D-exponents must be non-negative")
+        return exp
 
     @classmethod
     def from_coeffs(cls, coeffs: dict[int, Scalar]) -> "OpPoly":
-        acc: dict[int, Scalar] = {}
-        for exp, coeff in coeffs.items():
-            if exp < 0:
-                raise ValueError("D-exponents must be non-negative")
-            c = _coerce_scalar(coeff)
-            if c:
-                acc[exp] = c
-        return cls(acc)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
+        return cls.from_terms(((exp,), coeff) for exp, coeff in coeffs.items())
 
     @property
     def degree(self) -> int:
@@ -89,88 +70,6 @@ class OpPoly:
 
     def coeff(self, exp: int) -> Scalar:
         return self._terms.get(exp, 0)
-
-    def _coerce_operand(self, other) -> "OpPoly | None":
-        if isinstance(other, OpPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return OpPoly.const(other)
-        return None
-
-    def __add__(self, other) -> "OpPoly":
-        rhs = self._coerce_operand(other)
-        if rhs is None:
-            return NotImplemented
-        return OpPoly(kadd(self._terms, rhs._terms))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "OpPoly":
-        return OpPoly(kscale(self._terms, -1))
-
-    def __sub__(self, other) -> "OpPoly":
-        rhs = self._coerce_operand(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other) -> "OpPoly":
-        rhs = self._coerce_operand(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs + (-self)
-
-    def __mul__(self, other) -> "OpPoly":
-        if isinstance(other, OpPoly):
-            return OpPoly(kmul(self._terms, other._terms))
-        if isinstance(other, (int, Fraction)):
-            return OpPoly(kscale(self._terms, _coerce_scalar(other)))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "OpPoly":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        if exponent < 0:
-            raise ValueError("negative powers are not representable in Q[D]")
-        return OpPoly(kpow(self._terms, exponent))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, OpPoly):
-            return self._terms == other._terms
-        if isinstance(other, (int, Fraction)):
-            return self._terms == OpPoly.const(other)._terms
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __str__(self) -> str:
-        return render_terms([((exp,), coeff) for exp, coeff in self.terms()], ("D",))
-
-    def __repr__(self) -> str:
-        return f"OpPoly({self})"
-
-    def to_json_terms(self) -> list[dict]:
-        out = []
-        for exp, coeff in self.terms():
-            obj: dict = {"coeff": str(coeff)}
-            if exp:
-                obj["d"] = exp
-            out.append(obj)
-        return out
-
-    @classmethod
-    def from_json_terms(cls, data: list[dict]) -> "OpPoly":
-        acc: dict[int, Scalar] = {}
-        for obj in data:
-            exp = int(obj.get("d", 0))
-            if exp < 0:
-                raise ValueError("D-exponents must be non-negative")
-            coeff = Fraction(obj["coeff"])
-            acc[exp] = acc.get(exp, 0) + coeff
-        return cls.from_coeffs(acc)
 
 
 D = OpPoly({1: 1})

@@ -18,6 +18,7 @@ from hfib.algebra import (
     rising_rational,
     shifted_factorial,
 )
+from hfib.operators import D, OpPoly
 from oracles import H as SH
 from oracles import HP as SHP
 from oracles import Q as SQ
@@ -35,6 +36,10 @@ exponents = st.tuples(
 polys = st.dictionaries(exponents, coeffs, max_size=6).map(
     lambda d: HPoly.from_terms((e, c) for e, c in d.items())
 )
+op_polys = st.dictionaries(st.integers(min_value=0, max_value=8), coeffs, max_size=6).map(
+    OpPoly.from_coeffs
+)
+RING_POLYS = {HPoly: polys, OpPoly: op_polys}
 
 
 def test_constants_and_zero() -> None:
@@ -67,11 +72,42 @@ def test_pow_rejects_negative() -> None:
 
 
 def test_scalar_coercion() -> None:
-    assert H * Fraction(1, 2) + H * Fraction(1, 2) == H
-    with pytest.raises(TypeError):
-        HPoly.const(0.5)
-    with pytest.raises(TypeError):
-        H + 1.5  # type: ignore[operator]
+    for x in (H, D):
+        assert x * Fraction(1, 2) + x * Fraction(1, 2) == x
+        with pytest.raises(TypeError):
+            type(x).const(0.5)
+        with pytest.raises(TypeError):
+            x + 1.5  # type: ignore[operator]
+
+
+@pytest.mark.parametrize("x, text", [(H, "1 + h"), (D, "1 + D")], ids=["HPoly", "OpPoly"])
+def test_bool_coefficients_are_stored_as_int(x, text) -> None:
+    ring = type(x)
+    for p in (x + True, True + x, x * True + ring.const(True)):
+        assert str(p) == text
+        assert ring.from_json_terms(p.to_json_terms()) == p
+        assert {type(coeff) for _, coeff in p.terms()} == {int}
+    one = ring.const(True)
+    assert one.to_json_terms() == [{"coeff": "1"}]
+    assert ring.from_json_terms(one.to_json_terms()) == one
+    assert [type(coeff) for _, coeff in one.terms()] == [int]
+
+
+def test_rings_refuse_each_other() -> None:
+    for operation in (
+        lambda: H + D,
+        lambda: D + H,
+        lambda: D * H,
+        lambda: H * D,
+        lambda: H - D,
+        lambda: D**2.0,
+        lambda: H**2.0,
+    ):
+        with pytest.raises(TypeError):
+            operation()
+    assert HPoly.one() != OpPoly.one()
+    assert OpPoly.one() != HPoly.one()
+    assert not HPoly.one() == OpPoly.one()
 
 
 def test_canonical_term_order() -> None:
@@ -233,8 +269,12 @@ def test_rising_rational() -> None:
     assert rising_rational(Fraction(-2), 4) == 0
 
 
-@given(polys, polys, polys)
-def test_ring_axioms(a: HPoly, b: HPoly, c: HPoly) -> None:
+@pytest.mark.parametrize("ring", [HPoly, OpPoly], ids=lambda ring: ring.__name__)
+@given(data=st.data())
+def test_ring_axioms(ring, data) -> None:
+    # The surface HPoly and OpPoly share through TermRing.
+    a, b, c = (data.draw(RING_POLYS[ring]) for _ in range(3))
+    k = data.draw(coeffs)
     assert a + b == b + a
     assert a * b == b * a
     assert (a + b) + c == a + (b + c)
@@ -243,6 +283,18 @@ def test_ring_axioms(a: HPoly, b: HPoly, c: HPoly) -> None:
     assert a + 0 == a
     assert a * 1 == a
     assert a - a == 0
+    assert -(a - b) == b - a
+    assert a**2 == a * a
+    # equal polynomials built differently hash alike
+    assert hash((a + b) - b) == hash(a)
+    assert hash(a * b) == hash(b * a)
+    # a scalar operand acts as the constant polynomial
+    assert a + k == k + a == a + ring.const(k)
+    assert a - k == a - ring.const(k) and k - a == ring.const(k) - a
+    assert a * k == k * a == a * ring.const(k)
+    assert (ring.const(k) == k) and (ring.const(k) == ring.const(k) + 0)
+    assert repr(a) == f"{ring.__name__}({a})"
+    assert ring.from_json_terms(a.to_json_terms()) == a
 
 
 @given(polys, polys, st.integers(min_value=-3, max_value=3))
@@ -270,8 +322,3 @@ def test_pow_matches_repeated_product(a: HPoly, n: int) -> None:
     for _ in range(n):
         expected = expected * a
     assert a**n == expected
-
-
-@given(polys)
-def test_json_round_trip_property(a: HPoly) -> None:
-    assert HPoly.from_json_terms(a.to_json_terms()) == a

@@ -239,6 +239,52 @@ def test_recurrence_route_cap_exits_2(argv, monkeypatch, capsys) -> None:
     assert "--route hypergeom" in err
 
 
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (("verify", "pascal", "--max", "81"), ["pascal"]),
+        (("verify", "fib", "--max", "41"), ["fib"]),
+        (("verify", "operators", "--max", "21"), ["operators"]),
+        (("verify", "qh", "--max", "21", "--format", "markdown"), ["qh"]),
+        (("verify", "all", "--max", "41"), ["fib", "operators", "qh"]),
+    ],
+)
+def test_verify_max_above_cap_exits_2(argv, refused, monkeypatch, capsys) -> None:
+    monkeypatch.setattr(cli, "_verify_groups", lambda args: pytest.fail("a suite started"))
+    code = cli.main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    for suite, cap in cli.VERIFY_MAX.items():
+        assert (f"verify {suite} ({cap})" in err) == (suite in refused)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "pascal", "--max", "80"),
+        ("verify", "all", "--max", "20"),
+        ("verify", "gf", "--max", "1000"),
+        ("verify", "weighted", "--max", "1000"),
+    ],
+)
+def test_verify_max_at_cap_or_unused_runs(argv, monkeypatch, capsys) -> None:
+    monkeypatch.setattr(cli, "_verify_groups", lambda args: ([], []))
+    assert cli.main(list(argv)) == 0
+
+
+def test_verify_markdown_names_hidden_failures(monkeypatch, capsys) -> None:
+    failing = IdentityReport("pascal-recurrences")
+    failing.cases = 30
+    failing.failures.extend(Failure({"n": n}, "1", "2") for n in range(25))
+    monkeypatch.setattr(cli.pascal, "verify_pascal", lambda n_max, seed=None: [failing])
+    code, out = run_cli("verify", "pascal", "--format", "markdown", capsys=capsys)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "pascal: FAIL (25 failures) [30 cases]"
+    assert sum(line.startswith("  failure ") for line in lines) == 20
+    assert lines[-1] == "  ... and 5 more failures not shown"
+
+
 @pytest.mark.parametrize("command", ["eval", "verify"])
 def test_help_names_attached_negative_form(command, capsys) -> None:
     with pytest.raises(SystemExit) as exc:
@@ -277,6 +323,9 @@ def test_verify_failure_exit_code(monkeypatch, capsys) -> None:
             ("eval", "--n", "60", "--route", "recurrence", "--h", "-7/3", "--hp", "2/5"),
             "eval_n60_recurrence.txt",
         ),
+        (("op", "--n", "20", "--eval"), "op_n20_eval.txt"),
+        (("op", "--n", "20", "--eval", "--format", "json"), "op_n20_eval.json"),
+        (("gf", "--which", "cube", "--order", "8", "--format", "json"), "gf_cube_order8.json"),
     ],
 )
 def test_stdout_matches_golden(argv, golden, capsys) -> None:

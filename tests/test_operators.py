@@ -50,6 +50,13 @@ def test_op_poly_json_round_trip() -> None:
     assert OpPoly.from_json_terms(p.to_json_terms()) == p
     (first, *_) = p.to_json_terms()
     assert first == {"coeff": "1"}
+    for bad in (2.5, 2.0, "2"):
+        with pytest.raises(TypeError):
+            OpPoly.from_json_terms([{"coeff": "1", "d": bad}])
+        with pytest.raises(TypeError):
+            HPoly.from_json_terms([{"coeff": "1", "h": bad}])
+    with pytest.raises(ValueError):
+        OpPoly.from_json_terms([{"coeff": "1", "d": -1}])
 
 
 def test_fib_op_values() -> None:
