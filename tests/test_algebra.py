@@ -269,9 +269,7 @@ def test_rising_rational() -> None:
     assert rising_rational(Fraction(-2), 4) == 0
 
 
-@pytest.mark.parametrize("ring", [HPoly, OpPoly], ids=lambda ring: ring.__name__)
-@given(data=st.data())
-def test_ring_axioms(ring, data) -> None:
+def check_ring_axioms(ring, data) -> None:
     # The surface HPoly and OpPoly share through TermRing.
     a, b, c = (data.draw(RING_POLYS[ring]) for _ in range(3))
     k = data.draw(coeffs)
@@ -295,6 +293,16 @@ def test_ring_axioms(ring, data) -> None:
     assert (ring.const(k) == k) and (ring.const(k) == ring.const(k) + 0)
     assert repr(a) == f"{ring.__name__}({a})"
     assert ring.from_json_terms(a.to_json_terms()) == a
+
+
+@given(data=st.data())
+def test_ring_axioms(data) -> None:
+    check_ring_axioms(HPoly, data)
+
+
+@given(data=st.data())
+def test_op_ring_axioms(data) -> None:
+    check_ring_axioms(OpPoly, data)
 
 
 @given(polys, polys, st.integers(min_value=-3, max_value=3))
@@ -322,3 +330,8 @@ def test_pow_matches_repeated_product(a: HPoly, n: int) -> None:
     for _ in range(n):
         expected = expected * a
     assert a**n == expected
+
+
+@given(polys)
+def test_json_round_trip_property(a: HPoly) -> None:
+    assert HPoly.from_json_terms(a.to_json_terms()) == a
