@@ -47,6 +47,7 @@ RECURRENCE_MAX_N = 400
 # <suite> --max <n>` process on 2 vCPUs, at the cap and one step above it:
 # pascal 2.2 s at 80 (0.9 s at 60); fib 1.9 s at 40, 5.4 s at 50;
 # operators 2.1 s at 20, 6.2 s at 24; qh 4.7 s at 20, 15.3 s at 24.
+# These are the suites that read --max; gf and weighted read --order instead.
 VERIFY_MAX = {"pascal": 80, "fib": 40, "operators": 20, "qh": 20}
 
 # Markdown `verify` lists at most this many failures per group.
@@ -277,8 +278,13 @@ def _verify_groups(args) -> tuple[list[IdentityReport], list[dict]]:
     return groups, extras
 
 
-def _check_verify_max(args) -> None:
-    """Refuse, before any suite starts, a --max above the cap of a suite that would run."""
+def _check_verify_bounds(args) -> None:
+    """Refuse, before any suite starts, a bound flag the suite does not read or above its cap."""
+    if args.suite != "all":
+        reads = "--max" if args.suite in VERIFY_MAX else "--order"
+        for flag, value in (("--max", args.max), ("--order", args.order)):
+            if value is not None and flag != reads:
+                raise ValueError(f"verify {args.suite} does not read {flag}; its bound is {reads}")
     over = [
         f"verify {suite} ({cap})"
         for suite, cap in VERIFY_MAX.items()
@@ -289,7 +295,7 @@ def _check_verify_max(args) -> None:
 
 
 def cmd_verify(args) -> int:
-    _check_verify_max(args)
+    _check_verify_bounds(args)
     groups, extras = _verify_groups(args)
     total_failures = sum(len(g.failures) for g in groups)
     if args.format == "json":
@@ -393,11 +399,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--max",
         type=_positive_int,
         default=None,
-        help="override per-suite index bounds; at most "
+        help="index bound of pascal, fib, operators and qh; at most "
         + ", ".join(f"{cap} for {suite}" for suite, cap in VERIFY_MAX.items()),
     )
     p.add_argument(
-        "--order", type=_positive_int, default=None, help="gf/weighted truncation order"
+        "--order", type=_positive_int, default=None, help="truncation order of gf and weighted"
     )
     p.add_argument("--p", type=int, default=2, help="weighted series base")
     p.add_argument(

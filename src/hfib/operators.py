@@ -21,6 +21,11 @@ whose powers tile the operator Fibonacci numbers, the quadratic
 extension Q[D][s]/(s^2 - (1+4D)) whose roots (1 +- s)/2 give an exact
 Binet formula, and the negative-index operators g_n = D^n F_-n defined
 by running the recurrence backwards.
+
+The grid suites (addition, d'Ocagne, Catalan, power sums, inverse
+powers) compute each product once per call: the products and powers
+their inner loops share are built once, through fib_op, into rows and
+tables local to the call, and the checks read them from there.
 """
 
 from __future__ import annotations
@@ -316,33 +321,44 @@ def verify_cassini(n_max: int = 20) -> IdentityReport:
     return report
 
 
+def _product_row(a: int, top: int) -> list[OpPoly]:
+    """F_a * F_b for b = 0, 1, ..., top."""
+    return [fib_op(a) * fib_op(b) for b in range(top + 1)]
+
+
 def verify_addition(m_max: int = 12, n_max: int = 12) -> IdentityReport:
-    """The four index-addition formulas on an m x n grid."""
+    """The four index-addition formulas on an m x n grid.
+
+    Each product F_a F_b is computed once per call: a window of three
+    product rows, for m - 1, m and m + 1, slides down the grid.
+    """
     report = IdentityReport("op-addition")
+    top = n_max + 1
+    prev, row = _product_row(0, top), _product_row(1, top)
     for m in range(1, m_max + 1):
-        f_m, f_m1 = fib_op(m), fib_op(m + 1)
+        nxt = _product_row(m + 1, top)
         for n in range(1, n_max + 1):
-            f_n, f_n1 = fib_op(n), fib_op(n + 1)
             report.check(
                 {"m": m, "n": n, "form": "m+n+1"},
                 fib_op(m + n + 1),
-                f_m1 * f_n1 + D * f_m * f_n,
+                nxt[n + 1] + D * row[n],
             )
             report.check(
                 {"m": m, "n": n, "form": "m+n, split right"},
                 fib_op(m + n),
-                f_m1 * f_n + D * f_m * fib_op(n - 1),
+                nxt[n] + D * row[n - 1],
             )
             report.check(
                 {"m": m, "n": n, "form": "m+n, split left"},
                 fib_op(m + n),
-                f_m * f_n1 + D * fib_op(m - 1) * f_n,
+                row[n + 1] + D * prev[n],
             )
             report.check(
                 {"m": m, "n": n, "form": "m+n-1"},
                 fib_op(m + n - 1),
-                f_m * f_n + D * fib_op(m - 1) * fib_op(n - 1),
+                row[n] + D * prev[n - 1],
             )
+        prev, row = row, nxt
     return report
 
 
@@ -365,21 +381,23 @@ def verify_inverse_powers(n_max: int = 12) -> IdentityReport:
     """Adjugate-style inverses, multiplicatively: Q^n * M = D^n * I.
 
     Inverses of Q^n live outside Q[D] (they need D^-n), so the checks
-    clear denominators and stay polynomial.
+    clear denominators and stay polynomial.  Each Q^n is computed once per
+    call and shared by the three checks at n.
     """
     report = IdentityReport("op-inverse-powers")
     identity = OpMatrix2.identity()
     q = qh_matrix()
     for n in range(1, n_max + 1):
+        power = qh_power(n)
         adj = OpMatrix2(
             D * fib_op(n - 1), -1 * fib_op(n), (-1 * D) * fib_op(n), fib_op(n + 1)
         )
         signed = (-1) ** n * adj
         target = D**n * identity
-        report.check({"n": n, "side": "right"}, qh_power(n) * signed, target)
-        report.check({"n": n, "side": "left"}, signed * qh_power(n), target)
+        report.check({"n": n, "side": "right"}, power * signed, target)
+        report.check({"n": n, "side": "left"}, signed * power, target)
         combo = (-1) ** (n + 1) * (fib_op(n) * q - fib_op(n + 1) * identity)
-        report.check({"n": n, "form": "linear combination"}, combo * qh_power(n), target)
+        report.check({"n": n, "form": "linear combination"}, combo * power, target)
     return report
 
 
@@ -392,32 +410,42 @@ def _power_ladder(x: OpPoly, top: int) -> list[OpPoly]:
 
 
 def verify_power_sums(n_max: int = 6, k_max: int = 6) -> IdentityReport:
-    """Binomial expansions of F_(kn) in terms of F_k, F_(k-1) and F_(k+1)."""
+    """Binomial expansions of F_(kn) in terms of F_k, F_(k-1) and F_(k+1).
+
+    Each product is computed once per call: per k, the powers of F_k,
+    F_(k-1) and F_(k+1) and the weights F_k^i F_i that both forms share,
+    so each summand takes one large product.
+    """
     report = IdentityReport("op-power-sums")
     for k in range(1, k_max + 1):
         # every power of F_k, F_(k-1) and F_(k+1) the sums below read
         p_k, p_km1, p_kp1 = (_power_ladder(fib_op(j), n_max) for j in (k, k - 1, k + 1))
+        weighted = [p_k[i] * fib_op(i) for i in range(n_max + 1)]
         for n in range(1, n_max + 1):
             target = fib_op(k * n)
             lhs = OpPoly.zero()
             for i in range(n + 1):
-                lhs = lhs + comb(n, i) * D ** (n - i) * p_k[i] * p_km1[n - i] * fib_op(i)
+                lhs = lhs + comb(n, i) * D ** (n - i) * p_km1[n - i] * weighted[i]
             report.check({"k": k, "n": n, "form": "F_(k-1) weights"}, lhs, target)
             alt = OpPoly.zero()
             for i in range(n + 1):
-                alt = alt + comb(n, i) * (-1) ** (i + 1) * p_k[i] * p_kp1[n - i] * fib_op(i)
+                alt = alt + comb(n, i) * (-1) ** (i + 1) * p_kp1[n - i] * weighted[i]
             report.check({"k": k, "n": n, "form": "F_(k+1) weights"}, alt, target)
     return report
 
 
 def verify_catalan(n_max: int = 15) -> IdentityReport:
-    """Catalan identity F_(n-m) F_(n+m) - F_n^2 = (-1)^(n+1-m) D^(n-m) F_m^2."""
+    """Catalan identity F_(n-m) F_(n+m) - F_n^2 = (-1)^(n+1-m) D^(n-m) F_m^2.
+
+    Each product is computed once per call: the squares F_0^2 ... F_N^2
+    are built once and read by both sides.
+    """
     report = IdentityReport("op-catalan")
+    squares = [fib_op(j) ** 2 for j in range(n_max + 1)]
     for n in range(1, n_max + 1):
-        f_n = fib_op(n)
         for m in range(1, n + 1):
-            lhs = fib_op(n - m) * fib_op(n + m) - f_n**2
-            rhs = (-1) ** (n + 1 - m) * D ** (n - m) * fib_op(m) ** 2
+            lhs = fib_op(n - m) * fib_op(n + m) - squares[n]
+            rhs = (-1) ** (n + 1 - m) * D ** (n - m) * squares[m]
             report.check({"n": n, "m": m}, lhs, rhs)
     return report
 
@@ -427,12 +455,16 @@ def verify_docagne(bound: int = 15) -> IdentityReport:
 
     For m >= n the right side is (-1)^n D^n F_(m-n); for m < n the
     negative index appears and the denominator-cleared form is
-    (-1)^n D^m g_(n-m).
+    (-1)^n D^m g_(n-m).  Each product F_a F_b is computed once per call:
+    two product rows, for m and m + 1, slide down the grid.
     """
     report = IdentityReport("op-docagne")
+    top = bound + 1
+    row = _product_row(1, top)
     for m in range(1, bound + 1):
+        nxt = _product_row(m + 1, top)
         for n in range(1, bound + 1):
-            lhs = fib_op(m) * fib_op(n + 1) - fib_op(m + 1) * fib_op(n)
+            lhs = row[n + 1] - nxt[n]
             if m >= n:
                 rhs = (-1) ** n * D**n * fib_op(m - n)
                 branch = "m >= n"
@@ -440,6 +472,7 @@ def verify_docagne(bound: int = 15) -> IdentityReport:
                 rhs = (-1) ** n * D**m * neg_fib_op(n - m).g
                 branch = "m < n"
             report.check({"m": m, "n": n, "branch": branch}, lhs, rhs)
+        row = nxt
     return report
 
 

@@ -263,13 +263,41 @@ def test_verify_max_above_cap_exits_2(argv, refused, monkeypatch, capsys) -> Non
     [
         ("verify", "pascal", "--max", "80"),
         ("verify", "all", "--max", "20"),
-        ("verify", "gf", "--max", "1000"),
-        ("verify", "weighted", "--max", "1000"),
     ],
 )
 def test_verify_max_at_cap_or_unused_runs(argv, monkeypatch, capsys) -> None:
     monkeypatch.setattr(cli, "_verify_groups", lambda args: ([], []))
     assert cli.main(list(argv)) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "gf", "--max", "1000"),
+        ("verify", "weighted", "--max", "1000"),
+        ("verify", "gf", "--max", "5", "--format", "markdown"),
+        ("verify", "fib", "--order", "5"),
+        ("verify", "pascal", "--order", "5"),
+        ("verify", "operators", "--order", "5"),
+        ("verify", "qh", "--order", "5", "--max", "6"),
+    ],
+)
+def test_verify_unread_bound_flag_exits_2(argv, monkeypatch, capsys) -> None:
+    # gf and weighted read --order; every other suite reads --max
+    reads, unread = ("--order", "--max") if argv[1] in ("gf", "weighted") else ("--max", "--order")
+    monkeypatch.setattr(cli, "_verify_groups", lambda args: pytest.fail("a suite started"))
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: verify {argv[1]} does not read {unread}; its bound is {reads}\n"
+
+
+def test_verify_all_takes_both_bound_flags(monkeypatch, capsys) -> None:
+    seen = []
+    monkeypatch.setattr(cli, "_verify_groups", lambda args: seen.append(args) or ([], []))
+    assert cli.main(["verify", "all", "--max", "20", "--order", "80"]) == 0
+    assert (seen[0].max, seen[0].order) == (20, 80)
 
 
 def test_verify_markdown_names_hidden_failures(monkeypatch, capsys) -> None:

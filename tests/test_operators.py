@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hfib import algebra, operators
 from hfib.algebra import H, HP, HPoly, shifted_factorial
 from hfib.fibonacci import classical_fib, hfib_diagonal
 from hfib.operators import (
@@ -21,6 +22,10 @@ from hfib.operators import (
     op_eval,
     qh_matrix,
     qh_power,
+    verify_addition,
+    verify_catalan,
+    verify_docagne,
+    verify_inverse_powers,
     verify_operators,
     verify_power_sums,
 )
@@ -200,3 +205,69 @@ def test_verify_power_sums_cases() -> None:
 def test_verify_operators_all_pass() -> None:
     for report in verify_operators(8):
         assert report.passed, report.to_dict()
+
+
+@pytest.mark.parametrize(
+    "suite, args, failures, cases",
+    [
+        (verify_addition, (12, 12), 188, 576),
+        (verify_catalan, (15,), 24, 120),
+        (verify_docagne, (15,), 60, 225),
+        (verify_power_sums, (6, 6), 5, 72),
+        (verify_power_sums, (8, 3), 9, 48),
+        (verify_inverse_powers, (12,), 8, 36),
+    ],
+)
+def test_grid_suites_detect_a_wrong_fib_op(suite, args, failures, cases, monkeypatch) -> None:
+    # F_7 off by one: the failures pinned here are the ones each suite reported
+    # before its products were hoisted, so a hoisted product that went stale or
+    # served both sides of a check would change them.
+    exact = operators.fib_op
+    monkeypatch.setattr(operators, "fib_op", lambda n: exact(n) + 1 if n == 7 else exact(n))
+    report = suite(*args)
+    assert (len(report.failures), report.cases) == (failures, cases)
+
+
+@pytest.mark.parametrize(
+    "suite, args, bound",
+    [
+        (verify_addition, (12, 12), 14 * 14),
+        (verify_addition, (5, 9), 7 * 11),
+        (verify_docagne, (15,), 16 * 17),
+        (verify_docagne, (10,), 11 * 12),
+    ],
+)
+def test_grid_suites_compute_each_product_once(suite, args, bound, monkeypatch) -> None:
+    # one product per entry of the product rows: (m + 2)(n + 2) for addition,
+    # (bound + 1)(bound + 2) for d'Ocagne; single-term factors such as D are not counted
+    count = 0
+    kmul = algebra.kmul
+
+    def counting(a: dict, b: dict) -> dict:
+        nonlocal count
+        count += len(a) >= 2 and len(b) >= 2
+        return kmul(a, b)
+
+    monkeypatch.setattr(algebra, "kmul", counting)
+    assert suite(*args).passed
+    assert 0 < count <= bound
+
+
+@pytest.mark.parametrize(
+    "suite, args, cases",
+    [
+        (verify_addition, (1, 1), 4),
+        (verify_addition, (3, 7), 84),
+        (verify_addition, (7, 3), 84),
+        (verify_docagne, (1,), 1),
+        (verify_docagne, (2,), 4),
+        (verify_catalan, (1,), 1),
+        (verify_power_sums, (1, 1), 2),
+        (verify_power_sums, (3, 5), 30),
+        (verify_inverse_powers, (1,), 3),
+    ],
+)
+def test_grid_suites_at_small_and_non_square_sizes(suite, args, cases) -> None:
+    report = suite(*args)
+    assert report.cases == cases
+    assert report.passed, report.to_dict()
