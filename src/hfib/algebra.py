@@ -34,11 +34,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from math import lcm
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
-from hfib.kernels import kadd, kmul, kpow, kscale
+from hfib.kernels import kadd, kmul, kpow, kscale, taylor_shift
 
 Scalar = Union[int, Fraction]
 
@@ -76,29 +75,6 @@ def _coerce_scalar(value) -> Scalar:
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
     raise TypeError(f"expected an exact rational (int or Fraction), got {type(value).__name__}")
-
-
-def _taylor_shift(coeffs: list[int], delta: int) -> list[int]:
-    """Ascending coefficients of p(x + delta), given those of p(x).
-
-    The shift by one is d rounds of running sums (Horner's scheme, by
-    additions only).  Any other delta is that shift between two diagonal
-    scalings: with b_j = a_j * delta**j, p(delta*y + delta) = sum b_j (y+1)**j,
-    and the coefficient of y**j there is delta**j times that of x**j.
-    """
-    d = len(coeffs) - 1
-    if d == 0:
-        return coeffs
-    if delta != 1:
-        powers = [delta**j for j in range(d + 1)]
-        coeffs = [c * p for c, p in zip(coeffs, powers)]
-    top_down = coeffs[::-1]
-    for n in range(d + 1, 1, -1):
-        top_down[:n] = accumulate(top_down[:n])
-    shifted = top_down[::-1]
-    if delta != 1:
-        shifted = [c // p for c, p in zip(shifted, powers)]
-    return shifted
 
 
 def _power_table(x: Fraction, exponents: set[int]) -> tuple[dict[int, int], int]:
@@ -266,7 +242,8 @@ class HPoly(TermRing):
     :meth:`variable`, :meth:`from_terms` or the module constants H, HP, Q.
     """
 
-    # _max_exponents is set by max_exponents on first use; the term map never changes.
+    # _max_exponents is set by max_exponents on first use, or carried exactly from
+    # the operands by products, powers and hp-shifts; the term map never changes.
     __slots__ = ("_max_exponents",)
 
     VARIABLES = VARIABLES
@@ -284,6 +261,28 @@ class HPoly(TermRing):
         exponents = [0, 0, 0]
         exponents[VARIABLES.index(name)] = 1
         return cls({_pack(*exponents): 1})
+
+    @classmethod
+    def from_hp_lanes(
+        cls, lanes: Iterable[tuple[int, int, Sequence[int]]], den: int = 1
+    ) -> "HPoly":
+        """The sum of c_j * h^eh * hp^j * q^eq / den over lanes (eh, eq, [c_0, c_1, ...]).
+
+        Each lane is a dense list of int coefficients in hp, one lane per
+        (eh, eq) pair.  Zero coefficients are not stored, and a quotient by
+        den that is integral is stored as an int.
+        """
+        acc: dict[int, Scalar] = {}
+        for eh, eq, coeffs in lanes:
+            if len(coeffs) > _LANE_LIMIT:
+                raise OverflowError(f"exponent beyond lane capacity {_LANE_LIMIT - 1}")
+            base = _pack(eh, 0, eq)
+            for ehp, c in enumerate(coeffs):
+                if c:
+                    acc[base | (ehp << _HP_SHIFT)] = c
+        if den != 1:
+            acc = {key: _coerce_scalar(Fraction(c, den)) for key, c in acc.items()}
+        return cls(acc)
 
     # -- views ---------------------------------------------------------
 
@@ -329,13 +328,23 @@ class HPoly(TermRing):
                 or sq + oq >= _LANE_LIMIT
             ):
                 raise OverflowError("product degree beyond lane capacity")
-            return HPoly(kmul(self._terms, other._terms))
+            product = HPoly(kmul(self._terms, other._terms))
+            # Over an integral domain the degree in each variable adds, so the
+            # maxima of a nonzero product are the sums of its operands' maxima.
+            if product._terms:
+                product._max_exponents = (sh + oh, shp + ohp, sq + oq)
+            return product
         return TermRing.__mul__(self, other)
 
     def __pow__(self, exponent: int) -> "HPoly":
         if isinstance(exponent, int) and exponent > 0:
-            if max(self.max_exponents()) * exponent >= _LANE_LIMIT:
+            maxima = self.max_exponents()
+            if max(maxima) * exponent >= _LANE_LIMIT:
                 raise OverflowError("power degree beyond lane capacity")
+            power = TermRing.__pow__(self, exponent)
+            if power._terms:
+                power._max_exponents = tuple(m * exponent for m in maxima)
+            return power
         return TermRing.__pow__(self, exponent)
 
     # -- substitutions ------------------------------------------------
@@ -348,7 +357,9 @@ class HPoly(TermRing):
         (von zur Gathen & Gerhard, "Fast algorithms for Taylor shifts and
         certain difference equations", ISSAC 1997).  Fraction coefficients
         are first put over one common denominator, so the shift runs on
-        ints and integral results come back as ints.
+        ints and integral results come back as ints.  The shift keeps every
+        h- and q-exponent and the leading coefficient of each lane, so the
+        result has the same exponent maxima as self.
         """
         if not isinstance(delta, int):
             raise TypeError("shift amount must be an integer")
@@ -362,14 +373,17 @@ class HPoly(TermRing):
             if len(lane) <= ehp:
                 lane.extend([0] * (ehp + 1 - len(lane)))
             lane[ehp] = coeff if den == 1 else (coeff * den).numerator
-        acc: dict[int, Scalar] = {}
-        for base, lane in groups.items():
-            for ehp, c in enumerate(_taylor_shift(lane, delta)):
-                if c:
-                    acc[base | (ehp << _HP_SHIFT)] = (
-                        c if den == 1 else _coerce_scalar(Fraction(c, den))
-                    )
-        return HPoly(acc)
+        shifted = HPoly.from_hp_lanes(
+            (
+                (base >> _H_SHIFT, base & _LANE_MASK, taylor_shift(lane, delta))
+                for base, lane in groups.items()
+            ),
+            den,
+        )
+        maxima = getattr(self, "_max_exponents", None)
+        if maxima is not None:
+            shifted._max_exponents = maxima
+        return shifted
 
     def substitute_q(self, value) -> "HPoly":
         """Substitute an exact rational for q, returning a polynomial in h, hp."""

@@ -39,8 +39,9 @@ _ROUTES = {
     "binet": lambda n: operators.op_eval(operators.binet_fib(n)),
 }
 
-# Largest n that `fib` and `eval` take by the recurrence route: on 2 vCPUs
-# it takes 16-19 s at n = 400, and about 11 times longer per doubling of n.
+# Largest n that `fib` and `eval` take by the recurrence route: one `hfib fib
+# --route recurrence` process on 2 vCPUs takes 12-13 s at n = 400 and 0.8-0.9 s
+# at n = 200, about 15 times longer per doubling of n.
 RECURRENCE_MAX_N = 400
 
 # Largest `verify --max` each suite takes.  Times of one `hfib verify
@@ -49,6 +50,19 @@ RECURRENCE_MAX_N = 400
 # operators 2.1 s at 20, 6.2 s at 24; qh 4.7 s at 20, 15.3 s at 24.
 # These are the suites that read --max; gf and weighted read --order instead.
 VERIFY_MAX = {"pascal": 80, "fib": 40, "operators": 20, "qh": 20}
+
+# The one suite that reads each of these `verify` flags; `verify all` takes
+# them all.  Each defaults to None, so that a given flag can be told from an
+# absent one; _verify_groups puts in the default of an absent one.
+VERIFY_FLAG_READERS = {
+    "--p": "weighted",
+    "--h": "weighted",
+    "--hp": "weighted",
+    "--tol": "weighted",
+    "--seed": "pascal",
+    "--experimental": "qh",
+    "--strict": "qh",
+}
 
 # Markdown `verify` lists at most this many failures per group.
 MARKDOWN_FAILURES = 20
@@ -243,7 +257,8 @@ def _verify_groups(args) -> tuple[list[IdentityReport], list[dict]]:
         return wanted in (name, "all")
 
     if want("pascal"):
-        groups.append(merge_reports("pascal", pascal.verify_pascal(args.max or 12, seed=args.seed)))
+        seed = DEFAULT_SEED if args.seed is None else args.seed
+        groups.append(merge_reports("pascal", pascal.verify_pascal(args.max or 12, seed=seed)))
     if want("fib"):
         groups.append(merge_reports("fib", fibonacci.verify_fibonacci(args.max)))
     if want("operators"):
@@ -252,7 +267,13 @@ def _verify_groups(args) -> tuple[list[IdentityReport], list[dict]]:
         groups.append(merge_reports("gf", genfun.verify_genfun(args.order or 16)))
     if want("weighted"):
         reports = [
-            genfun.weighted_series_check(args.p, args.h, args.hp, args.order or 80, args.tol),
+            genfun.weighted_series_check(
+                2 if args.p is None else args.p,
+                Fraction(1, 100) if args.h is None else args.h,
+                Fraction(1, 2) if args.hp is None else args.hp,
+                args.order or 80,
+                Fraction(1, 10**12) if args.tol is None else args.tol,
+            ),
             genfun.verify_classical_weights(),
         ]
         groups.append(merge_reports("weighted", reports))
@@ -279,12 +300,15 @@ def _verify_groups(args) -> tuple[list[IdentityReport], list[dict]]:
 
 
 def _check_verify_bounds(args) -> None:
-    """Refuse, before any suite starts, a bound flag the suite does not read or above its cap."""
+    """Refuse, before any suite starts, a flag the suite does not read or a --max above its cap."""
     if args.suite != "all":
         reads = "--max" if args.suite in VERIFY_MAX else "--order"
         for flag, value in (("--max", args.max), ("--order", args.order)):
             if value is not None and flag != reads:
                 raise ValueError(f"verify {args.suite} does not read {flag}; its bound is {reads}")
+        for flag, reader in VERIFY_FLAG_READERS.items():
+            if getattr(args, flag[2:]) is not None and args.suite != reader:
+                raise ValueError(f"verify {args.suite} does not read {flag}; only verify {reader} does")
     over = [
         f"verify {suite} ({cap})"
         for suite, cap in VERIFY_MAX.items()
@@ -405,23 +429,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--order", type=_positive_int, default=None, help="truncation order of gf and weighted"
     )
-    p.add_argument("--p", type=int, default=2, help="weighted series base")
-    p.add_argument(
-        "--h", type=_rational, default=Fraction(1, 100), help=_RATIONAL_HELP.format(flag="--h")
-    )
-    p.add_argument(
-        "--hp", type=_rational, default=Fraction(1, 2), help=_RATIONAL_HELP.format(flag="--hp")
-    )
-    p.add_argument("--tol", type=_rational, default=Fraction(1, 10**12))
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="sampling seed")
+    p.add_argument("--p", type=int, default=None, help="weighted series base")
+    p.add_argument("--h", type=_rational, default=None, help=_RATIONAL_HELP.format(flag="--h"))
+    p.add_argument("--hp", type=_rational, default=None, help=_RATIONAL_HELP.format(flag="--hp"))
+    p.add_argument("--tol", type=_rational, default=None)
+    p.add_argument("--seed", type=int, default=None, help="sampling seed")
     p.add_argument(
         "--experimental",
         action="store_true",
+        default=None,
         help="include the measured q-layer report (never a gate by itself)",
     )
     p.add_argument(
         "--strict",
         action="store_true",
+        default=None,
         help="gate on the pinned experimental identities as well",
     )
     p.add_argument("--format", choices=("json", "markdown"), default="json")

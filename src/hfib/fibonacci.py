@@ -8,7 +8,8 @@ can be played against each other:
 
   * hfib_diagonal   - diagonal sums of deformed binomial coefficients
   * hfib_recurrence - the two-step recurrence, whose second term shifts
-                      hp by one: F_(n+1) = F_n + h*hp*F_(n-1)[hp -> hp+1]
+                      hp by one: F_(n+1) = F_n + h*hp*F_(n-1)[hp -> hp+1];
+                      it keeps each F_k as dense hp-lanes, one per h-exponent
   * hfib_hypergeometric - a terminating 3F1-type series
   * operators.binet_fib + op_eval - the exact Binet formula in Q[D]
 
@@ -25,12 +26,14 @@ recording the choice in the report (see verify_doubling_sum).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb
-
 from fractions import Fraction
+from functools import lru_cache
+from itertools import zip_longest
+from math import comb
+from operator import add
 
 from hfib.algebra import H, HP, HPoly, d_image
+from hfib.kernels import taylor_shift
 from hfib.operators import binet_fib, neg_fib_op, op_eval
 from hfib.pascal import h_binomial
 from hfib.report import IdentityReport, suite_scale
@@ -60,23 +63,39 @@ def hfib_diagonal(n: int) -> HPoly:
     return total
 
 
+def _add_lane(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    if len(a) < len(b):
+        a, b = b, a
+    return (*map(add, a, b), *a[len(b) :])
+
+
 @lru_cache(maxsize=None)
-def _recurrence_step(n: int) -> HPoly:
+def _recurrence_step(n: int) -> tuple[tuple[int, ...], ...]:
+    """F_n as hp-lanes: entry e holds the int hp-coefficients of the h^e part."""
     if n == 0:
-        return HPoly.zero()
+        return ()
     if n <= 2:
-        return HPoly.one()
+        return ((1,),)
     # hfib_recurrence fills the cache bottom-up, so both reads are cache hits.
-    return _recurrence_step(n - 1) + H * HP * _recurrence_step(n - 2).shift_hprime(1)
+    # h*hp*F_(n-2)[hp -> hp+1]: shift each lane, then raise its hp- and h-exponents by one.
+    moved = [(), *((0, *taylor_shift(lane, 1)) for lane in _recurrence_step(n - 2))]
+    return tuple(
+        _add_lane(a, b) for a, b in zip_longest(_recurrence_step(n - 1), moved, fillvalue=())
+    )
 
 
 def hfib_recurrence(n: int) -> HPoly:
-    """Recurrence route: F_(n+1) = F_n + h*hp * F_(n-1) with hp shifted by one."""
+    """Recurrence route: F_(n+1) = F_n + h*hp * F_(n-1) with hp shifted by one.
+
+    F_n is q-free with int coefficients, so each index is kept as dense
+    hp-lanes, one per h-exponent; the shift is a Taylor shift of each lane,
+    and only F_n itself becomes an HPoly.
+    """
     if n < 0:
         raise ValueError("index must be non-negative; use hfib_negative")
     for k in range(n):
         _recurrence_step(k)
-    return _recurrence_step(n)
+    return HPoly.from_hp_lanes((e, 0, lane) for e, lane in enumerate(_recurrence_step(n)))
 
 
 def hfib_hypergeometric(n: int) -> HPoly:

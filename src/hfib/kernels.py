@@ -1,4 +1,4 @@
-"""Term-map kernels: the four inner loops of hfib.algebra.TermRing and its two rings.
+"""Kernels: the four term-map loops of hfib.algebra.TermRing and one dense-list shift.
 
 A term map is a dict from a non-negative integer exponent key to a
 nonzero exact rational coefficient (int or fractions.Fraction).  Keys
@@ -21,9 +21,20 @@ polynomial multiplication via multipoint Kronecker substitution",
 J. Symbolic Comput. 44, 2009).  Everything else (small products,
 Fraction coefficients and the sparse packed keys of hfib.algebra) takes
 the schoolbook double loop.
+
+The fifth kernel, taylor_shift, works on a dense list of int
+coefficients of one variable rather than on a term map: it returns the
+coefficients of p(x + delta) by additions only (von zur Gathen &
+Gerhard, "Fast algorithms for Taylor shifts and certain difference
+equations", ISSAC 1997).  HPoly.shift_hprime runs it on each hp-lane of a
+polynomial, and the recurrence route of hfib.fibonacci on each hp-lane of
+F_n.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
+from typing import Sequence
 
 # Shorter-operand term count from which kmul tries the Kronecker path.
 # Packing costs a fixed 10-20 us, so below about 8 x 8 terms the schoolbook
@@ -149,3 +160,31 @@ def kpow(a: dict, n: int) -> dict:
     if n < 0:
         raise ValueError("kpow exponent must be non-negative")
     return binary_power(a, n, {0: 1}, kmul)
+
+
+def taylor_shift(coeffs: Sequence[int], delta: int) -> list[int]:
+    """Ascending coefficients of p(x + delta), given those of p(x).
+
+    The shift by one is d rounds of running sums (Horner's scheme, by
+    additions only): each round runs over the coefficients from the top
+    down, and its last sum is the next coefficient of the result from the
+    bottom up.  Any other delta is that shift between two diagonal
+    scalings: with b_j = a_j * delta**j, p(delta*y + delta) = sum b_j (y+1)**j,
+    and the coefficient of y**j there is delta**j times that of x**j.
+    """
+    d = len(coeffs) - 1
+    if d <= 0 or not delta:
+        return list(coeffs)
+    if delta != 1:
+        powers = [delta**j for j in range(d + 1)]
+        coeffs = [c * p for c, p in zip(coeffs, powers)]
+    top_down = coeffs[::-1]
+    shifted = []
+    append = shifted.append
+    for _ in range(d):
+        top_down = [*accumulate(top_down)]
+        append(top_down.pop())
+    append(top_down[0])
+    if delta != 1:
+        shifted = [c // p for c, p in zip(shifted, powers)]
+    return shifted

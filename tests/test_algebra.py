@@ -335,3 +335,36 @@ def test_pow_matches_repeated_product(a: HPoly, n: int) -> None:
 @given(polys)
 def test_json_round_trip_property(a: HPoly) -> None:
     assert HPoly.from_json_terms(a.to_json_terms()) == a
+
+
+def _scanned_maxima(p: HPoly) -> tuple[int, int, int]:
+    exponents = [e for e, _ in p.terms()]
+    return tuple(max((e[i] for e in exponents), default=0) for i in range(3))
+
+
+@given(polys, polys, st.integers(min_value=0, max_value=4), st.integers(min_value=-3, max_value=3))
+def test_carried_maxima_equal_a_fresh_scan(a: HPoly, b: HPoly, n: int, delta: int) -> None:
+    a.max_exponents()  # a shift carries the maxima of an input that has them
+    carried = [a.shift_hprime(delta)]
+    if a and b:
+        carried += [a * b, b * a**n, (a * b).shift_hprime(delta)]
+        if n:
+            carried.append(a**n)
+    for p in carried:
+        # set by the operation itself, before anything scans p
+        assert p._max_exponents == _scanned_maxima(p)
+    for p in (a * b, a**n, b.shift_hprime(delta), HPoly.zero() * a):
+        assert p.max_exponents() == _scanned_maxima(p)
+
+
+def test_from_hp_lanes() -> None:
+    got = HPoly.from_hp_lanes([(1, 2, [0, 3, 0, -4]), (0, 0, (4,)), (5, 0, [])], den=2)
+    assert got == HPoly.from_terms(
+        [((1, 1, 2), Fraction(3, 2)), ((1, 3, 2), -2), ((0, 0, 0), 2)]
+    )
+    assert [type(c) for _, c in got.terms()] == [int, Fraction, int]
+    assert HPoly.from_hp_lanes([]) == 0
+    with pytest.raises(ValueError):
+        HPoly.from_hp_lanes([(-1, 0, [1])])
+    with pytest.raises(OverflowError):
+        HPoly.from_hp_lanes([(2**21, 0, [1])])

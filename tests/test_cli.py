@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -291,6 +292,59 @@ def test_verify_unread_bound_flag_exits_2(argv, monkeypatch, capsys) -> None:
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: verify {argv[1]} does not read {unread}; its bound is {reads}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag, reader",
+    [
+        (("verify", "gf", "--h", "1/3", "--p", "7", "--format", "markdown"), "--p", "weighted"),
+        (("verify", "gf", "--h", "1/3"), "--h", "weighted"),
+        (("verify", "qh", "--h=-7/3", "--max", "6"), "--h", "weighted"),
+        (("verify", "fib", "--hp", "1/2"), "--hp", "weighted"),
+        (("verify", "pascal", "--tol", "1/1000"), "--tol", "weighted"),
+        (("verify", "weighted", "--seed", "7"), "--seed", "pascal"),
+        (("verify", "operators", "--seed", "7", "--max", "6"), "--seed", "pascal"),
+        (("verify", "pascal", "--experimental"), "--experimental", "qh"),
+        (("verify", "weighted", "--strict"), "--strict", "qh"),
+    ],
+)
+def test_verify_unread_flag_exits_2(argv, flag, reader, monkeypatch, capsys) -> None:
+    monkeypatch.setattr(cli, "_verify_groups", lambda args: pytest.fail("a suite started"))
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: verify {argv[1]} does not read {flag}; only verify {reader} does\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "weighted", "--p", "3", "--h", "1/50", "--hp", "1/3", "--tol", "1/1000"),
+        ("verify", "pascal", "--seed", "7", "--max", "6"),
+        ("verify", "qh", "--experimental", "--strict", "--max", "6"),
+        (
+            "verify", "all", "--p", "3", "--h", "1/50", "--hp", "1/3", "--tol", "1/1000",
+            "--seed", "7", "--experimental", "--strict", "--max", "6", "--order", "8",
+        ),
+    ],
+)
+def test_verify_suite_takes_the_flags_it_reads(argv, monkeypatch, capsys) -> None:
+    monkeypatch.setattr(cli, "_verify_groups", lambda args: ([], []))
+    assert cli.main(list(argv)) == 0
+
+
+def test_verify_weighted_defaults(monkeypatch, capsys) -> None:
+    # unset weighted flags resolve to the documented defaults
+    seen = []
+
+    def record(*args):
+        seen.append(args)
+        raise ValueError("recorded")
+
+    monkeypatch.setattr(cli.genfun, "weighted_series_check", record)
+    assert cli.main(["verify", "weighted"]) == 2
+    assert seen == [(2, Fraction(1, 100), Fraction(1, 2), 80, Fraction(1, 10**12))]
 
 
 def test_verify_all_takes_both_bound_flags(monkeypatch, capsys) -> None:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import hfib
 from hfib.algebra import H, HP, HPoly, shifted_factorial
 from hfib import fibonacci
 from hfib.fibonacci import (
@@ -82,10 +83,41 @@ def test_diagonal_matches_sympy_oracle(n: int) -> None:
     assert_matches(hfib_diagonal(n), oracle_hfib(n))
 
 
-@given(st.integers(min_value=0, max_value=30))
+@given(st.integers(min_value=0, max_value=60))
 @example(80)
+@example(120)
 def test_recurrence_route_agrees(n: int) -> None:
     assert hfib_recurrence(n) == hfib_diagonal(n)
+
+
+@given(st.integers(min_value=0, max_value=60))
+def test_recurrence_route_is_int_and_q_free(n: int) -> None:
+    terms = hfib_recurrence(n).terms()
+    assert all(type(c) is int and c for _, c in terms)
+    assert all(eq == 0 for (_, _, eq), _ in terms)
+
+
+def test_recurrence_lanes_layout() -> None:
+    # F_5 = 1 + 3*h*hp + h^2*hp + h^2*hp^2: entry e lists the hp-coefficients of h^e
+    hfib_recurrence(5)
+    assert fibonacci._recurrence_step(5) == ((1,), (0, 3), (0, 1, 1))
+    assert fibonacci._recurrence_step(0) == ()
+
+
+def test_recurrence_route_satisfies_the_ring_recurrence() -> None:
+    # keeps shift_hprime checked against the route, which shifts its own lanes
+    for n in range(3, 41):
+        expected = hfib_recurrence(n - 1) + H * HP * hfib_recurrence(n - 2).shift_hprime(1)
+        assert hfib_recurrence(n) == expected
+
+
+def test_clear_caches_empties_the_lane_cache() -> None:
+    hfib.clear_caches()
+    value = hfib_recurrence(12)
+    assert fibonacci._recurrence_step.cache_info().currsize == 13
+    hfib.clear_caches()
+    assert fibonacci._recurrence_step.cache_info().currsize == 0
+    assert hfib_recurrence(12) == value == hfib_diagonal(12)
 
 
 @given(st.integers(min_value=1, max_value=30))

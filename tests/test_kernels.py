@@ -142,3 +142,37 @@ def test_kronecker_path_gate() -> None:
     assert kernels._kronecker(sparse, dense) is None
     packed = {(key << 21) | key: 1 for key in range(_T)}
     assert kernels._kronecker(packed, dense) is None
+
+
+def _shift_by_definition(a: list[int], delta: int) -> list[int]:
+    # q_j = sum_i C(i, j) * delta**(i - j) * a_i, the coefficients of p(x + delta)
+    return [sum(comb(i, j) * delta ** (i - j) * a[i] for i in range(j, len(a))) for j in range(len(a))]
+
+
+shift_lists = st.one_of(
+    st.lists(st.integers(min_value=-(2**70), max_value=2**70), min_size=1, max_size=12),
+    st.lists(st.integers(min_value=-99, max_value=99), min_size=40, max_size=90),
+)
+
+
+@example([5], 7)
+@example([-1, 1], 1)
+@example([9, -6, 1], 3)
+@given(shift_lists, st.sampled_from((-3, -1, 1, 2, 7)))
+def test_taylor_shift_matches_definition(a: list[int], delta: int) -> None:
+    snap = list(a)
+    got = kernels.taylor_shift(a, delta)
+    assert got == _shift_by_definition(a, delta)
+    assert all(type(c) is int for c in got)
+    assert kernels.taylor_shift(tuple(a), delta) == got
+    assert a == snap
+
+
+@pytest.mark.parametrize("delta", [-3, -1, 1, 2, 7])
+def test_taylor_shift_cancels_to_zero(delta: int) -> None:
+    # (x - delta)**k shifted by delta is x**k: every lower coefficient cancels to 0.
+    for k in range(13):
+        a = [comb(k, j) * (-delta) ** (k - j) for j in range(k + 1)]
+        assert kernels.taylor_shift(a, delta) == [0] * k + [1]
+    assert kernels.taylor_shift([4, 0, -2], 0) == [4, 0, -2]
+    assert kernels.taylor_shift([], delta) == []
