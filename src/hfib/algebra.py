@@ -34,7 +34,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from hfib.kernels import kadd, kmul, kpow, kscale, taylor_shift
@@ -77,7 +79,7 @@ def _coerce_scalar(value) -> Scalar:
     raise TypeError(f"expected an exact rational (int or Fraction), got {type(value).__name__}")
 
 
-def _power_table(x: Fraction, exponents: set[int]) -> tuple[dict[int, int], int]:
+def _power_table(x: Scalar, exponents: set[int]) -> tuple[dict[int, int], int]:
     """x**e as t[e] / b**m for each e in exponents, with x = a/b and m the largest.
 
     Returns (t, b**m).  Only the exponents that occur get an entry, so a
@@ -386,13 +388,26 @@ class HPoly(TermRing):
         return shifted
 
     def substitute_q(self, value) -> "HPoly":
-        """Substitute an exact rational for q, returning a polynomial in h, hp."""
-        v = Fraction(value)
-        acc: dict[int, Scalar] = {}
+        """Substitute an exact rational for q, returning a polynomial in h, hp.
+
+        With q = a/b and m the largest q-exponent, q**eq is read as an
+        integer over b**m from a power table, and Fraction coefficients are
+        put over one common denominator first.  Each (h, hp) coefficient is
+        then an integer sum, divided once; integral results are stored as
+        int, and an integral q with int coefficients makes no Fraction.
+        """
+        v = _coerce_scalar(value)
+        powers, den = _power_table(v, {key & _LANE_MASK for key in self._terms})
+        den_c = lcm(*(c.denominator for c in self._terms.values() if type(c) is not int))
+        acc: dict[int, int] = {}
         for key, coeff in self._terms.items():
             eq = key & _LANE_MASK
-            acc[key ^ eq] = acc.get(key ^ eq, 0) + (coeff * v**eq if eq else coeff)
-        return HPoly({key: _coerce_scalar(c) for key, c in acc.items() if c})
+            num = coeff.numerator * (den_c // coeff.denominator)
+            acc[key ^ eq] = acc.get(key ^ eq, 0) + num * powers[eq]
+        den *= den_c
+        if den == 1:
+            return HPoly({key: c for key, c in acc.items() if c})
+        return HPoly({key: _coerce_scalar(Fraction(c, den)) for key, c in acc.items() if c})
 
     def eval_point(self, h, hp, q=0) -> Fraction:
         """Evaluate at an exact rational point.
@@ -401,7 +416,7 @@ class HPoly(TermRing):
         exponents, every term is an integer over the one denominator
         b**mh * d**mhp * f**mq, read from power tables built once.
         """
-        hv, hpv, qv = Fraction(h), Fraction(hp), Fraction(q)
+        hv, hpv, qv = _coerce_scalar(h), _coerce_scalar(hp), _coerce_scalar(q)
         keys = self._terms.keys()
         th, h_den = _power_table(hv, {key >> _H_SHIFT for key in keys})
         thp, hp_den = _power_table(hpv, {(key >> _HP_SHIFT) & _LANE_MASK for key in keys})
@@ -505,12 +520,19 @@ def d_image(k: int) -> HPoly:
     return _d_step(k)
 
 
+def rising_numerators(a: int, b: int, count: int) -> list[int]:
+    """[R_0, ..., R_count] with R_k = a*(a + b)*...*(a + (k-1)*b), for b >= 1.
+
+    With x = a/b, the rising factorial x*(x+1)*...*(x+k-1) is R_k / b**k,
+    so callers sum integers over one power of b and divide once.
+    """
+    return list(accumulate(range(a, a + count * b, b), mul, initial=1))
+
+
 def rising_rational(start, count: int) -> Fraction:
     """Numeric shifted factorial start*(start+1)*...*(start+count-1)."""
     if count < 0:
         raise ValueError("rising factorial length must be non-negative")
-    value = Fraction(1)
-    x = Fraction(start)
-    for j in range(count):
-        value *= x + j
-    return value
+    x = _coerce_scalar(start)
+    b = x.denominator
+    return Fraction(rising_numerators(x.numerator, b, count)[-1], b**count)

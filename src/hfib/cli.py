@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -75,6 +76,11 @@ _RATIONAL_HELP = "exact rational such as 1/3; a negative one as {flag} -7/3 or {
 # or "-.", so a token that does is always a value.
 _NEGATIVE_RATIONAL_FLAGS = ("--h", "--hp")
 _NEGATIVE_NUMBER = re.compile(r"-[\d.]")
+
+
+def _read_by(flag: str, text: str) -> str:
+    """Help text of a verify flag, naming the one suite that reads it."""
+    return f"{text}; read by verify {VERIFY_FLAG_READERS[flag]} (and verify all)"
 
 
 def _rational(text: str) -> Fraction:
@@ -137,11 +143,16 @@ def cmd_pascal(args) -> int:
 
 
 def _route_value(route: str, n: int):
-    """F_n by the named route, refused before any work above the route's cap."""
+    """F_n by the named route, refused before any work outside the route's range."""
     if route == "recurrence" and n > RECURRENCE_MAX_N:
         raise ValueError(
             f"--route recurrence is capped at n = {RECURRENCE_MAX_N}, got n = {n}; "
             "use --route hypergeom for larger n"
+        )
+    if route == "hypergeom" and n == 0:
+        raise ValueError(
+            "--route hypergeom is defined for n >= 1; "
+            "use --route diagonal, recurrence or binet for n = 0"
         )
     return _ROUTES[route](n)
 
@@ -429,22 +440,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--order", type=_positive_int, default=None, help="truncation order of gf and weighted"
     )
-    p.add_argument("--p", type=int, default=None, help="weighted series base")
-    p.add_argument("--h", type=_rational, default=None, help=_RATIONAL_HELP.format(flag="--h"))
-    p.add_argument("--hp", type=_rational, default=None, help=_RATIONAL_HELP.format(flag="--hp"))
-    p.add_argument("--tol", type=_rational, default=None)
-    p.add_argument("--seed", type=int, default=None, help="sampling seed")
+    p.add_argument("--p", type=int, default=None, help=_read_by("--p", "weighted series base"))
+    p.add_argument(
+        "--h", type=_rational, default=None, help=_read_by("--h", _RATIONAL_HELP.format(flag="--h"))
+    )
+    p.add_argument(
+        "--hp",
+        type=_rational,
+        default=None,
+        help=_read_by("--hp", _RATIONAL_HELP.format(flag="--hp")),
+    )
+    tol_help = "exact rational bound on the gap of the weighted sums; default 1/10^12"
+    p.add_argument("--tol", type=_rational, default=None, help=_read_by("--tol", tol_help))
+    p.add_argument("--seed", type=int, default=None, help=_read_by("--seed", "sampling seed"))
     p.add_argument(
         "--experimental",
         action="store_true",
         default=None,
-        help="include the measured q-layer report (never a gate by itself)",
+        help=_read_by(
+            "--experimental", "include the measured q-layer report (never a gate by itself)"
+        ),
     )
     p.add_argument(
         "--strict",
         action="store_true",
         default=None,
-        help="gate on the pinned experimental identities as well",
+        help=_read_by("--strict", "gate on the pinned experimental identities as well"),
     )
     p.add_argument("--format", choices=("json", "markdown"), default="json")
     p.set_defaults(func=cmd_verify)
@@ -456,7 +477,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_rationals(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        code = args.func(args)
+        # Flush here, so that a closed pipe is met below rather than at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed the pipe early (`hfib ... | head`).  Point stdout
+        # at devnull so the interpreter's own flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OverflowError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -107,7 +107,9 @@ def hfib_hypergeometric(n: int) -> HPoly:
     where (x)_k is the ordinary rising factorial.  One of the two
     numerator factors hits zero before the denominator factor (1-n)_k
     can vanish, so the series terminates while every partial coefficient
-    stays a well-defined rational.
+    stays a well-defined rational.  The factor (-4)^k is folded into the
+    scalar coefficient, which is then the integer C(n-1-k, k), so each
+    term is an int times the int polynomial h^k (hp)_k.
     """
     if n < 1:
         raise ValueError("hypergeometric route is defined for n >= 1")
@@ -126,11 +128,11 @@ def hfib_hypergeometric(n: int) -> HPoly:
         fd = d + k
         if fd == 0:
             raise ArithmeticError("series hit the denominator pole before terminating")
-        coeff *= fa * fb / (fd * (k + 1))
-        h_power = h_power * (-4 * H)
+        coeff *= -4 * fa * fb / (fd * (k + 1))
+        h_power = h_power * H
         rising = rising * (HP + k)
         k += 1
-        total = total + coeff * h_power * rising
+        total = total + coeff * (h_power * rising)
 
 
 @dataclass(frozen=True)

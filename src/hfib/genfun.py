@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from hfib.algebra import rising_rational
+from hfib.algebra import _coerce_scalar, rising_numerators
 from hfib.fibonacci import classical_fib, hfib_diagonal
 from hfib.operators import D, OpPoly, fib_op, verify_symmetric_lemmas
 from hfib.report import Failure, IdentityReport
@@ -249,10 +249,11 @@ def weighted_series_check(
     """
     if p == 0:
         raise ValueError("weight base p must be nonzero")
-    pv = Fraction(p)
-    if pv * pv - pv == 0:
+    pv = _coerce_scalar(p)
+    base = pv * pv - pv
+    if base == 0:
         raise ConvergenceError("p^2 - p vanishes at p = 1; the transformed side degenerates")
-    hv, hpv = Fraction(h), Fraction(hp)
+    hv, hpv, tol = _coerce_scalar(h), _coerce_scalar(hp), _coerce_scalar(tol)
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if order < 0:
@@ -263,12 +264,20 @@ def weighted_series_check(
     for i in range(order + 1):
         lhs_term = hfib_diagonal(i).eval_point(hv, hpv) / pv ** (i + 1)
         lhs += lhs_term
-    rhs = Fraction(0)
-    rhs_term = Fraction(0)
-    base = pv * pv - pv
-    for j in range(order + 1):
-        rhs_term = hv**j * rising_rational(hpv, j) / base ** (j + 1)
-        rhs += rhs_term
+    # With h = e/f, hp = c/d, p^2 - p = s/t and N the order, term j is
+    # t * x^j * R_j * w^(N-j) over (f d)^N * s^(N+1), where x = e t, w = f d s
+    # and R_j is the rising numerator of c/d: one Horner sum in w, divided once.
+    f, d, s, t = hv.denominator, hpv.denominator, base.numerator, base.denominator
+    x, w = hv.numerator * t, f * d * s
+    rhs_num = 0
+    x_power = 1
+    for r in rising_numerators(hpv.numerator, d, order):
+        term_num = x_power * r
+        rhs_num = rhs_num * w + term_num
+        x_power *= x
+    rhs_den = (f * d) ** order * s ** (order + 1)
+    rhs = Fraction(t * rhs_num, rhs_den)
+    rhs_term = Fraction(t * term_num, rhs_den)
     if abs(lhs_term) >= tol or abs(rhs_term) >= tol:
         if abs(rhs_term) >= tol:
             advice = (

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from hfib.algebra import H, HP, HPoly, d_image, rising_rational
+from hfib.algebra import H, HP, HPoly, _coerce_scalar, d_image, rising_numerators
 from hfib.report import DEFAULT_SEED, IdentityReport
 
 
@@ -65,18 +65,23 @@ def row_sum(n: int) -> HPoly:
 def charlier(n: int, z, a) -> Fraction:
     """Charlier polynomial value c_n(z; a) = sum C(n,k) a^-k (-z)(-z+1)...
 
-    Exact rational evaluation; a must be nonzero.
+    Exact rational evaluation; a must be nonzero.  With a = u/v and
+    -z = c/d, term k is C(n,k) v^k R_k / (u d)^k, R_k the rising
+    numerator of c/d, so the sum is one integer over (u d)^n.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
-    av = Fraction(a)
+    av = _coerce_scalar(a)
     if av == 0:
         raise ValueError("Charlier parameter a must be nonzero")
-    zv = Fraction(z)
-    total = Fraction(0)
-    for k in range(n + 1):
-        total += comb(n, k) * av**-k * rising_rational(-zv, k)
-    return total
+    minus_z = -_coerce_scalar(z)
+    u, v = av.numerator, av.denominator
+    d = minus_z.denominator
+    ud = u * d
+    total = 0
+    for k, r in enumerate(rising_numerators(minus_z.numerator, d, n)):
+        total += comb(n, k) * v**k * ud ** (n - k) * r
+    return Fraction(total, ud**n)
 
 
 def charlier_samples(count: int, rng: random.Random) -> list[tuple[Fraction, Fraction]]:

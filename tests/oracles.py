@@ -49,6 +49,12 @@ def oracle_hfib(n: int) -> sympy.Expr:
     return sympy.expand(total)
 
 
+def oracle_rising(start: Fraction, count: int) -> Fraction:
+    """start*(start+1)*...*(start+count-1) through sympy's rf."""
+    value = sympy.rf(sympy.Rational(start.numerator, start.denominator), count)
+    return Fraction(int(value.p), int(value.q))
+
+
 def oracle_shift(expr: sympy.Expr, delta: int) -> sympy.Expr:
     return sympy.expand(expr.subs(HP, HP + delta))
 

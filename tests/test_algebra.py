@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hfib.algebra import (
@@ -22,7 +22,7 @@ from hfib.operators import D, OpPoly
 from oracles import H as SH
 from oracles import HP as SHP
 from oracles import Q as SQ
-from oracles import assert_matches, hpoly_to_sympy, oracle_shift
+from oracles import assert_matches, hpoly_to_sympy, oracle_rising, oracle_shift
 
 coeffs = st.one_of(
     st.integers(min_value=-50, max_value=50),
@@ -78,6 +78,22 @@ def test_scalar_coercion() -> None:
             type(x).const(0.5)
         with pytest.raises(TypeError):
             x + 1.5  # type: ignore[operator]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: (1 + HP * Q).substitute_q(0.1),
+        lambda: (1 + H * HP).eval_point(0.1, Fraction(1, 2)),
+        lambda: (1 + H * HP).eval_point(Fraction(1, 10), 0.5),
+        lambda: (H * Q).eval_point(1, 1, q=0.5),
+        lambda: rising_rational(0.1, 2),
+    ],
+    ids=["substitute_q", "eval_point-h", "eval_point-hp", "eval_point-q", "rising_rational"],
+)
+def test_scalar_entry_points_refuse_floats(call) -> None:
+    with pytest.raises(TypeError, match="exact rational"):
+        call()
 
 
 @pytest.mark.parametrize("x, text", [(H, "1 + h"), (D, "1 + D")], ids=["HPoly", "OpPoly"])
@@ -267,6 +283,35 @@ def test_rising_rational() -> None:
     assert rising_rational(Fraction(1, 2), 0) == 1
     assert rising_rational(Fraction(1, 2), 3) == Fraction(1, 2) * Fraction(3, 2) * Fraction(5, 2)
     assert rising_rational(Fraction(-2), 4) == 0
+
+
+@given(
+    st.one_of(
+        st.integers(min_value=-15, max_value=15),
+        st.fractions(min_value=-15, max_value=15, max_denominator=9),
+    ),
+    st.integers(min_value=0, max_value=20),
+)
+@example(Fraction(-4), 7)
+@example(-4, 3)
+@example(Fraction(7, 3), 0)
+def test_rising_rational_matches_sympy(start, count: int) -> None:
+    value = rising_rational(start, count)
+    assert type(value) is Fraction
+    assert value == oracle_rising(Fraction(start), count)
+
+
+@given(polys, st.sampled_from([0, 1, -1, 2, Fraction(1, 2), None]), st.fractions(max_denominator=9))
+def test_substitute_q_matches_plain_sum(poly: HPoly, qv, drawn: Fraction) -> None:
+    qv = drawn if qv is None else qv
+    expected: dict = {}
+    for (eh, ehp, eq), coeff in poly.terms():
+        expected[eh, ehp, 0] = expected.get((eh, ehp, 0), 0) + Fraction(coeff) * Fraction(qv) ** eq
+    result = poly.substitute_q(qv)
+    assert dict(result.terms()) == {e: c for e, c in expected.items() if c}
+    # integral coefficients come back as int, never Fraction(k, 1)
+    for _, coeff in result.terms():
+        assert type(coeff) is int or coeff.denominator > 1
 
 
 def check_ring_axioms(ring, data) -> None:

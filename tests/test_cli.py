@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -241,6 +242,24 @@ def test_recurrence_route_cap_exits_2(argv, monkeypatch, capsys) -> None:
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("fib", "--n", "0", "--route", "hypergeom"),
+        ("eval", "--n", "0", "--route", "hypergeom", "--h", "1", "--hp", "1"),
+    ],
+)
+def test_hypergeom_route_refuses_n_0_and_names_routes_that_take_it(argv, monkeypatch, capsys) -> None:
+    monkeypatch.setitem(cli._ROUTES, "hypergeom", lambda n: pytest.fail("the route started"))
+    code = cli.main(list(argv))
+    err = capsys.readouterr().err
+    assert code == 2
+    # every route the message names takes n = 0
+    for route in ("diagonal", "recurrence", "binet"):
+        assert route in err
+        assert cli._ROUTES[route](0) == 0
+
+
+@pytest.mark.parametrize(
     "argv, refused",
     [
         (("verify", "pascal", "--max", "81"), ["pascal"]),
@@ -367,6 +386,19 @@ def test_verify_markdown_names_hidden_failures(monkeypatch, capsys) -> None:
     assert lines[-1] == "  ... and 5 more failures not shown"
 
 
+def test_verify_help_names_the_reader_of_each_flag() -> None:
+    parser = cli.build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {
+        option: action.help
+        for action in commands.choices["verify"]._actions
+        for option in action.option_strings
+    }
+    for flag, reader in cli.VERIFY_FLAG_READERS.items():
+        assert f"read by verify {reader} " in helps[flag], flag
+    assert "exact rational" in helps["--tol"] and "default 1/10^12" in helps["--tol"]
+
+
 @pytest.mark.parametrize("command", ["eval", "verify"])
 def test_help_names_attached_negative_form(command, capsys) -> None:
     with pytest.raises(SystemExit) as exc:
@@ -423,6 +455,23 @@ def test_cli_determinism_subprocess() -> None:
     b = subprocess.run(cmd, capture_output=True, text=True)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+@pytest.mark.parametrize(
+    "argv", [("fib", "--n", "200", "--format", "json"), ("pascal", "--rows", "40")]
+)
+def test_closed_pipe_exits_1_without_traceback(argv) -> None:
+    # Each output is far larger than a pipe's buffer, so once the reader has
+    # closed its end after 10 bytes, a later write must meet the closed pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hfib.cli", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert len(head) == 10
+    assert b"Traceback" not in err, err.decode()
+    assert proc.returncode == 1
 
 
 def test_entry_point_installed(tmp_path, monkeypatch) -> None:

@@ -119,6 +119,20 @@ def test_weighted_check_domain_errors() -> None:
         weighted_series_check(2, Fraction(1, 100), Fraction(1, 2), order=-1)
 
 
+@pytest.mark.parametrize(
+    "h, hp, tol",
+    [
+        (0.01, Fraction(1, 2), Fraction(1, 10**12)),
+        (Fraction(1, 100), 0.5, Fraction(1, 10**12)),
+        (Fraction(1, 100), Fraction(1, 2), 1e-12),
+    ],
+    ids=["h", "hp", "tol"],
+)
+def test_weighted_check_refuses_floats(h, hp, tol) -> None:
+    with pytest.raises(TypeError, match="exact rational"):
+        weighted_series_check(2, h, hp, tol=tol)
+
+
 def test_weighted_check_advice_names_failing_side() -> None:
     # too-short truncation: the Fibonacci side is the uncertified one
     with pytest.raises(ConvergenceError, match="increase the order"):
@@ -143,6 +157,31 @@ def test_weighted_agreement_is_tight() -> None:
         rhs += hv**j * rising / base ** (j + 1)
         rising *= hpv + j
     assert abs(lhs - rhs) < Fraction(1, 10**20)
+
+
+@pytest.mark.parametrize(
+    "p, hv, hpv, order, tol",
+    [
+        (2, Fraction(1, 10), Fraction(7, 3), 20, Fraction(1, 10**4)),
+        (2, Fraction(1, 5), Fraction(-3, 2), 8, Fraction(1, 1000)),
+    ],
+)
+def test_weighted_failure_shows_the_exact_sums(p, hv, hpv, order, tol) -> None:
+    # tails below tol but a gap above it: the failure carries both exact sums
+    report = weighted_series_check(p, hv, hpv, order, tol)
+    (failure,) = report.failures
+    lhs = sum(
+        (hfib_diagonal(i).eval_point(hv, hpv) / Fraction(p) ** (i + 1) for i in range(order + 1)),
+        Fraction(0),
+    )
+    rhs = Fraction(0)
+    for j in range(order + 1):
+        rising = Fraction(1)
+        for i in range(j):
+            rising *= hpv + i
+        rhs += hv**j * rising / Fraction(p * p - p) ** (j + 1)
+    assert (failure.lhs, failure.rhs) == (str(lhs), str(rhs))
+    assert failure.params == {"p": p, "h": str(hv), "hp": str(hpv), "order": order}
 
 
 def test_classical_weight_identities() -> None:

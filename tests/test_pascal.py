@@ -3,10 +3,13 @@ from __future__ import annotations
 import json
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from hfib.algebra import H, HP, HPoly
 from hfib.pascal import (
@@ -85,6 +88,38 @@ def test_charlier_values() -> None:
     assert charlier(1, Fraction(3), Fraction(2)) == Fraction(-1, 2)
     with pytest.raises(ValueError):
         charlier(2, Fraction(1), Fraction(0))
+
+
+def _charlier_reference(n: int, z: Fraction, a: Fraction) -> Fraction:
+    # c_n(z; a) = sum_k C(n, k) a^-k (-z)(-z+1)...(-z+k-1), term by term
+    total = Fraction(0)
+    for k in range(n + 1):
+        rising = Fraction(1)
+        for i in range(k):
+            rising *= -z + i
+        total += comb(n, k) * rising / a**k
+    return total
+
+
+rationals = st.one_of(
+    st.integers(min_value=-20, max_value=20),
+    st.fractions(min_value=-20, max_value=20, max_denominator=9),
+)
+
+
+@given(st.integers(min_value=0, max_value=15), rationals, rationals.filter(bool))
+@example(15, Fraction(3), Fraction(-1, 2))
+@example(12, 4, -3)
+def test_charlier_matches_term_by_term_sum(n: int, z, a) -> None:
+    value = charlier(n, z, a)
+    assert type(value) is Fraction
+    assert value == _charlier_reference(n, Fraction(z), Fraction(a))
+
+
+def test_charlier_refuses_floats() -> None:
+    for z, a in ((0.1, 3), (1, 0.5)):
+        with pytest.raises(TypeError, match="exact rational"):
+            charlier(2, z, a)
 
 
 def test_charlier_link_at_known_point() -> None:
