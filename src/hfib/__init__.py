@@ -60,7 +60,6 @@ _CACHES = (
     algebra._d_step,
     fibonacci.classical_fib,
     fibonacci.hfib_diagonal,
-    fibonacci._recurrence_step,
     genfun._require_lemmas,
     operators.fib_op,
     operators._g,
@@ -75,7 +74,9 @@ _CACHES = (
 def clear_caches() -> None:
     """Empty every memo cache in the package, so a long-lived process can free them.
 
+    Also drops the two states the recurrence route holds to resume from.
     Results do not change: each cached value is recomputed on its next use.
     """
     for cache in _CACHES:
         cache.cache_clear()
+    fibonacci._recurrence_held = {}

@@ -41,8 +41,9 @@ _ROUTES = {
 }
 
 # Largest n that `fib` and `eval` take by the recurrence route: one `hfib fib
-# --route recurrence` process on 2 vCPUs takes 12-13 s at n = 400 and 0.8-0.9 s
-# at n = 200, about 15 times longer per doubling of n.
+# --route recurrence` process on 2 vCPUs takes 1.9-2.3 s and peaks at 44 MB RSS
+# at n = 400, 0.35-0.39 s and 22 MB at n = 200, about 5.5 times longer per
+# doubling of n.
 RECURRENCE_MAX_N = 400
 
 # Largest `verify --max` each suite takes.  Times of one `hfib verify

@@ -9,7 +9,11 @@ can be played against each other:
   * hfib_diagonal   - diagonal sums of deformed binomial coefficients
   * hfib_recurrence - the two-step recurrence, whose second term shifts
                       hp by one: F_(n+1) = F_n + h*hp*F_(n-1)[hp -> hp+1];
-                      it keeps each F_k as dense hp-lanes, one per h-exponent
+                      it keeps each F_k as dense hp-lanes, one per h-exponent,
+                      in the binomial basis C(hp, j), where that term costs
+                      O(d) per lane (Newton series: Graham, Knuth & Patashnik,
+                      Concrete Mathematics, 1994, sec. 5.3), and holds only
+                      its last two states
   * hfib_hypergeometric - a terminating 3F1-type series
   * operators.binet_fib + op_eval - the exact Binet formula in Q[D]
 
@@ -30,10 +34,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb
-from operator import add
+from operator import add, mul, sub
 
 from hfib.algebra import H, HP, HPoly, d_image
-from hfib.kernels import taylor_shift
 from hfib.operators import binet_fib, neg_fib_op, op_eval
 from hfib.pascal import h_binomial
 from hfib.report import IdentityReport, suite_scale
@@ -69,33 +72,72 @@ def _add_lane(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return (*map(add, a, b), *a[len(b) :])
 
 
-@lru_cache(maxsize=None)
-def _recurrence_step(n: int) -> tuple[tuple[int, ...], ...]:
-    """F_n as hp-lanes: entry e holds the int hp-coefficients of the h^e part."""
-    if n == 0:
-        return ()
-    if n <= 2:
-        return ((1,),)
-    # hfib_recurrence fills the cache bottom-up, so both reads are cache hits.
-    # h*hp*F_(n-2)[hp -> hp+1]: shift each lane, then raise its hp- and h-exponents by one.
-    moved = [(), *((0, *taylor_shift(lane, 1)) for lane in _recurrence_step(n - 2))]
-    return tuple(
-        _add_lane(a, b) for a, b in zip_longest(_recurrence_step(n - 1), moved, fillvalue=())
-    )
+def _binomial_step(lane: tuple[int, ...]) -> tuple[int, ...]:
+    """hp * p(hp + 1) for p = sum_j a_j C(hp, j), in the same basis.
+
+    p(hp + 1) has coefficients s_j = a_j + a_(j+1) by Pascal's rule, and
+    hp * C(hp, j) = (j+1) C(hp, j+1) + j C(hp, j), so the result has
+    coefficients j * (s_(j-1) + s_j) = j * (a_(j-1) + 2 a_j + a_(j+1)).
+    """
+    s = (*map(add, lane, lane[1:]), lane[-1])
+    return (0, *map(mul, range(1, len(s) + 1), map(add, s, (*s[1:], 0))))
+
+
+def _monomial_lane(lane: tuple[int, ...]) -> list[int]:
+    """Ascending monomial hp-coefficients of sum_j a_j C(hp, j).
+
+    a_j / j! is the coefficient of the falling factorial hp(hp-1)...(hp-j+1);
+    the division is exact whenever the monomial coefficients are ints, and
+    is checked.  One Horner pass over the factors (hp - j) then expands it.
+    """
+    falling = []
+    factorial = 1
+    for j, a in enumerate(lane):
+        factorial *= j or 1
+        quotient, remainder = divmod(a, factorial)
+        if remainder:
+            raise ArithmeticError(f"C(hp, {j})-coefficient {a} is not divisible by {j}!")
+        falling.append(quotient)
+    out: list[int] = []
+    for j in reversed(range(len(falling))):
+        # out <- (hp - j) * out + c_j
+        out = [*map(sub, (falling[j], *out), (*(j * c for c in out), 0))]
+    return out
+
+
+# The recurrence route's last two states by index, each as binomial-basis
+# hp-lanes: entry e holds the C(hp, j)-coefficients of the h^e part.  The
+# dict is replaced, never changed, so a call never sees another's half-update.
+_recurrence_held: dict[int, tuple[tuple[int, ...], ...]] = {}
 
 
 def hfib_recurrence(n: int) -> HPoly:
     """Recurrence route: F_(n+1) = F_n + h*hp * F_(n-1) with hp shifted by one.
 
     F_n is q-free with int coefficients, so each index is kept as dense
-    hp-lanes, one per h-exponent; the shift is a Taylor shift of each lane,
-    and only F_n itself becomes an HPoly.
+    hp-lanes, one per h-exponent, in the binomial basis C(hp, j), where the
+    shift and the factor hp are linear in the lane length (_binomial_step).
+    Only the last two states are held: a call at or above the earlier one
+    resumes from them, a smaller n restarts from F_1 and F_2, and
+    hfib.clear_caches() drops them.  Only F_n itself is converted to
+    monomials and becomes an HPoly.
     """
+    global _recurrence_held
     if n < 0:
         raise ValueError("index must be non-negative; use hfib_negative")
-    for k in range(n):
-        _recurrence_step(k)
-    return HPoly.from_hp_lanes((e, 0, lane) for e, lane in enumerate(_recurrence_step(n)))
+    if n == 0:
+        return HPoly.zero()
+    held = _recurrence_held
+    if not held or n < min(held):
+        held = {1: ((1,),), 2: ((1,),)}
+    k = max(held)
+    prev, cur = held[k - 1], held[k]
+    while k < n:
+        moved = ((), *map(_binomial_step, prev))
+        prev, cur = cur, tuple(_add_lane(a, b) for a, b in zip_longest(cur, moved, fillvalue=()))
+        k += 1
+    _recurrence_held = held = {k - 1: prev, k: cur}
+    return HPoly.from_hp_lanes((e, 0, _monomial_lane(lane)) for e, lane in enumerate(held[n]))
 
 
 def hfib_hypergeometric(n: int) -> HPoly:

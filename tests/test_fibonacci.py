@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import hfib
 from hfib.algebra import H, HP, HPoly, shifted_factorial
-from hfib import fibonacci
+from hfib import algebra, fibonacci, kernels
 from hfib.fibonacci import (
     classical_fib,
     fib_table,
@@ -98,10 +99,11 @@ def test_recurrence_route_is_int_and_q_free(n: int) -> None:
 
 
 def test_recurrence_lanes_layout() -> None:
-    # F_5 = 1 + 3*h*hp + h^2*hp + h^2*hp^2: entry e lists the hp-coefficients of h^e
-    hfib_recurrence(5)
-    assert fibonacci._recurrence_step(5) == ((1,), (0, 3), (0, 1, 1))
-    assert fibonacci._recurrence_step(0) == ()
+    # F_5 = 1 + 3*h*hp + h^2*hp + h^2*hp^2: lane e holds the C(hp, j)-coefficients
+    # of h^e, and hp + hp^2 = 2*C(hp, 1) + 2*C(hp, 2)
+    hfib.clear_caches()
+    assert hfib_recurrence(5) == hfib_diagonal(5)
+    assert fibonacci._recurrence_held[5] == ((1,), (0, 3), (0, 2, 2))
 
 
 def test_recurrence_route_satisfies_the_ring_recurrence() -> None:
@@ -114,10 +116,48 @@ def test_recurrence_route_satisfies_the_ring_recurrence() -> None:
 def test_clear_caches_empties_the_lane_cache() -> None:
     hfib.clear_caches()
     value = hfib_recurrence(12)
-    assert fibonacci._recurrence_step.cache_info().currsize == 13
+    assert set(fibonacci._recurrence_held) == {11, 12}
     hfib.clear_caches()
-    assert fibonacci._recurrence_step.cache_info().currsize == 0
+    assert fibonacci._recurrence_held == {}
     assert hfib_recurrence(12) == value == hfib_diagonal(12)
+
+
+@given(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=40))
+def test_binomial_step_matches_the_taylor_shift(falling: list[int]) -> None:
+    # a_j = c_j * j! is a lane with int monomial coefficients for any int c_j
+    lane = tuple(c * math.factorial(j) for j, c in enumerate(falling))
+    poly = HPoly.from_hp_lanes([(0, 0, fibonacci._monomial_lane(lane))])
+    step = fibonacci._monomial_lane(fibonacci._binomial_step(lane))
+    assert HPoly.from_hp_lanes([(1, 0, step)]) == H * HP * poly.shift_hprime(1)
+    # and the conversion expands c_j * hp(hp-1)...(hp-j+1)
+    expected, power = HPoly.zero(), HPoly.one()
+    for j, c in enumerate(falling):
+        expected, power = expected + c * power, power * (HP - j)
+    assert poly == expected
+
+
+def test_monomial_lane_refuses_a_nonintegral_lane() -> None:
+    # C(hp, 2) = (hp^2 - hp) / 2 has no int monomial coefficients
+    with pytest.raises(ArithmeticError):
+        fibonacci._monomial_lane((0, 0, 1))
+
+
+def test_recurrence_route_is_independent_and_bounded(monkeypatch: pytest.MonkeyPatch) -> None:
+    hfib.clear_caches()
+    expected = hfib_diagonal(30)
+
+    def refuse(*args: object) -> None:
+        raise AssertionError("the recurrence route ran a Taylor shift")
+
+    monkeypatch.setattr(kernels, "taylor_shift", refuse)
+    monkeypatch.setattr(algebra, "taylor_shift", refuse)
+    monkeypatch.setattr(fibonacci, "taylor_shift", refuse, raising=False)
+    assert hfib_recurrence(30) == expected
+    monkeypatch.undo()
+    for n in (80, 120, 40, 121):
+        assert hfib_recurrence(n) == hfib_diagonal(n)
+    hfib_recurrence(200)
+    assert set(fibonacci._recurrence_held) == {199, 200}
 
 
 def test_hypergeometric_route_agrees() -> None:
@@ -136,8 +176,8 @@ def _stack_depth() -> int:
 
 
 def test_recurrence_route_stays_shallow() -> None:
-    # a cold cache is filled bottom-up, so the depth does not grow with n
-    fibonacci._recurrence_step.cache_clear()
+    # the route steps in a loop from its held states, so the depth does not grow with n
+    hfib.clear_caches()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)
     try:
