@@ -449,6 +449,16 @@ def test_stdout_matches_golden(argv, golden, capsys) -> None:
     assert out.encode() == (REPO / "tests" / "golden" / golden).read_bytes()
 
 
+def test_verify_help_matches_golden(monkeypatch, capsys) -> None:
+    # argparse wraps help at $COLUMNS, so pin the width
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    golden = REPO / "tests" / "golden" / "verify_help.txt"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 def test_cli_determinism_subprocess() -> None:
     cmd = [sys.executable, "-m", "hfib.cli", "verify", "all", "--max", "6"]
     a = subprocess.run(cmd, capture_output=True, text=True)
