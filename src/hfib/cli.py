@@ -21,17 +21,10 @@ import os
 import re
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from hfib import fibonacci, genfun, operators, pascal, qh
-from hfib.report import DEFAULT_SEED, SCHEMA, Failure, IdentityReport, merge_reports
-
-# Experimental identities a strict run is allowed to gate on: the ones
-# this library pins as holding (see qh.experimental_report).
-STRICT_QH_IDENTITIES = (
-    "partial-sum",
-    "recurrence-augmented",
-    "recurrence-augmented-q1",
-)
+from hfib.report import SCHEMA, IdentityReport, merge_reports
 
 _ROUTES = {
     "diagonal": fibonacci.hfib_diagonal,
@@ -45,26 +38,6 @@ _ROUTES = {
 # at n = 400, 0.35-0.39 s and 22 MB at n = 200, about 5.5 times longer per
 # doubling of n.
 RECURRENCE_MAX_N = 400
-
-# Largest `verify --max` each suite takes.  Times of one `hfib verify
-# <suite> --max <n>` process on 2 vCPUs, at the cap and one step above it:
-# pascal 2.2 s at 80 (0.9 s at 60); fib 1.9 s at 40, 5.4 s at 50;
-# operators 2.1 s at 20, 6.2 s at 24; qh 4.7 s at 20, 15.3 s at 24.
-# These are the suites that read --max; gf and weighted read --order instead.
-VERIFY_MAX = {"pascal": 80, "fib": 40, "operators": 20, "qh": 20}
-
-# The one suite that reads each of these `verify` flags; `verify all` takes
-# them all.  Each defaults to None, so that a given flag can be told from an
-# absent one; _verify_groups puts in the default of an absent one.
-VERIFY_FLAG_READERS = {
-    "--p": "weighted",
-    "--h": "weighted",
-    "--hp": "weighted",
-    "--tol": "weighted",
-    "--seed": "pascal",
-    "--experimental": "qh",
-    "--strict": "qh",
-}
 
 # Markdown `verify` lists at most this many failures per group.
 MARKDOWN_FAILURES = 20
@@ -81,7 +54,13 @@ _NEGATIVE_NUMBER = re.compile(r"-[\d.]")
 
 def _read_by(flag: str, text: str) -> str:
     """Help text of a verify flag, naming the one suite that reads it."""
-    return f"{text}; read by verify {VERIFY_FLAG_READERS[flag]} (and verify all)"
+    return f"{text}; read by verify {_FLAG_READER[flag]} (and verify all)"
+
+
+def _bounded_by(flag: str) -> str:
+    """The suites whose bound is `flag`, in run order, as "a, b and c"."""
+    *rest, last = (name for name, suite in VERIFY_SUITES.items() if suite.bound == flag)
+    return f"{', '.join(rest)} and {last}"
 
 
 def _rational(text: str) -> Fraction:
@@ -206,7 +185,10 @@ def cmd_op(args) -> int:
 
 
 def cmd_gf(args) -> int:
-    ratfun = genfun.build_gf(args.which, args.m)
+    if args.m is not None and args.which != "shifted":
+        raise ValueError(f"gf --which {args.which} does not read --m; only --which shifted does")
+    m = 1 if args.m is None else args.m
+    ratfun = genfun.build_gf(args.which, m)
     series = genfun.series_expand(ratfun, args.order)
     if args.format == "json":
         data = {
@@ -217,7 +199,7 @@ def cmd_gf(args) -> int:
             "coefficients": [c.to_json_terms() for c in series.coeffs],
         }
         if args.which == "shifted":
-            data["m"] = args.m
+            data["m"] = m
         print(_dump_json(data))
     else:
         for k, coeff in enumerate(series.coeffs):
@@ -259,72 +241,80 @@ def cmd_eval(args) -> int:
     return 0
 
 
+class _Suite(NamedTuple):
+    bound: str  # the size flag it reads, --max or --order
+    cap: int | None  # the largest --max it takes
+    reads: tuple[str, ...]  # the other flags only it reads
+    # run(args, experimental) returns its sub-reports and appends any q-layer report to
+    # `experimental`; it looks library functions up at call time, so patches take effect.
+    run: Callable[[argparse.Namespace, list], list[IdentityReport]]
+
+
+def _run_weighted(args, experimental: list) -> list[IdentityReport]:
+    # Each flag defaults to None, so that a given flag can be told from an absent one.
+    series = genfun.weighted_series_check(
+        2 if args.p is None else args.p,
+        Fraction(1, 100) if args.h is None else args.h,
+        Fraction(1, 2) if args.hp is None else args.hp,
+        args.order or 80,
+        Fraction(1, 10**12) if args.tol is None else args.tol,
+    )
+    return [series, genfun.verify_classical_weights()]
+
+
+def _run_qh(args, experimental: list) -> list[IdentityReport]:
+    reports = qh.verify_qh(args.max)
+    if args.experimental or args.strict or args.suite == "qh":
+        experimental.append(qh.experimental_report(args.max))
+    return reports
+
+
+# The verify suites in run order; `verify all` runs them all and takes every
+# flag.  Each --max cap keeps one `hfib verify <suite> --max <n>` process to a
+# few seconds on 2 vCPUs; at the cap and one step above it: pascal 2.2 s at 80
+# (0.9 s at 60); fib 1.9 s at 40, 5.4 s at 50; operators 2.1 s at 20, 6.2 s at
+# 24; qh 4.7 s at 20, 15.3 s at 24.
+VERIFY_SUITES = {
+    "pascal": _Suite(
+        "--max", 80, ("--seed",), lambda a, _: pascal.verify_pascal(a.max, seed=a.seed)
+    ),
+    "fib": _Suite("--max", 40, (), lambda a, _: fibonacci.verify_fibonacci(a.max)),
+    "operators": _Suite("--max", 20, (), lambda a, _: operators.verify_operators(a.max)),
+    "gf": _Suite("--order", None, (), lambda a, _: genfun.verify_genfun(a.order)),
+    "weighted": _Suite("--order", None, ("--p", "--h", "--hp", "--tol"), _run_weighted),
+    "qh": _Suite("--max", 20, ("--experimental", "--strict"), _run_qh),
+}
+
+# The one suite that reads each flag in a `reads`; `verify all` takes them all.
+_FLAG_READER = {flag: name for name, suite in VERIFY_SUITES.items() for flag in suite.reads}
+
+
 def _verify_groups(args) -> tuple[list[IdentityReport], list[dict]]:
     """Build merged reports per requested group, plus experimental blobs."""
     groups: list[IdentityReport] = []
-    extras: list[dict] = []
-    wanted = args.suite
-
-    def want(name: str) -> bool:
-        return wanted in (name, "all")
-
-    if want("pascal"):
-        seed = DEFAULT_SEED if args.seed is None else args.seed
-        groups.append(merge_reports("pascal", pascal.verify_pascal(args.max or 12, seed=seed)))
-    if want("fib"):
-        groups.append(merge_reports("fib", fibonacci.verify_fibonacci(args.max)))
-    if want("operators"):
-        groups.append(merge_reports("operators", operators.verify_operators(args.max)))
-    if want("gf"):
-        groups.append(merge_reports("gf", genfun.verify_genfun(args.order or 16)))
-    if want("weighted"):
-        reports = [
-            genfun.weighted_series_check(
-                2 if args.p is None else args.p,
-                Fraction(1, 100) if args.h is None else args.h,
-                Fraction(1, 2) if args.hp is None else args.hp,
-                args.order or 80,
-                Fraction(1, 10**12) if args.tol is None else args.tol,
-            ),
-            genfun.verify_classical_weights(),
-        ]
-        groups.append(merge_reports("weighted", reports))
-    if want("qh"):
-        groups.append(merge_reports("qh", qh.verify_qh(args.max)))
-        if args.experimental or args.strict or wanted == "qh":
-            experimental = qh.experimental_report(args.max or 10)
-            extras.append(experimental.to_dict())
-            if args.strict:
-                summary = experimental.summary()
-                strict = IdentityReport("qh-strict")
-                for name in STRICT_QH_IDENTITIES:
-                    strict.cases += 1
-                    if not summary.get(name, False):
-                        strict.failures.append(
-                            Failure(
-                                params={"identity": name},
-                                lhs="holds for all measured n",
-                                rhs="failed for some n",
-                            )
-                        )
-                groups.append(strict)
-    return groups, extras
+    experimental: list[qh.ExperimentalReport] = []
+    for name, suite in VERIFY_SUITES.items():
+        if args.suite in (name, "all"):
+            groups.append(merge_reports(name, suite.run(args, experimental)))
+    if args.strict:
+        groups.extend(qh.strict_report(report) for report in experimental)
+    return groups, [report.to_dict() for report in experimental]
 
 
 def _check_verify_bounds(args) -> None:
     """Refuse, before any suite starts, a flag the suite does not read or a --max above its cap."""
     if args.suite != "all":
-        reads = "--max" if args.suite in VERIFY_MAX else "--order"
+        reads = VERIFY_SUITES[args.suite].bound
         for flag, value in (("--max", args.max), ("--order", args.order)):
             if value is not None and flag != reads:
                 raise ValueError(f"verify {args.suite} does not read {flag}; its bound is {reads}")
-        for flag, reader in VERIFY_FLAG_READERS.items():
+        for flag, reader in _FLAG_READER.items():
             if getattr(args, flag[2:]) is not None and args.suite != reader:
                 raise ValueError(f"verify {args.suite} does not read {flag}; only verify {reader} does")
     over = [
-        f"verify {suite} ({cap})"
-        for suite, cap in VERIFY_MAX.items()
-        if args.suite in (suite, "all") and args.max is not None and args.max > cap
+        f"verify {name} ({suite.cap})"
+        for name, suite in VERIFY_SUITES.items()
+        if args.suite in (name, "all") and suite.cap is not None and (args.max or 0) > suite.cap
     ]
     if over:
         raise ValueError(f"--max {args.max} is above the cap of {', '.join(over)}")
@@ -399,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gf", help="generating-function expansion")
     p.add_argument("--which", choices=genfun.GF_NAMES, required=True)
-    p.add_argument("--m", type=int, default=1, help="shift for --which shifted")
+    p.add_argument("--m", type=int, default=None, help="shift for --which shifted; default 1")
     p.add_argument("--order", type=int, default=16)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_gf)
@@ -427,20 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("verify", help="run identity suites")
-    p.add_argument(
-        "suite",
-        choices=("pascal", "fib", "operators", "gf", "weighted", "qh", "all"),
-    )
-    p.add_argument(
-        "--max",
-        type=_positive_int,
-        default=None,
-        help="index bound of pascal, fib, operators and qh; at most "
-        + ", ".join(f"{cap} for {suite}" for suite, cap in VERIFY_MAX.items()),
-    )
-    p.add_argument(
-        "--order", type=_positive_int, default=None, help="truncation order of gf and weighted"
-    )
+    p.add_argument("suite", choices=(*VERIFY_SUITES, "all"))
+    caps = ", ".join(f"{s.cap} for {name}" for name, s in VERIFY_SUITES.items() if s.cap)
+    max_help = f"index bound of {_bounded_by('--max')}; at most {caps}"
+    p.add_argument("--max", type=_positive_int, default=None, help=max_help)
+    order_help = f"truncation order of {_bounded_by('--order')}"
+    p.add_argument("--order", type=_positive_int, default=None, help=order_help)
     p.add_argument("--p", type=int, default=None, help=_read_by("--p", "weighted series base"))
     p.add_argument(
         "--h", type=_rational, default=None, help=_read_by("--h", _RATIONAL_HELP.format(flag="--h"))

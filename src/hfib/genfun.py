@@ -28,7 +28,7 @@ from functools import lru_cache
 from hfib.algebra import _coerce_scalar, rising_numerators
 from hfib.fibonacci import classical_fib, hfib_diagonal
 from hfib.operators import D, OpPoly, fib_op, verify_symmetric_lemmas
-from hfib.report import Failure, IdentityReport
+from hfib.report import Failure, IdentityReport, suite_scale
 
 
 class ConvergenceError(ArithmeticError):
@@ -209,8 +209,9 @@ def build_gf(name: str, m: int = 1) -> OpRatFun:
     return builder()
 
 
-def verify_genfun(order: int = 16, shift_max: int = 5) -> list[IdentityReport]:
-    """Expansions against direct fib_op products, plus the root lemmas."""
+def verify_genfun(order: int | None = None, shift_max: int = 5) -> list[IdentityReport]:
+    """Expansions against direct fib_op products, plus the root lemmas; order defaults to 16."""
+    order = suite_scale(order)(16)
     expansions = IdentityReport("gf-expansions")
     for name, (build, target) in _GF_TARGETS.items():
         series = series_expand(build(), order)
@@ -243,9 +244,9 @@ def weighted_series_check(
     like (hp+j)|h|/(p^2-p), so past j of about (p^2-p)/|h| the terms
     increase and no truncation can certify a tolerance below the
     smallest term.  The guard therefore demands that the final term of
-    each side is below tol and raises ConvergenceError otherwise;
-    shrink |h| in that case (raising the order helps the Fibonacci side
-    but eventually hurts the transformed side).
+    each side is below tol and raises ConvergenceError otherwise.  It
+    advises a smaller |h| when the transformed side misses and its terms
+    no longer shrink, |h (hp + order - 1)| >= |p^2 - p|, else a larger order.
     """
     if p == 0:
         raise ValueError("weight base p must be nonzero")
@@ -279,13 +280,15 @@ def weighted_series_check(
     rhs = Fraction(t * rhs_num, rhs_den)
     rhs_term = Fraction(t * term_num, rhs_den)
     if abs(lhs_term) >= tol or abs(rhs_term) >= tol:
-        if abs(rhs_term) >= tol:
+        if abs(rhs_term) < tol:
+            advice = "increase the order: the Fibonacci side converges geometrically in 1/p"
+        elif abs(hv * (hpv + order - 1)) < abs(base):
+            advice = "increase the order: the transformed terms still shrink at this order"
+        else:
             advice = (
                 "decrease |h|: the transformed series is asymptotic and a "
                 "larger order stops helping once its terms start growing"
             )
-        else:
-            advice = "increase the order: the Fibonacci side converges geometrically in 1/p"
         raise ConvergenceError(
             f"truncated tails are not below the tolerance at order {order}; {advice}"
         )

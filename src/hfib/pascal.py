@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import comb
 
 from hfib.algebra import H, HP, HPoly, _coerce_scalar, d_image, rising_numerators
-from hfib.report import DEFAULT_SEED, IdentityReport
+from hfib.report import DEFAULT_SEED, IdentityReport, suite_scale
 
 
 @lru_cache(maxsize=None)
@@ -192,12 +192,11 @@ def verify_charlier_link(
     return report
 
 
-def verify_pascal(n_max: int = 12, seed: int | None = None) -> list[IdentityReport]:
-    """All h-Pascal suites at their default scales."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+def verify_pascal(n_max: int | None = None, seed: int | None = None) -> list[IdentityReport]:
+    """All h-Pascal suites; n_max, when given, overrides every scale (at most 10 for Charlier)."""
+    scale = suite_scale(n_max)
     return [
-        verify_pascal_recurrences(n_max),
-        verify_column_sum(n_max),
-        verify_charlier_link(min(n_max, 10), seed=seed),
+        verify_pascal_recurrences(scale(12)),
+        verify_column_sum(scale(12)),
+        verify_charlier_link(min(scale(10), 10), seed=seed),
     ]

@@ -228,8 +228,8 @@ class ExperimentalReport:
         }
 
 
-def experimental_report(n_max: int = 10) -> ExperimentalReport:
-    """Measure the candidate q-Fibonacci identities instance by instance.
+def experimental_report(n_max: int | None = None) -> ExperimentalReport:
+    """Measure the candidate q-Fibonacci identities for n up to n_max (default 10).
 
     Candidates follow the printed h-analogue statements with q-weights;
     where a printed form is not even well-formed over Q[h, hp, q] the
@@ -258,7 +258,7 @@ def experimental_report(n_max: int = 10) -> ExperimentalReport:
         )
     )
 
-    for n in range(1, n_max + 1):
+    for n in range(1, suite_scale(n_max)(10) + 1):
         lhs = q_fibonacci(n + 1)
         literal = q_fibonacci(n) + Q ** (n - 1) * q_fibonacci(n - 1).shift_hprime(1)
         augmented = q_fibonacci(n) + Q ** (n - 1) * H * HP * q_fibonacci(n - 1).shift_hprime(1)
@@ -302,4 +302,19 @@ def experimental_report(n_max: int = 10) -> ExperimentalReport:
             even_acc,
             Q ** (2 * n - 1) * (q_fibonacci(2 * n + 1) - head),
         )
+    return report
+
+
+# Experimental identities a strict run is allowed to gate on: the ones
+# this module pins as holding (see experimental_report).
+STRICT_QH_IDENTITIES = ("partial-sum", "recurrence-augmented", "recurrence-augmented-q1")
+
+
+def strict_report(experimental: ExperimentalReport) -> IdentityReport:
+    """One case per STRICT_QH_IDENTITIES entry, failed unless it held for every measured n."""
+    summary = experimental.summary()
+    report = IdentityReport("qh-strict")
+    for name in STRICT_QH_IDENTITIES:
+        measured = "holds for all measured n" if summary.get(name, False) else "failed for some n"
+        report.check({"identity": name}, "holds for all measured n", measured)
     return report

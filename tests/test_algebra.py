@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 import sympy
@@ -18,6 +20,7 @@ from hfib.algebra import (
     rising_rational,
     shifted_factorial,
 )
+from hfib.fibonacci import hfib_diagonal
 from hfib.operators import D, OpPoly
 from oracles import H as SH
 from oracles import HP as SHP
@@ -236,6 +239,28 @@ def test_eval_point() -> None:
             assert type(value) is Fraction
             point = {SH: sympy.Rational(hv), SHP: sympy.Rational(hpv), SQ: sympy.Rational(qv)}
             assert value == Fraction(str(expr.subs(point)))
+
+
+@pytest.mark.parametrize("n", [61, 64])
+def test_eval_point_at_high_hp_degree(n) -> None:
+    # F_61 and F_64 have hp-degree 30 and 31.  An eval_point error of 1e-20
+    # there fails no verify suite: the Charlier link stops at row 10 and the
+    # weighted series compares within 1e-12.  So check exactly against
+    # sum_k C(n-1-k, k) h^k (hp)_k.  No hp is an integer, so no rising
+    # factorial vanishes and every degree counts.
+    rng = random.Random(n)
+    points = [
+        (Fraction(rng.randint(1, 99), 999_983), Fraction(rng.randint(1, 99), 101)),
+        (Fraction(rng.randint(1, 99), 97), -Fraction(rng.randint(1, 99), 101)),
+        (-Fraction(rng.randint(1, 99), 97), Fraction(rng.randint(1, 99), 101)),
+        (-Fraction(rng.randint(1, 99), 999_983), -Fraction(rng.randint(1, 99), 101)),
+    ]
+    value = hfib_diagonal(n)
+    for hv, hpv in points:
+        expected = sum(
+            comb(n - 1 - k, k) * hv**k * rising_rational(hpv, k) for k in range((n + 1) // 2)
+        )
+        assert value.eval_point(hv, hpv) == expected, (hv, hpv)
 
 
 def test_classical_limit() -> None:

@@ -129,6 +129,24 @@ def test_gf_shifted_requires_valid_m(capsys) -> None:
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("which", ["fib", "cube"])
+def test_gf_refuses_m_without_shifted(which, monkeypatch, capsys) -> None:
+    monkeypatch.setattr(cli.genfun, "build_gf", lambda *a: pytest.fail("the expansion started"))
+    code = cli.main(["gf", "--which", which, "--m", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--which shifted" in captured.err
+
+
+def test_gf_shifted_defaults_m_to_1(capsys) -> None:
+    argv = ("gf", "--which", "shifted", "--order", "6", "--format", "json")
+    code, out = run_cli(*argv, capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["m"] == 1
+    assert run_cli(*argv, "--m", "1", capsys=capsys) == (0, out)
+
+
 def test_qh_subcommands(capsys) -> None:
     code, out = run_cli("qh", "binom", "--n", "2", "--k", "1", capsys=capsys)
     assert code == 0
@@ -274,8 +292,8 @@ def test_verify_max_above_cap_exits_2(argv, refused, monkeypatch, capsys) -> Non
     code = cli.main(list(argv))
     err = capsys.readouterr().err
     assert code == 2
-    for suite, cap in cli.VERIFY_MAX.items():
-        assert (f"verify {suite} ({cap})" in err) == (suite in refused)
+    for suite, record in cli.VERIFY_SUITES.items():
+        assert (f"verify {suite} ({record.cap})" in err) == (suite in refused)
 
 
 @pytest.mark.parametrize(
@@ -394,8 +412,9 @@ def test_verify_help_names_the_reader_of_each_flag() -> None:
         for action in commands.choices["verify"]._actions
         for option in action.option_strings
     }
-    for flag, reader in cli.VERIFY_FLAG_READERS.items():
-        assert f"read by verify {reader} " in helps[flag], flag
+    for reader, record in cli.VERIFY_SUITES.items():
+        for flag in record.reads:
+            assert f"read by verify {reader} " in helps[flag], flag
     assert "exact rational" in helps["--tol"] and "default 1/10^12" in helps["--tol"]
 
 

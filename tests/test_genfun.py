@@ -142,6 +142,15 @@ def test_weighted_check_advice_names_failing_side() -> None:
         weighted_series_check(2, Fraction(1, 10), Fraction(1, 2), order=80)
 
 
+@pytest.mark.parametrize("order", [3, 5])
+def test_weighted_check_advises_a_larger_order_while_terms_shrink(order) -> None:
+    # at h = 1/100 the transformed side misses at a short order, but its terms
+    # still shrink (|h (hp + order - 1)| < p^2 - p) and order 40 certifies
+    with pytest.raises(ConvergenceError, match="increase the order"):
+        weighted_series_check(2, Fraction(1, 100), Fraction(1, 2), order=order)
+    assert weighted_series_check(2, Fraction(1, 100), Fraction(1, 2), order=40).passed
+
+
 def test_weighted_agreement_is_tight() -> None:
     # both sides are near sum_i F_i(h, hp) / p^(i+1); recompute the left
     # sum here and pin the certified gap well below the tolerance
