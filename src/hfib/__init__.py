@@ -60,7 +60,7 @@ _CACHES = (
     algebra._d_step,
     fibonacci.classical_fib,
     fibonacci.hfib_diagonal,
-    genfun._require_lemmas,
+    operators.annihilator,
     operators.fib_op,
     operators._g,
     pascal.h_binomial,

@@ -4,9 +4,11 @@ A generating function here is a rational function in x whose numerator
 and denominator are polynomials in x with OpPoly (that is, Q[D])
 coefficients.  Closed forms for sums of products of operator Fibonacci
 numbers come from the extension roots: every denominator below is a
-product of factors (1 - r*x) over the relevant root monomials, reduced
-to Q[D] through the symmetric-function lemmas checked in
-hfib.operators.verify_symmetric_lemmas.
+product of factors (1 - r*x) over the relevant root monomials, and is
+read from hfib.operators.annihilator, which multiplies those factors out
+in Z[D][s] and asserts that the result lies in Z[D].  One table states
+each closed form once: its numerator and the (k, step) of its
+denominator.
 
 series_expand performs exact long division (the denominator must have
 constant term 1) and re-multiplies the result against the denominator
@@ -23,11 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from hfib.algebra import _coerce_scalar, rising_numerators
 from hfib.fibonacci import classical_fib, hfib_diagonal
-from hfib.operators import D, OpPoly, fib_op, verify_symmetric_lemmas
+from hfib.operators import D, OpPoly, annihilator, fib_op, verify_symmetric_lemmas
 from hfib.report import Failure, IdentityReport, suite_scale
 
 
@@ -46,17 +47,6 @@ class OpSeries:
 
     def coefficient(self, k: int) -> OpPoly:
         return self.coeffs[k]
-
-    def mul_xpoly(self, xpoly: tuple[OpPoly, ...]) -> "OpSeries":
-        """Product with an x-polynomial, truncated to this series' order."""
-        order = len(self.coeffs)
-        out = [OpPoly.zero()] * order
-        for j, factor in enumerate(xpoly):
-            if factor.is_zero:
-                continue
-            for k in range(order - j):
-                out[j + k] = out[j + k] + factor * self.coeffs[k]
-        return OpSeries(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -94,108 +84,39 @@ def series_expand(f: OpRatFun, order: int) -> OpSeries:
         for j in range(1, min(k, len(den) - 1) + 1):
             s = s - den[j] * coeffs[k - j]
         coeffs.append(s)
-    series = OpSeries(tuple(coeffs))
-    back = series.mul_xpoly(den)
+    back = xpoly_mul(tuple(coeffs), den)
     for k in range(order):
         expected = num[k] if k < len(num) else OpPoly.zero()
-        if back.coefficient(k) != expected:
+        if back[k] != expected:
             raise ArithmeticError("long division failed its re-multiplication check")
-    return series
-
-
-@lru_cache(maxsize=None)
-def _require_lemmas() -> bool:
-    # Denominators below assume the root symmetric functions reduce as
-    # checked there; refuse to hand out closed forms if that ever broke.
-    if not verify_symmetric_lemmas().passed:
-        raise ArithmeticError("symmetric-function lemmas failed; closed forms invalid")
-    return True
+    return OpSeries(tuple(coeffs))
 
 
 _ONE = OpPoly.one()
 _ZERO = OpPoly.zero()
 
+# The closed forms, name -> (numerator, (k, step), target): sum_n target(n) x^n
+# is the numerator over annihilator(k, step) reversed, whose roots are the k+1
+# products lp^(step a) lm^(step (k-a)).  The numerators are the stated closed
+# forms, written out rather than fitted to the first terms of the target.
+_GF_TABLE = {
+    "fib": ((_ZERO, _ONE), (1, 1), fib_op),
+    "even": ((_ZERO, _ONE), (1, 2), lambda n: fib_op(2 * n)),
+    "odd": ((_ONE, -1 * D), (1, 2), lambda n: fib_op(2 * n + 1)),
+    "square": ((_ZERO, _ONE, -1 * D), (2, 1), lambda n: fib_op(n) ** 2),
+    "product": ((_ZERO, _ONE), (2, 1), lambda n: fib_op(n) * fib_op(n + 1)),
+    "product-shift": ((_ONE,), (2, 1), lambda n: fib_op(n + 1) * fib_op(n + 2)),
+    "cube": ((_ZERO, _ONE, -2 * D, -1 * D**3), (3, 1), lambda n: fib_op(n) ** 3),
+}
 
-def gf_fib() -> OpRatFun:
-    """sum_n F_n x^n = x / (1 - x - D x^2)."""
-    _require_lemmas()
-    return OpRatFun((_ZERO, _ONE), (_ONE, -1 * _ONE, -1 * D))
+GF_NAMES = tuple(_GF_TABLE) + ("shifted",)
 
 
 def gf_shifted(m: int) -> OpRatFun:
     """sum_n F_(m+n) x^n = (F_m + D F_(m-1) x) / (1 - x - D x^2), m >= 1."""
     if m < 1:
         raise ValueError("shift must be at least 1")
-    _require_lemmas()
-    return OpRatFun((fib_op(m), D * fib_op(m - 1)), (_ONE, -1 * _ONE, -1 * D))
-
-
-def _den_even() -> tuple[OpPoly, ...]:
-    # (1 - lp^2 x)(1 - lm^2 x) = 1 - (1+2D) x + D^2 x^2
-    return (_ONE, -1 * (_ONE + 2 * D), D * D)
-
-
-def gf_even() -> OpRatFun:
-    """sum_n F_(2n) x^n = x / (1 - (1+2D) x + D^2 x^2)."""
-    _require_lemmas()
-    return OpRatFun((_ZERO, _ONE), _den_even())
-
-
-def gf_odd() -> OpRatFun:
-    """sum_n F_(2n+1) x^n = (1 - D x) / (1 - (1+2D) x + D^2 x^2)."""
-    _require_lemmas()
-    return OpRatFun((_ONE, -1 * D), _den_even())
-
-
-def _den_square() -> tuple[OpPoly, ...]:
-    # Roots lp^2, lp*lm, lm^2: the even denominator times (1 + D x).
-    return xpoly_mul(_den_even(), (_ONE, D))
-
-
-def gf_square() -> OpRatFun:
-    """sum_n F_n^2 x^n = (x - D x^2) / ((1 - (1+2D) x + D^2 x^2)(1 + D x))."""
-    _require_lemmas()
-    return OpRatFun((_ZERO, _ONE, -1 * D), _den_square())
-
-
-def gf_product() -> OpRatFun:
-    """sum_n F_n F_(n+1) x^n = x / ((1 - (1+2D) x + D^2 x^2)(1 + D x))."""
-    _require_lemmas()
-    return OpRatFun((_ZERO, _ONE), _den_square())
-
-
-def gf_product_shift() -> OpRatFun:
-    """sum_n F_(n+1) F_(n+2) x^n = 1 / ((1 - (1+2D) x + D^2 x^2)(1 + D x))."""
-    _require_lemmas()
-    return OpRatFun((_ONE,), _den_square())
-
-
-def gf_cube() -> OpRatFun:
-    """sum_n F_n^3 x^n, roots lp^3, lp^2 lm, lp lm^2, lm^3.
-
-    (x - 2D x^2 - D^3 x^3) over
-    (1 - (1+3D) x - D^3 x^2)(1 + D x - D^3 x^2).
-    """
-    _require_lemmas()
-    d3 = D**3
-    den = xpoly_mul(
-        (_ONE, -1 * (_ONE + 3 * D), -1 * d3),
-        (_ONE, D, -1 * d3),
-    )
-    return OpRatFun((_ZERO, _ONE, -2 * D, -1 * d3), den)
-
-
-_GF_TARGETS = {
-    "fib": (gf_fib, lambda k: fib_op(k)),
-    "even": (gf_even, lambda k: fib_op(2 * k)),
-    "odd": (gf_odd, lambda k: fib_op(2 * k + 1)),
-    "square": (gf_square, lambda k: fib_op(k) ** 2),
-    "product": (gf_product, lambda k: fib_op(k) * fib_op(k + 1)),
-    "product-shift": (gf_product_shift, lambda k: fib_op(k + 1) * fib_op(k + 2)),
-    "cube": (gf_cube, lambda k: fib_op(k) ** 3),
-}
-
-GF_NAMES = tuple(_GF_TARGETS) + ("shifted",)
+    return OpRatFun((fib_op(m), D * fib_op(m - 1)), annihilator(1)[::-1])
 
 
 def build_gf(name: str, m: int = 1) -> OpRatFun:
@@ -203,18 +124,18 @@ def build_gf(name: str, m: int = 1) -> OpRatFun:
     if name == "shifted":
         return gf_shifted(m)
     try:
-        builder, _ = _GF_TARGETS[name]
+        numerator, (k, step), _ = _GF_TABLE[name]
     except KeyError:
         raise ValueError(f"unknown generating function {name!r}") from None
-    return builder()
+    return OpRatFun(numerator, annihilator(k, step)[::-1])
 
 
 def verify_genfun(order: int | None = None, shift_max: int = 5) -> list[IdentityReport]:
     """Expansions against direct fib_op products, plus the root lemmas; order defaults to 16."""
     order = suite_scale(order)(16)
     expansions = IdentityReport("gf-expansions")
-    for name, (build, target) in _GF_TARGETS.items():
-        series = series_expand(build(), order)
+    for name, (_, _, target) in _GF_TABLE.items():
+        series = series_expand(build_gf(name), order)
         for k in range(order):
             expansions.check({"gf": name, "k": k}, series.coefficient(k), target(k))
     for m in range(1, shift_max + 1):

@@ -243,12 +243,48 @@ def binet_fib(n: int) -> OpPoly:
     diff = SqrtExt(one, one) ** n - SqrtExt(one, -one) ** n
     if not diff.even.is_zero:
         raise ArithmeticError("even part of lambda_+^n - lambda_-^n did not cancel")
-    scale = 1 << n
+    return _exact_quotient(diff.odd, 1 << n, "odd part of (1 + s)^n - (1 - s)^n")
+
+
+@lru_cache(maxsize=None)
+def annihilator(k: int, step: int = 1) -> tuple[OpPoly, ...]:
+    """Ascending x-coefficients of prod_(a=0..k) (x - lp^(step a) lm^(step (k-a))).
+
+    Its roots are the root monomials of degree k in lp^step and lm^step,
+    so it annihilates every sum of products of k factors F_(step n + c):
+    reversed, it is the denominator of their generating function, and
+    its order k + 1 bounds the initial values that fix such a sequence
+    (Zeilberger, "The C-finite ansatz", Ramanujan J. 31, 2013).
+
+    Built as binet_fib is: with lp, lm = (1 +- s)/2 each factor is scaled
+    to 2^(step k) x - (1 + s)^(step a) (1 - s)^(step (k-a)) in Z[D][s].
+    The s-parts of the product must cancel and its one division by
+    2^(step k (k+1)) must be exact; both are asserted.
+    """
+    if k < 0 or step < 1:
+        raise ValueError("annihilator needs k >= 0 and step >= 1")
+    one = OpPoly.one()
+    plus, minus = SqrtExt(one, one) ** step, SqrtExt(one, -one) ** step
+    scale = 1 << (step * k)
+    product = [SqrtExt.one()]
+    for a in range(k + 1):
+        root = plus**a * minus ** (k - a)
+        # product * (scale x - root): shift up one power of x, subtract root * product
+        raised = [SqrtExt.zero()] + [SqrtExt(scale * c.even, scale * c.odd) for c in product]
+        product = [r - root * c for r, c in zip(raised, product + [SqrtExt.zero()])]
+    if any(not c.odd.is_zero for c in product):
+        raise ArithmeticError("s-part of the annihilator did not cancel")
+    divisor = 1 << (step * k * (k + 1))
+    return tuple(_exact_quotient(c.even, divisor, "annihilator coefficient") for c in product)
+
+
+def _exact_quotient(x: OpPoly, divisor: int, what: str) -> OpPoly:
+    """x / divisor over Z[D], refused unless every coefficient divides exactly."""
     terms: dict[int, int] = {}
-    for exp, coeff in diff.odd._terms.items():
-        quotient, remainder = divmod(coeff, scale)
+    for exp, coeff in x._terms.items():
+        quotient, remainder = divmod(coeff, divisor)
         if remainder:
-            raise ArithmeticError("odd part of (1 + s)^n - (1 - s)^n is not divisible by 2^n")
+            raise ArithmeticError(f"{what} is not divisible by {divisor}")
         terms[exp] = quotient
     return OpPoly(terms)
 

@@ -20,7 +20,7 @@ def _compute() -> list:
         fibonacci.classical_fib(20),
         fibonacci.hfib_diagonal(8),
         fibonacci.hfib_recurrence(8),
-        genfun.gf_fib(),
+        genfun.build_gf("fib"),
         operators.fib_op(9),
         operators.neg_fib_op(5).g,
         pascal.h_binomial(6, 3),

@@ -4,14 +4,13 @@ from fractions import Fraction
 
 import pytest
 
+from hfib import genfun
 from hfib.fibonacci import classical_fib, hfib_diagonal
 from hfib.genfun import (
     GF_NAMES,
     ConvergenceError,
     OpRatFun,
-    OpSeries,
     build_gf,
-    gf_fib,
     gf_shifted,
     series_expand,
     verify_classical_weights,
@@ -23,7 +22,7 @@ from hfib.operators import D, OpPoly, fib_op
 
 
 def test_series_expand_fibonacci() -> None:
-    series = series_expand(gf_fib(), 12)
+    series = series_expand(build_gf("fib"), 12)
     for k in range(12):
         assert series.coefficient(k) == fib_op(k)
 
@@ -33,20 +32,11 @@ def test_series_expand_requires_unit_constant() -> None:
     with pytest.raises(ValueError):
         series_expand(bad, 4)
     with pytest.raises(ValueError):
-        series_expand(gf_fib(), -1)
+        series_expand(build_gf("fib"), -1)
 
 
 def test_series_expand_zero_order() -> None:
-    assert len(series_expand(gf_fib(), 0)) == 0
-
-
-def test_op_series_mul_xpoly_truncates() -> None:
-    series = OpSeries((OpPoly.one(), D, D**2))
-    shifted = series.mul_xpoly((OpPoly.zero(), OpPoly.one()))
-    assert shifted.coefficient(0) == 0
-    assert shifted.coefficient(1) == 1
-    assert shifted.coefficient(2) == D
-    assert len(shifted) == 3
+    assert len(series_expand(build_gf("fib"), 0)) == 0
 
 
 def test_xpoly_mul() -> None:
@@ -78,6 +68,21 @@ def test_build_gf_names() -> None:
 def test_all_expansions_match_targets() -> None:
     for report in verify_genfun(order=12, shift_max=3):
         assert report.passed, report.to_dict()
+
+
+def test_wrong_annihilator_coefficient_fails_verify_genfun(monkeypatch) -> None:
+    # the denominators come only from annihilator, so a planted wrong
+    # coefficient must show up in the expansions of every closed form
+    real = genfun.annihilator
+
+    def planted(k: int, step: int = 1) -> tuple[OpPoly, ...]:
+        coeffs = real(k, step)
+        return coeffs[:1] + (coeffs[1] + D,) + coeffs[2:]
+
+    monkeypatch.setattr(genfun, "annihilator", planted)
+    lemmas, expansions = verify_genfun(12)
+    assert lemmas.passed
+    assert {f.params["gf"] for f in expansions.failures} == set(GF_NAMES)
 
 
 def test_square_expansion_spot() -> None:

@@ -14,6 +14,7 @@ from hfib.operators import (
     OpMatrix2,
     OpPoly,
     SqrtExt,
+    annihilator,
     binet_fib,
     fib_op,
     lambda_minus,
@@ -172,6 +173,49 @@ def test_binet_coefficients_are_int() -> None:
     # integral coefficients are stored as int, never as Fraction(k, 1)
     for n in range(61):
         assert all(type(c) is int for _, c in binet_fib(n).terms()), n
+
+
+def _annihilates(coeffs: tuple[OpPoly, ...], seq, count: int) -> bool:
+    """sum_i coeffs[i] * seq(n + i) vanishes for n = 0, 1, ..., count - 1."""
+    return all(
+        sum((c * seq(n + i) for i, c in enumerate(coeffs)), OpPoly.zero()) == 0
+        for n in range(count)
+    )
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_annihilator_annihilates_powers(k: int) -> None:
+    # every index read stays below 25
+    coeffs = annihilator(k)
+    assert len(coeffs) == k + 2
+    assert _annihilates(coeffs, lambda n: fib_op(n) ** k, 25 - (k + 1))
+
+
+def test_annihilator_step_2_annihilates_both_sections() -> None:
+    coeffs = annihilator(1, 2)
+    assert _annihilates(coeffs, lambda n: fib_op(2 * n), 12)
+    assert _annihilates(coeffs, lambda n: fib_op(2 * n + 1), 11)
+
+
+def test_annihilator_reversed_is_the_printed_denominator() -> None:
+    one = OpPoly.one()
+    assert annihilator(1)[::-1] == (one, -1 * one, -1 * D)
+    assert annihilator(1, 2)[::-1] == (one, -1 - 2 * D, D**2)
+    assert annihilator(2)[::-1] == (one, -1 - D, -1 * D - D**2, D**3)
+    assert annihilator(3)[::-1] == (
+        one,
+        -1 - 2 * D,
+        -1 * D - 3 * D**2 - 2 * D**3,
+        D**3 + 2 * D**4,
+        D**6,
+    )
+    assert all(type(c) is int for poly in annihilator(4) for _, c in poly.terms())
+
+
+@pytest.mark.parametrize("k, step", [(-1, 1), (2, 0), (1, -1)])
+def test_annihilator_refuses_bad_arguments(k: int, step: int) -> None:
+    with pytest.raises(ValueError):
+        annihilator(k, step)
 
 
 def test_neg_fib_op_values() -> None:
