@@ -39,6 +39,10 @@ _ROUTES = {
 # doubling of n.
 RECURRENCE_MAX_N = 400
 
+# Largest --order that `gf` takes: one `hfib gf --which cube` process on 2 vCPUs
+# takes 1.9 s and peaks at 51 MB RSS at order 500, 5.8 s and 125 MB at 800.
+GF_MAX_ORDER = 500
+
 # Markdown `verify` lists at most this many failures per group.
 MARKDOWN_FAILURES = 20
 
@@ -57,10 +61,11 @@ def _read_by(flag: str, text: str) -> str:
     return f"{text}; read by verify {_FLAG_READER[flag]} (and verify all)"
 
 
-def _bounded_by(flag: str) -> str:
-    """The suites whose bound is `flag`, in run order, as "a, b and c"."""
-    *rest, last = (name for name, suite in VERIFY_SUITES.items() if suite.bound == flag)
-    return f"{', '.join(rest)} and {last}"
+def _bound_help(flag: str, text: str) -> str:
+    """Help text of a bound flag: its suites in run order, as "a, b and c", and their caps."""
+    names = [name for name, suite in VERIFY_SUITES.items() if suite.bound == flag]
+    caps = ", ".join(f"{VERIFY_SUITES[name].cap} for {name}" for name in names)
+    return f"{text} of {', '.join(names[:-1])} and {names[-1]}; at most {caps}"
 
 
 def _rational(text: str) -> Fraction:
@@ -185,6 +190,8 @@ def cmd_op(args) -> int:
 
 
 def cmd_gf(args) -> int:
+    if args.order > GF_MAX_ORDER:
+        raise ValueError(f"gf --order is capped at {GF_MAX_ORDER}, got --order {args.order}")
     if args.m is not None and args.which != "shifted":
         raise ValueError(f"gf --which {args.which} does not read --m; only --which shifted does")
     m = 1 if args.m is None else args.m
@@ -243,7 +250,7 @@ def cmd_eval(args) -> int:
 
 class _Suite(NamedTuple):
     bound: str  # the size flag it reads, --max or --order
-    cap: int | None  # the largest --max it takes
+    cap: int  # the largest value of its bound flag it takes
     reads: tuple[str, ...]  # the other flags only it reads
     # run(args, experimental) returns its sub-reports and appends any q-layer report to
     # `experimental`; it looks library functions up at call time, so patches take effect.
@@ -252,13 +259,8 @@ class _Suite(NamedTuple):
 
 def _run_weighted(args, experimental: list) -> list[IdentityReport]:
     # Each flag defaults to None, so that a given flag can be told from an absent one.
-    series = genfun.weighted_series_check(
-        2 if args.p is None else args.p,
-        Fraction(1, 100) if args.h is None else args.h,
-        Fraction(1, 2) if args.hp is None else args.hp,
-        args.order or 80,
-        Fraction(1, 10**12) if args.tol is None else args.tol,
-    )
+    params = genfun.weighted_params(args.p, args.h, args.hp, args.order, args.tol)
+    series = genfun.weighted_series_check(*params)
     return [series, genfun.verify_classical_weights()]
 
 
@@ -270,18 +272,19 @@ def _run_qh(args, experimental: list) -> list[IdentityReport]:
 
 
 # The verify suites in run order; `verify all` runs them all and takes every
-# flag.  Each --max cap keeps one `hfib verify <suite> --max <n>` process to a
-# few seconds on 2 vCPUs; at the cap and one step above it: pascal 2.2 s at 80
-# (0.9 s at 60); fib 1.9 s at 40, 5.4 s at 50; operators 2.1 s at 20, 6.2 s at
-# 24; qh 4.7 s at 20, 15.3 s at 24.
+# flag.  Each cap keeps one `hfib verify <suite> --max <n>` (or `--order <n>`)
+# process to a few seconds on 2 vCPUs; at the cap and one step above it: pascal
+# 2.2 s at 80 (0.9 s at 60); fib 1.9 s at 40, 5.4 s at 50; operators 2.1 s at
+# 20, 6.2 s at 24; gf 1.8 s at 240, 3.8 s at 320; weighted 0.9 s and 63 MB RSS
+# at 200, 8.7 s and 479 MB at 400; qh 4.7 s at 20, 15.3 s at 24.
 VERIFY_SUITES = {
     "pascal": _Suite(
         "--max", 80, ("--seed",), lambda a, _: pascal.verify_pascal(a.max, seed=a.seed)
     ),
     "fib": _Suite("--max", 40, (), lambda a, _: fibonacci.verify_fibonacci(a.max)),
     "operators": _Suite("--max", 20, (), lambda a, _: operators.verify_operators(a.max)),
-    "gf": _Suite("--order", None, (), lambda a, _: genfun.verify_genfun(a.order)),
-    "weighted": _Suite("--order", None, ("--p", "--h", "--hp", "--tol"), _run_weighted),
+    "gf": _Suite("--order", 240, (), lambda a, _: genfun.verify_genfun(a.order)),
+    "weighted": _Suite("--order", 200, ("--p", "--h", "--hp", "--tol"), _run_weighted),
     "qh": _Suite("--max", 20, ("--experimental", "--strict"), _run_qh),
 }
 
@@ -302,7 +305,7 @@ def _verify_groups(args) -> tuple[list[IdentityReport], list[dict]]:
 
 
 def _check_verify_bounds(args) -> None:
-    """Refuse, before any suite starts, a flag the suite does not read or a --max above its cap."""
+    """Refuse, before any suite starts, a flag the suite does not read or a bound above its cap."""
     if args.suite != "all":
         reads = VERIFY_SUITES[args.suite].bound
         for flag, value in (("--max", args.max), ("--order", args.order)):
@@ -311,13 +314,15 @@ def _check_verify_bounds(args) -> None:
         for flag, reader in _FLAG_READER.items():
             if getattr(args, flag[2:]) is not None and args.suite != reader:
                 raise ValueError(f"verify {args.suite} does not read {flag}; only verify {reader} does")
-    over = [
-        f"verify {name} ({suite.cap})"
-        for name, suite in VERIFY_SUITES.items()
-        if args.suite in (name, "all") and suite.cap is not None and (args.max or 0) > suite.cap
-    ]
-    if over:
-        raise ValueError(f"--max {args.max} is above the cap of {', '.join(over)}")
+    for flag in ("--max", "--order"):
+        value = getattr(args, flag[2:]) or 0
+        over = [
+            f"verify {name} ({suite.cap})"
+            for name, suite in VERIFY_SUITES.items()
+            if args.suite in (name, "all") and suite.bound == flag and value > suite.cap
+        ]
+        if over:
+            raise ValueError(f"{flag} {value} is above the cap of {', '.join(over)}")
 
 
 def cmd_verify(args) -> int:
@@ -418,10 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run identity suites")
     p.add_argument("suite", choices=(*VERIFY_SUITES, "all"))
-    caps = ", ".join(f"{s.cap} for {name}" for name, s in VERIFY_SUITES.items() if s.cap)
-    max_help = f"index bound of {_bounded_by('--max')}; at most {caps}"
+    max_help = _bound_help("--max", "index bound")
     p.add_argument("--max", type=_positive_int, default=None, help=max_help)
-    order_help = f"truncation order of {_bounded_by('--order')}"
+    order_help = _bound_help("--order", "truncation order")
     p.add_argument("--order", type=_positive_int, default=None, help=order_help)
     p.add_argument("--p", type=int, default=None, help=_read_by("--p", "weighted series base"))
     p.add_argument(

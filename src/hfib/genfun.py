@@ -148,12 +148,22 @@ def verify_genfun(order: int | None = None, shift_max: int = 5) -> list[Identity
 # -- weighted numeric series ----------------------------------------------
 
 
+# p, h, hp, order and tol of the weighted check, for each one left at None.
+_WEIGHTED_DEFAULTS = (2, Fraction(1, 100), Fraction(1, 2), 80, Fraction(1, 10**12))
+
+
+def weighted_params(p=None, h=None, hp=None, order=None, tol=None) -> tuple:
+    """(p, h, hp, order, tol) with each None replaced by its default."""
+    given = (p, h, hp, order, tol)
+    return tuple(d if v is None else v for v, d in zip(given, _WEIGHTED_DEFAULTS))
+
+
 def weighted_series_check(
-    p: int,
-    h: Fraction,
-    hp: Fraction,
-    order: int = 80,
-    tol: Fraction = Fraction(1, 10**12),
+    p: int | None = None,
+    h: Fraction | None = None,
+    hp: Fraction | None = None,
+    order: int | None = None,
+    tol: Fraction | None = None,
 ) -> IdentityReport:
     """Truncated comparison of sum_i F_i(h,hp)/p^(i+1) with its transform.
 
@@ -167,8 +177,14 @@ def weighted_series_check(
     smallest term.  The guard therefore demands that the final term of
     each side is below tol and raises ConvergenceError otherwise.  It
     advises a smaller |h| when the transformed side misses and its terms
-    no longer shrink, |h (hp + order - 1)| >= |p^2 - p|, else a larger order.
+    no longer shrink, |h (hp + order - 1)| >= |p^2 - p|; a larger |p| when
+    only the Fibonacci side misses and its last term is no smaller than
+    the one before (F_0 = 0 gives order 1 no such comparison); else a
+    larger order.
+
+    Each argument left at None takes its default from weighted_params.
     """
+    p, h, hp, order, tol = weighted_params(p, h, hp, order, tol)
     if p == 0:
         raise ValueError("weight base p must be nonzero")
     pv = _coerce_scalar(p)
@@ -184,7 +200,7 @@ def weighted_series_check(
     lhs = Fraction(0)
     lhs_term = Fraction(0)
     for i in range(order + 1):
-        lhs_term = hfib_diagonal(i).eval_point(hv, hpv) / pv ** (i + 1)
+        lhs_prev, lhs_term = lhs_term, hfib_diagonal(i).eval_point(hv, hpv) / pv ** (i + 1)
         lhs += lhs_term
     # With h = e/f, hp = c/d, p^2 - p = s/t and N the order, term j is
     # t * x^j * R_j * w^(N-j) over (f d)^N * s^(N+1), where x = e t, w = f d s
@@ -201,7 +217,12 @@ def weighted_series_check(
     rhs = Fraction(t * rhs_num, rhs_den)
     rhs_term = Fraction(t * term_num, rhs_den)
     if abs(lhs_term) >= tol or abs(rhs_term) >= tol:
-        if abs(rhs_term) < tol:
+        if abs(rhs_term) < tol and 0 < abs(lhs_prev) <= abs(lhs_term):
+            advice = (
+                "increase |p|: the Fibonacci terms F_i/p^(i+1) no longer shrink, "
+                "so a larger order stops helping"
+            )
+        elif abs(rhs_term) < tol:
             advice = "increase the order: the Fibonacci side converges geometrically in 1/p"
         elif abs(hv * (hpv + order - 1)) < abs(base):
             advice = "increase the order: the transformed terms still shrink at this order"

@@ -554,8 +554,8 @@ def verify_binet(n_max: int = 25) -> IdentityReport:
 def verify_symmetric_lemmas() -> IdentityReport:
     """Symmetric functions of the extension roots, reduced to Q[D].
 
-    These are the lemmas the generating-function denominators are built
-    from, so they are checked once and reused.
+    They are the coefficients of the generating-function denominators,
+    checked here one by one, apart from annihilator's product.
     """
     report = IdentityReport("op-symmetric-lemmas")
     lp, lm = lambda_plus(), lambda_minus()

@@ -285,15 +285,37 @@ def test_hypergeom_route_refuses_n_0_and_names_routes_that_take_it(argv, monkeyp
         (("verify", "operators", "--max", "21"), ["operators"]),
         (("verify", "qh", "--max", "21", "--format", "markdown"), ["qh"]),
         (("verify", "all", "--max", "41"), ["fib", "operators", "qh"]),
+        (("verify", "gf", "--order", "241"), ["gf"]),
+        (("verify", "weighted", "--order", "201", "--format", "markdown"), ["weighted"]),
+        (("verify", "all", "--order", "300"), ["gf", "weighted"]),
+        (("verify", "all", "--order", "220", "--max", "20"), ["weighted"]),
     ],
 )
 def test_verify_max_above_cap_exits_2(argv, refused, monkeypatch, capsys) -> None:
+    # the same refusal for --order, the bound of gf and weighted
     monkeypatch.setattr(cli, "_verify_groups", lambda args: pytest.fail("a suite started"))
     code = cli.main(list(argv))
     err = capsys.readouterr().err
     assert code == 2
+    flag = cli.VERIFY_SUITES[refused[0]].bound
+    assert err.startswith(f"error: {flag} {argv[argv.index(flag) + 1]} is above the cap of ")
     for suite, record in cli.VERIFY_SUITES.items():
         assert (f"verify {suite} ({record.cap})" in err) == (suite in refused)
+
+
+def test_gf_order_above_cap_exits_2(monkeypatch, capsys) -> None:
+    monkeypatch.setattr(cli.genfun, "build_gf", lambda *a: pytest.fail("the expansion started"))
+    order = cli.GF_MAX_ORDER + 1
+    code = cli.main(["gf", "--which", "cube", "--order", str(order)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: gf --order is capped at {cli.GF_MAX_ORDER}, got --order {order}\n"
+
+
+def test_gf_order_at_cap_runs(monkeypatch, capsys) -> None:
+    monkeypatch.setattr(cli.genfun, "series_expand", lambda f, order: cli.genfun.OpSeries(()))
+    assert cli.main(["gf", "--which", "cube", "--order", str(cli.GF_MAX_ORDER)]) == 0
 
 
 @pytest.mark.parametrize(
@@ -301,6 +323,8 @@ def test_verify_max_above_cap_exits_2(argv, refused, monkeypatch, capsys) -> Non
     [
         ("verify", "pascal", "--max", "80"),
         ("verify", "all", "--max", "20"),
+        ("verify", "gf", "--order", "240"),
+        ("verify", "all", "--order", "200", "--max", "20"),
     ],
 )
 def test_verify_max_at_cap_or_unused_runs(argv, monkeypatch, capsys) -> None:

@@ -15,6 +15,7 @@ from hfib.genfun import (
     series_expand,
     verify_classical_weights,
     verify_genfun,
+    weighted_params,
     weighted_series_check,
     xpoly_mul,
 )
@@ -145,6 +146,34 @@ def test_weighted_check_advice_names_failing_side() -> None:
     # asymptotic regime: the transformed side can never certify
     with pytest.raises(ConvergenceError, match="decrease \\|h\\|"):
         weighted_series_check(2, Fraction(1, 10), Fraction(1, 2), order=80)
+
+
+@pytest.mark.parametrize("order", [80, 200])
+def test_weighted_check_advises_a_larger_p_when_fibonacci_terms_grow(order) -> None:
+    # at p = -1 the terms F_i/p^(i+1) grow in magnitude, so no order certifies
+    # the Fibonacci side while the transformed side (p^2 - p = 2) does
+    with pytest.raises(ConvergenceError, match=r"increase \|p\|") as exc:
+        weighted_series_check(-1, Fraction(1, 100), Fraction(1, 2), order=order)
+    assert "increase the order" not in str(exc.value)
+
+
+def test_weighted_check_at_order_1_advises_a_larger_order() -> None:
+    # F_0 = 0, so the growth test has no previous term to compare with at
+    # order 1; there the Fibonacci side misses, and order 2 certifies
+    args = (2, Fraction(1, 100), Fraction(1, 2))
+    with pytest.raises(ConvergenceError, match="increase the order"):
+        weighted_series_check(*args, order=1, tol=Fraction(1, 5))
+    assert weighted_series_check(*args, order=2, tol=Fraction(1, 5)).passed
+
+
+@pytest.mark.parametrize("p", [2, -2, 3])
+def test_weighted_check_passes_where_fibonacci_terms_shrink(p) -> None:
+    assert weighted_series_check(p).passed
+
+
+def test_weighted_check_resolves_defaults() -> None:
+    assert weighted_params() == (2, Fraction(1, 100), Fraction(1, 2), 80, Fraction(1, 10**12))
+    assert weighted_params(3, tol=Fraction(1, 7))[::4] == (3, Fraction(1, 7))
 
 
 @pytest.mark.parametrize("order", [3, 5])
