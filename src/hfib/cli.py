@@ -43,6 +43,12 @@ RECURRENCE_MAX_N = 400
 # takes 1.9 s and peaks at 51 MB RSS at order 500, 5.8 s and 125 MB at 800.
 GF_MAX_ORDER = 500
 
+# Largest --m that `gf --which shifted` takes; its coefficients are F_(m+k) for
+# k below the order.  One process on 2 vCPUs takes 2.2 s, 81 MB RSS and 62 MB of
+# stdout at m = 1000 and --order 500 (0.19 s at --order 4), 5.4 s, 167 MB and
+# 196 MB at m = 2000 (0.28 s at --order 4).
+GF_MAX_M = 1000
+
 # Markdown `verify` lists at most this many failures per group.
 MARKDOWN_FAILURES = 20
 
@@ -194,6 +200,8 @@ def cmd_gf(args) -> int:
         raise ValueError(f"gf --order is capped at {GF_MAX_ORDER}, got --order {args.order}")
     if args.m is not None and args.which != "shifted":
         raise ValueError(f"gf --which {args.which} does not read --m; only --which shifted does")
+    if args.m is not None and args.m > GF_MAX_M:
+        raise ValueError(f"gf --m is capped at {GF_MAX_M}, got --m {args.m}")
     m = 1 if args.m is None else args.m
     ratfun = genfun.build_gf(args.which, m)
     series = genfun.series_expand(ratfun, args.order)
@@ -274,9 +282,9 @@ def _run_qh(args, experimental: list) -> list[IdentityReport]:
 # The verify suites in run order; `verify all` runs them all and takes every
 # flag.  Each cap keeps one `hfib verify <suite> --max <n>` (or `--order <n>`)
 # process to a few seconds on 2 vCPUs; at the cap and one step above it: pascal
-# 2.2 s at 80 (0.9 s at 60); fib 1.9 s at 40, 5.4 s at 50; operators 2.1 s at
-# 20, 6.2 s at 24; gf 1.8 s at 240, 3.8 s at 320; weighted 0.9 s and 63 MB RSS
-# at 200, 8.7 s and 479 MB at 400; qh 4.7 s at 20, 15.3 s at 24.
+# 2.2 s at 80 (0.9 s at 60); fib 0.6 s at 40, 1.2 s at 50; operators 2.1 s at
+# 20, 6.2 s at 24; gf 1.8 s at 240, 3.8 s at 320; weighted 0.17 s and 17 MB RSS
+# at 200, 0.26 s and 17 MB at 400; qh 4.7 s at 20, 15.3 s at 24.
 VERIFY_SUITES = {
     "pascal": _Suite(
         "--max", 80, ("--seed",), lambda a, _: pascal.verify_pascal(a.max, seed=a.seed)

@@ -278,15 +278,15 @@ def verify_partial_sum(n_max: int = 20) -> IdentityReport:
     The printed right side carries a stray hp-shift marker on F_(n+2);
     taking F_(n+2) at the unshifted parameters makes every instance
     pass.  The literal reading is tried first and the unshifted one
-    pinned when it fails.
+    pinned when it fails.  The left sides are running partial sums, one
+    shift per summand, shared by both readings.
     """
     report = IdentityReport("fib-partial-sum")
-
-    def lhs(n: int) -> HPoly:
-        acc = HPoly.zero()
-        for k in range(1, n + 1):
-            acc = acc + hfib_diagonal(k).shift_hprime(1)
-        return H * HP * acc
+    lhs: dict[int, HPoly] = {}
+    acc = HPoly.zero()
+    for n in range(1, n_max + 1):
+        acc = acc + hfib_diagonal(n).shift_hprime(1)
+        lhs[n] = H * HP * acc
 
     def rhs_literal(n: int) -> HPoly:
         return hfib_diagonal(n + 2).shift_hprime(1) - 1
@@ -295,7 +295,7 @@ def verify_partial_sum(n_max: int = 20) -> IdentityReport:
         return hfib_diagonal(n + 2) - 1
 
     rhs = rhs_literal
-    if not all(lhs(n) == rhs_literal(n) for n in range(1, n_max + 1)):
+    if not all(lhs[n] == rhs_literal(n) for n in range(1, n_max + 1)):
         rhs = rhs_unshifted
         report.pin(
             "shift marker printed on the right side F_(n+2)",
@@ -303,20 +303,25 @@ def verify_partial_sum(n_max: int = 20) -> IdentityReport:
             "only inside the summed terms",
         )
     for n in range(1, n_max + 1):
-        report.check({"n": n}, lhs(n), rhs(n))
+        report.check({"n": n}, lhs[n], rhs(n))
     return report
 
 
 def verify_odd_even_sums(n_max: int = 20) -> IdentityReport:
-    """Weighted sums of odd-index terms to F_(2n) and even-index to F_(2n+1)."""
+    """Weighted sums of odd-index terms to F_(2n) and even-index to F_(2n+1).
+
+    The n-th left side is sum_k d_image(n-k) * F_j[hp -> hp+n-k] over
+    j = 2k-1 (odd) or 2k (even).  Since d_image(m+1) = h*hp *
+    d_image(m)[hp -> hp+1], it is h*hp times the (n-1)-th left side with
+    hp shifted by one, plus its new last term F_(2n-1) or F_(2n): one
+    shift per side and n, as in Horner's rule.
+    """
     report = IdentityReport("fib-odd-even-sums")
+    odd_acc = HPoly.zero()
+    even_acc = HPoly.zero()
     for n in range(1, n_max + 1):
-        odd_acc = HPoly.zero()
-        even_acc = HPoly.zero()
-        for k in range(1, n + 1):
-            weight = d_image(n - k)
-            odd_acc = odd_acc + weight * hfib_diagonal(2 * k - 1).shift_hprime(n - k)
-            even_acc = even_acc + weight * hfib_diagonal(2 * k).shift_hprime(n - k)
+        odd_acc = H * HP * odd_acc.shift_hprime(1) + hfib_diagonal(2 * n - 1)
+        even_acc = H * HP * even_acc.shift_hprime(1) + hfib_diagonal(2 * n)
         report.check({"n": n, "parity": "odd indices"}, odd_acc, hfib_diagonal(2 * n))
         report.check(
             {"n": n, "parity": "even indices"},

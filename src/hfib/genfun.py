@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from hfib.algebra import _coerce_scalar, rising_numerators
-from hfib.fibonacci import classical_fib, hfib_diagonal
+from hfib.fibonacci import classical_fib
 from hfib.operators import D, OpPoly, annihilator, fib_op, verify_symmetric_lemmas
 from hfib.report import Failure, IdentityReport, suite_scale
 
@@ -158,6 +159,35 @@ def weighted_params(p=None, h=None, hp=None, order=None, tol=None) -> tuple:
     return tuple(d if v is None else v for v, d in zip(given, _WEIGHTED_DEFAULTS))
 
 
+def _fib_side(pv: Fraction, hv: Fraction, hpv: Fraction, order: int) -> tuple[Fraction, ...]:
+    """(sum_(i <= order) F_i(h, hp) / p^(i+1), its term at order - 1, its last term).
+
+    F_i = sum_k C(i-1-k, k) h^k (hp)(hp+1)...(hp+k-1), so with h = e/f,
+    hp = c/d and top = max(order-1, 0) // 2 the largest k, F_i is the
+    integer G_i = sum_k C(i-1-k, k) u_k over (f d)^top, where
+    u_k = e^k R_k (f d)^(top-k) and R_k is the rising numerator of c/d.
+    With p = a/b the sum is one Horner sum of G_i b^(i+1) in a, over
+    (f d)^top a^(order+1), divided once; no polynomial F_i is built.  The
+    term at order - 1 is 0 at order 0.
+    """
+    e, f, c, d = hv.numerator, hv.denominator, hpv.numerator, hpv.denominator
+    a, b = pv.numerator, pv.denominator
+    top = max(order - 1, 0) // 2
+    fd = f * d
+    u = [e**k * r * fd ** (top - k) for k, r in enumerate(rising_numerators(c, d, top))]
+    g = [sum(comb(i - 1 - k, k) * u[k] for k in range((i + 1) // 2)) for i in range(order + 1)]
+    num = 0
+    for i, g_i in enumerate(g):
+        num = num * a + g_i * b ** (i + 1)
+    den = fd**top
+
+    def term(i: int) -> Fraction:
+        return Fraction(g[i] * b ** (i + 1), den * a ** (i + 1))
+
+    total = Fraction(num, den * a ** (order + 1))
+    return total, term(order - 1) if order else Fraction(0), term(order)
+
+
 def weighted_series_check(
     p: int | None = None,
     h: Fraction | None = None,
@@ -169,7 +199,10 @@ def weighted_series_check(
 
     Both sides are summed to the same truncation order in exact rational
     arithmetic: the weighted Fibonacci series against the transformed
-    series sum_j h^j (hp)(hp+1)...(hp+j-1) / (p^2-p)^(j+1).
+    series sum_j h^j (hp)(hp+1)...(hp+j-1) / (p^2-p)^(j+1).  Each side is
+    one integer sum over one known denominator, divided once; the
+    Fibonacci side sums F_i(h, hp) from its binomial form (_fib_side)
+    rather than building and evaluating the polynomials F_i.
 
     The transformed side is only asymptotic in h: its term ratio grows
     like (hp+j)|h|/(p^2-p), so past j of about (p^2-p)/|h| the terms
@@ -197,11 +230,7 @@ def weighted_series_check(
     if order < 0:
         raise ValueError("order must be non-negative")
 
-    lhs = Fraction(0)
-    lhs_term = Fraction(0)
-    for i in range(order + 1):
-        lhs_prev, lhs_term = lhs_term, hfib_diagonal(i).eval_point(hv, hpv) / pv ** (i + 1)
-        lhs += lhs_term
+    lhs, lhs_prev, lhs_term = _fib_side(pv, hv, hpv, order)
     # With h = e/f, hp = c/d, p^2 - p = s/t and N the order, term j is
     # t * x^j * R_j * w^(N-j) over (f d)^N * s^(N+1), where x = e t, w = f d s
     # and R_j is the rising numerator of c/d: one Horner sum in w, divided once.

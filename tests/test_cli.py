@@ -313,6 +313,21 @@ def test_gf_order_above_cap_exits_2(monkeypatch, capsys) -> None:
     assert captured.err == f"error: gf --order is capped at {cli.GF_MAX_ORDER}, got --order {order}\n"
 
 
+def test_gf_m_above_cap_exits_2(monkeypatch, capsys) -> None:
+    monkeypatch.setattr(cli.genfun, "build_gf", lambda *a: pytest.fail("the expansion started"))
+    m = cli.GF_MAX_M + 1
+    code = cli.main(["gf", "--which", "shifted", "--m", str(m), "--order", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: gf --m is capped at {cli.GF_MAX_M}, got --m {m}\n"
+
+
+def test_gf_m_at_cap_runs(monkeypatch, capsys) -> None:
+    monkeypatch.setattr(cli.genfun, "build_gf", lambda which, m: cli.genfun.gf_shifted(1))
+    assert cli.main(["gf", "--which", "shifted", "--m", str(cli.GF_MAX_M), "--order", "4"]) == 0
+
+
 def test_gf_order_at_cap_runs(monkeypatch, capsys) -> None:
     monkeypatch.setattr(cli.genfun, "series_expand", lambda f, order: cli.genfun.OpSeries(()))
     assert cli.main(["gf", "--which", "cube", "--order", str(cli.GF_MAX_ORDER)]) == 0

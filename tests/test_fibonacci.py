@@ -11,7 +11,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import hfib
-from hfib.algebra import H, HP, HPoly, shifted_factorial
+from hfib.algebra import H, HP, HPoly, d_image, shifted_factorial
 from hfib import algebra, fibonacci, kernels
 from hfib.fibonacci import (
     classical_fib,
@@ -21,9 +21,11 @@ from hfib.fibonacci import (
     hfib_negative,
     hfib_recurrence,
     verify_fibonacci,
+    verify_odd_even_sums,
     verify_partial_sum,
     verify_routes,
 )
+from hfib.report import IdentityReport
 from oracles import assert_matches, oracle_hfib
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -240,3 +242,61 @@ def test_verify_routes_clean() -> None:
 def test_verify_fibonacci_all_pass() -> None:
     for report in verify_fibonacci(12):
         assert report.passed, report.to_dict()
+
+
+def _checked_sides(monkeypatch: pytest.MonkeyPatch, run) -> list[tuple[dict, HPoly, HPoly]]:
+    """(params, lhs, rhs) of every case that run() checks."""
+    seen = []
+    check = IdentityReport.check
+
+    def record(self, params, lhs, rhs):
+        seen.append((params, lhs, rhs))
+        return check(self, params, lhs, rhs)
+
+    monkeypatch.setattr(IdentityReport, "check", record)
+    run()
+    return seen
+
+
+def _shift_calls(monkeypatch: pytest.MonkeyPatch, run) -> int:
+    calls = 0
+    shift = HPoly.shift_hprime
+
+    def counted(self, delta):
+        nonlocal calls
+        calls += 1
+        return shift(self, delta)
+
+    monkeypatch.setattr(HPoly, "shift_hprime", counted)
+    run()
+    return calls
+
+
+def test_odd_even_left_sides_equal_the_literal_double_sum(monkeypatch: pytest.MonkeyPatch) -> None:
+    sides = _checked_sides(monkeypatch, lambda: verify_odd_even_sums(10))
+    assert len(sides) == 20
+    for params, lhs, _ in sides:
+        n, first = params["n"], 1 if params["parity"] == "odd indices" else 2
+        literal = HPoly.zero()
+        for k in range(1, n + 1):
+            literal = literal + d_image(n - k) * hfib_diagonal(2 * k - 2 + first).shift_hprime(n - k)
+        assert lhs == literal, params
+
+
+def test_partial_sum_left_sides_equal_the_literal_sum(monkeypatch: pytest.MonkeyPatch) -> None:
+    sides = _checked_sides(monkeypatch, lambda: verify_partial_sum(10))
+    assert [params["n"] for params, _, _ in sides] == list(range(1, 11))
+    for params, lhs, _ in sides:
+        literal = HPoly.zero()
+        for k in range(1, params["n"] + 1):
+            literal = literal + hfib_diagonal(k).shift_hprime(1)
+        assert lhs == H * HP * literal
+
+
+def test_odd_even_sums_shift_once_per_side_and_n(monkeypatch: pytest.MonkeyPatch) -> None:
+    assert _shift_calls(monkeypatch, lambda: verify_odd_even_sums(20)) <= 40
+
+
+def test_partial_sum_shifts_once_per_summand(monkeypatch: pytest.MonkeyPatch) -> None:
+    # 20 running-sum shifts, plus one for the literal right side, which fails at n = 1
+    assert _shift_calls(monkeypatch, lambda: verify_partial_sum(20)) <= 21

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from hfib import genfun
+from hfib import fibonacci, genfun
+from hfib.algebra import HPoly
 from hfib.fibonacci import classical_fib, hfib_diagonal
 from hfib.genfun import (
     GF_NAMES,
@@ -233,3 +234,34 @@ def test_classical_weight_identities() -> None:
     assert report.cases == 4
     assert 2 == classical_fib(1) + 1
     assert 56 == classical_fib(10) + 1
+
+
+@pytest.mark.parametrize(
+    "p, hv, hpv, order",
+    [
+        (2, Fraction(0), Fraction(1, 2), 40),
+        (2, Fraction(1, 100), Fraction(0), 40),
+        (2, Fraction(-3, 7), Fraction(5, 3), 30),
+        (-2, Fraction(1, 100), Fraction(1, 2), 40),
+        (3, Fraction(1, 10), Fraction(-7, 4), 40),
+        (2, Fraction(1, 100), Fraction(1, 2), 0),
+        (2, Fraction(1, 100), Fraction(1, 2), 1),
+        (Fraction(-7, 2), Fraction(2, 9), Fraction(-5, 4), 25),
+    ],
+)
+def test_weighted_fibonacci_side_equals_the_evaluated_sum(p, hv, hpv, order) -> None:
+    terms = [
+        hfib_diagonal(i).eval_point(hv, hpv) / Fraction(p) ** (i + 1) for i in range(order + 1)
+    ]
+    previous = terms[-2] if order else Fraction(0)
+    assert genfun._fib_side(Fraction(p), hv, hpv, order) == (sum(terms), previous, terms[-1])
+
+
+@pytest.mark.parametrize("order", [None, 200])
+def test_weighted_check_builds_no_fibonacci_polynomial(order, monkeypatch) -> None:
+    def refuse(*args):
+        raise AssertionError("the weighted series built or evaluated a polynomial")
+
+    monkeypatch.setattr(fibonacci, "hfib_diagonal", refuse)
+    monkeypatch.setattr(HPoly, "eval_point", refuse)
+    assert weighted_series_check(order=order).passed
