@@ -64,10 +64,8 @@ _CACHES = (
     operators.fib_op,
     operators._g,
     pascal.h_binomial,
-    qh._q_pascal,
     qh.qh_binomial,
-    qh.q_fibonacci,
-    qh._q_fibonacci_alt,
+    qh._q_diagonal,
 )
 
 

@@ -49,6 +49,13 @@ GF_MAX_ORDER = 500
 # 196 MB at m = 2000 (0.28 s at --order 4).
 GF_MAX_M = 1000
 
+# Largest --n that `qh binom` and `qh fib` take.  One process on 2 vCPUs takes
+# 0.8 s, 89 MB RSS and 10 MB of stdout for `qh binom --n 100 --k 50`, 2.5 s,
+# 286 MB and 52 MB at n = 150, 3.8 s, 460 MB and 95 MB at n = 175, k = 87;
+# `qh fib` takes 0.9 s and 89 MB at n = 60, 1.7 s and 156 MB at 70, 3.6 s and
+# 323 MB at 85.
+QH_MAX_N = {"binom": 150, "fib": 70}
+
 # Markdown `verify` lists at most this many failures per group.
 MARKDOWN_FAILURES = 20
 
@@ -223,6 +230,9 @@ def cmd_gf(args) -> int:
 
 
 def cmd_qh(args) -> int:
+    cap = QH_MAX_N[args.object]
+    if args.n > cap:
+        raise ValueError(f"qh {args.object} --n is capped at {cap}, got --n {args.n}")
     if args.object == "binom":
         value = qh.qh_binomial(args.n, args.k)
     else:
@@ -284,7 +294,7 @@ def _run_qh(args, experimental: list) -> list[IdentityReport]:
 # process to a few seconds on 2 vCPUs; at the cap and one step above it: pascal
 # 2.2 s at 80 (0.9 s at 60); fib 0.6 s at 40, 1.2 s at 50; operators 2.1 s at
 # 20, 6.2 s at 24; gf 1.8 s at 240, 3.8 s at 320; weighted 0.17 s and 17 MB RSS
-# at 200, 0.26 s and 17 MB at 400; qh 4.7 s at 20, 15.3 s at 24.
+# at 200, 0.26 s and 17 MB at 400; qh 3.0 s at 20, 6.4 s at 24.
 VERIFY_SUITES = {
     "pascal": _Suite(
         "--max", 80, ("--seed",), lambda a, _: pascal.verify_pascal(a.max, seed=a.seed)

@@ -12,19 +12,28 @@ is the plain length-k one, not a product stepped by q-integers; the
 alternative reading breaks the additive recurrence at (n, k) = (2, 3)
 and the rejection is recorded in the report.
 
+The Gaussian binomial is built by the classical product formula
+prod_i (1 - q^(n-k+i)) / (1 - q^i) (Andrews, The Theory of Partitions,
+1976, ch. 3), in one pass of exact divisions and with no cache, so the
+additive recurrence checked below compares two constructions rather
+than re-stating the one the coefficient is built from.
+
 The q-Fibonacci layer is experimental.  q_fibonacci sums q^(k^2)-
 weighted diagonals (with the summation bound widened to the full
 diagonal so that q = 1 recovers the h-Fibonacci numbers), and
 experimental_report measures its candidate identities without asserting
 any of them: results are data, recorded per instance, with every
 convention that was needed to make a candidate well-formed written into
-the report.
+the report.  Its partial, odd-index and even-index left sides are
+running sums, each grown from the one before with at most one
+hp-shift per n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 from hfib.algebra import H, HP, HPoly, Q, d_image
 from hfib.fibonacci import hfib_diagonal
@@ -36,33 +45,33 @@ def q_int(n: int) -> HPoly:
     """q-integer [n] = 1 + q + ... + q^(n-1)."""
     if n < 0:
         raise ValueError("q-integer index must be non-negative")
-    total = HPoly.zero()
-    for i in range(n):
-        total = total + Q**i
-    return total
+    return HPoly.from_terms(((0, 0, i), 1) for i in range(n))
 
 
 def q_binomial(n: int, k: int) -> HPoly:
-    """Gaussian binomial coefficient via the q-Pascal recurrence.
+    """Gaussian binomial [n, k] = prod_(i=1..k) (1 - q^(n-k+i)) / (1 - q^i).
 
-    The entries (m, j) it depends on, those with j <= k and m - j <= n - k,
-    are filled row by row first, so no call recurses more than one level.
+    Each partial product is the Gaussian binomial [n-k+i, i], so every
+    division is exact.  They run on one dense list of int coefficients
+    in q: a factor (1 - q^m) is one backward difference with stride m,
+    a divisor (1 - q^i) one forward running sum with stride i, whose top
+    i coefficients an exact division leaves at zero (checked).
     """
     if n < 0:
         raise ValueError("row index must be non-negative")
-    for m in range(2, n):
-        for j in range(max(1, k - n + m), min(k, m - 1) + 1):
-            _q_pascal(m, j)
-    return _q_pascal(n, k)
-
-
-@lru_cache(maxsize=None)
-def _q_pascal(n: int, k: int) -> HPoly:
     if k < 0 or k > n:
         return HPoly.zero()
-    if k == 0 or k == n:
-        return HPoly.one()
-    return _q_pascal(n - 1, k - 1) + Q**k * _q_pascal(n - 1, k)
+    k = min(k, n - k)
+    coeffs = [1]
+    for i in range(1, k + 1):
+        m = n - k + i
+        coeffs = [a - b for a, b in zip(coeffs + [0] * m, [0] * m + coeffs)]
+        for r in range(i):
+            coeffs[r::i] = accumulate(coeffs[r::i])
+        if any(coeffs[-i:]):
+            raise ArithmeticError(f"(1 - q^{i}) does not divide the product for [{n}, {k}]")
+        del coeffs[-i:]
+    return HPoly.from_terms(((0, 0, e), c) for e, c in enumerate(coeffs))
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +95,6 @@ def _qh_binomial_stepped(n: int, k: int) -> HPoly:
     return q_binomial(n, k) * H**k * prod
 
 
-@lru_cache(maxsize=None)
 def q_fibonacci(n: int) -> HPoly:
     """q-weighted diagonal sum: F_n = sum_k q^(k^2) C_qh(n-1-k, k).
 
@@ -96,22 +104,16 @@ def q_fibonacci(n: int) -> HPoly:
     """
     if n < 0:
         raise ValueError("index must be non-negative")
-    if n == 0:
-        return HPoly.zero()
-    total = HPoly.zero()
-    for k in range((n - 1) // 2 + 1):
-        total = total + Q ** (k * k) * qh_binomial(n - 1 - k, k)
-    return total
+    return _q_diagonal(n, 0)
 
 
 @lru_cache(maxsize=None)
-def _q_fibonacci_alt(n: int) -> HPoly:
-    # Alternative deformation weight q^(k^2 + k), measured alongside.
-    if n == 0:
-        return HPoly.zero()
+def _q_diagonal(n: int, linear: int) -> HPoly:
+    # sum_k q^(k^2 + linear*k) C_qh(n-1-k, k) over the full diagonal: the
+    # q-Fibonacci weight at linear = 0, the alternative q^(k^2 + k) at 1
     total = HPoly.zero()
     for k in range((n - 1) // 2 + 1):
-        total = total + Q ** (k * k + k) * qh_binomial(n - 1 - k, k)
+        total = total + Q ** (k * k + linear * k) * qh_binomial(n - 1 - k, k)
     return total
 
 
@@ -258,10 +260,15 @@ def experimental_report(n_max: int | None = None) -> ExperimentalReport:
         )
     )
 
+    # Each left side grows from the one before, as in verify_odd_even_sums:
+    # d_image(m+1) = h*hp * d_image(m)[hp -> hp+1], so the odd and even sums
+    # take one hp-shift each per n, and F_(n-1)[hp -> hp+1] of each weight
+    # is shifted once and read by every candidate that needs it.
+    shifted = partial = odd_acc = even_acc = HPoly.zero()
     for n in range(1, suite_scale(n_max)(10) + 1):
         lhs = q_fibonacci(n + 1)
-        literal = q_fibonacci(n) + Q ** (n - 1) * q_fibonacci(n - 1).shift_hprime(1)
-        augmented = q_fibonacci(n) + Q ** (n - 1) * H * HP * q_fibonacci(n - 1).shift_hprime(1)
+        literal = q_fibonacci(n) + Q ** (n - 1) * shifted
+        augmented = q_fibonacci(n) + Q ** (n - 1) * H * HP * shifted
         report.record("recurrence-literal", n, lhs, literal)
         report.record("recurrence-augmented", n, lhs, augmented)
         report.record(
@@ -271,29 +278,28 @@ def experimental_report(n_max: int | None = None) -> ExperimentalReport:
             augmented.substitute_q(1),
         )
 
-        alt_lhs = _q_fibonacci_alt(n + 1)
-        alt_literal = _q_fibonacci_alt(n) + Q ** (n - 1) * _q_fibonacci_alt(n - 1).shift_hprime(1)
-        alt_augmented = _q_fibonacci_alt(n) + Q ** (n - 1) * H * HP * _q_fibonacci_alt(
-            n - 1
-        ).shift_hprime(1)
-        alt_qn = _q_fibonacci_alt(n) + Q**n * H * HP * _q_fibonacci_alt(n - 1).shift_hprime(1)
-        report.record("alt-weight-recurrence-literal", n, alt_lhs, alt_literal)
-        report.record("alt-weight-recurrence-augmented", n, alt_lhs, alt_augmented)
-        report.record("alt-weight-recurrence-qn-augmented", n, alt_lhs, alt_qn)
+        alt = _q_diagonal(n, 1)
+        alt_lhs = _q_diagonal(n + 1, 1)
+        alt_shifted = _q_diagonal(n - 1, 1).shift_hprime(1)
+        report.record(
+            "alt-weight-recurrence-literal", n, alt_lhs, alt + Q ** (n - 1) * alt_shifted
+        )
+        report.record(
+            "alt-weight-recurrence-augmented",
+            n,
+            alt_lhs,
+            alt + Q ** (n - 1) * H * HP * alt_shifted,
+        )
+        report.record(
+            "alt-weight-recurrence-qn-augmented", n, alt_lhs, alt + Q**n * H * HP * alt_shifted
+        )
 
-        partial = HPoly.zero()
-        for k in range(n + 1):
-            partial = partial + Q**k * q_fibonacci(k).shift_hprime(1)
+        shifted = q_fibonacci(n).shift_hprime(1)
+        partial = partial + Q**n * shifted
         report.record("partial-sum", n, H * HP * partial, q_fibonacci(n + 2) - 1)
 
-        odd_acc = HPoly.zero()
-        even_acc = HPoly.zero()
-        for k in range(1, n + 1):
-            weight = d_image(n - k)
-            odd_acc = odd_acc + Q ** (2 * k) * weight * q_fibonacci(2 * k - 1).shift_hprime(n - k)
-            even_acc = even_acc + Q ** (2 * n - 2 * k) * weight * q_fibonacci(2 * k).shift_hprime(
-                n - k
-            )
+        odd_acc = H * HP * odd_acc.shift_hprime(1) + Q ** (2 * n) * q_fibonacci(2 * n - 1)
+        even_acc = Q**2 * H * HP * even_acc.shift_hprime(1) + q_fibonacci(2 * n)
         report.record("odd-index-sum", n, odd_acc, q_fibonacci(2 * n))
         head = d_image(n)
         report.record(

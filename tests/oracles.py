@@ -8,6 +8,7 @@ agreement is meaningful.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import sympy
 
@@ -47,6 +48,19 @@ def oracle_hfib(n: int) -> sympy.Expr:
     for k in range((n - 1) // 2 + 1):
         total += oracle_h_binomial(n - 1 - k, k)
     return sympy.expand(total)
+
+
+def oracle_q_binomial(n: int, k: int) -> dict[int, int]:
+    """Gaussian binomial [n, k] as {q-exponent: coefficient}, by subset sums.
+
+    Each k-subset S of {0, ..., n-1} contributes q^(sum(S) - k(k-1)/2),
+    the number of inversions of the 0/1 word it marks.
+    """
+    acc: dict[int, int] = {}
+    for subset in combinations(range(n), k):
+        e = sum(subset) - k * (k - 1) // 2
+        acc[e] = acc.get(e, 0) + 1
+    return acc
 
 
 def oracle_rising(start: Fraction, count: int) -> Fraction:

@@ -27,7 +27,7 @@ def _compute() -> list:
         qh.q_binomial(6, 3),
         qh.qh_binomial(5, 2),
         qh.q_fibonacci(7),
-        qh._q_fibonacci_alt(7),
+        qh._q_diagonal(7, 1),
     ]
 
 

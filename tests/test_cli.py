@@ -333,6 +333,26 @@ def test_gf_order_at_cap_runs(monkeypatch, capsys) -> None:
     assert cli.main(["gf", "--which", "cube", "--order", str(cli.GF_MAX_ORDER)]) == 0
 
 
+@pytest.mark.parametrize(("obj", "extra"), [("binom", ("--k", "0")), ("fib", ())])
+def test_qh_n_above_cap_exits_2(obj, extra, monkeypatch, capsys) -> None:
+    for builder in ("qh_binomial", "q_fibonacci"):
+        monkeypatch.setattr(cli.qh, builder, lambda *a: pytest.fail("the build started"))
+    cap = cli.QH_MAX_N[obj]
+    code = cli.main(["qh", obj, "--n", str(cap + 1), *extra])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: qh {obj} --n is capped at {cap}, got --n {cap + 1}\n"
+
+
+@pytest.mark.parametrize(("obj", "extra"), [("binom", ("--k", "0")), ("fib", ())])
+def test_qh_n_at_cap_runs(obj, extra, monkeypatch, capsys) -> None:
+    for builder in ("qh_binomial", "q_fibonacci"):
+        monkeypatch.setattr(cli.qh, builder, lambda *a: cli.qh.HPoly.one())
+    assert cli.main(["qh", obj, "--n", str(cli.QH_MAX_N[obj]), *extra]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hfib.algebra import H, HP, Q, HPoly
+from hfib.algebra import H, HP, Q, HPoly, d_image
 from hfib.fibonacci import hfib_diagonal
 from hfib.pascal import h_binomial
+from oracles import oracle_q_binomial
+from test_fibonacci import _shift_calls
 from hfib.qh import (
+    ExperimentalReport,
+    _q_diagonal,
     experimental_report,
     q_binomial,
     q_fibonacci,
@@ -56,7 +60,8 @@ def test_q_binomial_values() -> None:
 
 @given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=9))
 def test_q_binomial_at_integer_points(n: int, k: int) -> None:
-    # independent oracle: the product formula evaluated at q = 2 and 3
+    # the product formula q_binomial is built from, evaluated at q = 2 and 3,
+    # so not independent of it; test_q_binomial_matches_subset_sums is
     for qv in (2, 3):
         if k > n:
             want = Fraction(0)
@@ -65,6 +70,13 @@ def test_q_binomial_at_integer_points(n: int, k: int) -> None:
             for i in range(1, k + 1):
                 want *= Fraction(qv ** (n - k + i) - 1, qv**i - 1)
         assert q_binomial(n, k).eval_point(0, 0, qv) == want
+
+
+def test_q_binomial_matches_subset_sums() -> None:
+    for n in range(11):
+        for k in range(n + 2):
+            got = {eq: coeff for (_, _, eq), coeff in q_binomial(n, k).terms()}
+            assert got == oracle_q_binomial(n, k), (n, k)
 
 
 @given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10))
@@ -136,3 +148,38 @@ def test_experimental_checks_are_per_index(n_max: int = 6) -> None:
     literal = [c for c in report.checks if c.identity == "recurrence-literal"]
     assert len(literal) >= n_max - 2
     assert any(not c.holds for c in literal)
+
+
+def test_experimental_sides_equal_the_literal_sums(monkeypatch: pytest.MonkeyPatch) -> None:
+    seen: dict[tuple[str, int], tuple[HPoly, HPoly]] = {}
+    record = ExperimentalReport.record
+
+    def capture(self, identity, n, lhs, rhs):
+        seen[identity, n] = (lhs, rhs)
+        return record(self, identity, n, lhs, rhs)
+
+    monkeypatch.setattr(ExperimentalReport, "record", capture)
+    experimental_report(n_max=8)
+    for n in range(1, 9):
+        shifted = q_fibonacci(n - 1).shift_hprime(1)
+        assert seen["recurrence-literal", n][1] == q_fibonacci(n) + Q ** (n - 1) * shifted
+        alt_shifted = _q_diagonal(n - 1, 1).shift_hprime(1)
+        assert seen["alt-weight-recurrence-literal", n][1] == (
+            _q_diagonal(n, 1) + Q ** (n - 1) * alt_shifted
+        )
+        partial = sum((Q**k * q_fibonacci(k).shift_hprime(1) for k in range(n + 1)), HPoly.zero())
+        assert seen["partial-sum", n][0] == H * HP * partial
+        odd = even = HPoly.zero()
+        for k in range(1, n + 1):
+            weight = d_image(n - k)
+            odd = odd + Q ** (2 * k) * weight * q_fibonacci(2 * k - 1).shift_hprime(n - k)
+            even = even + Q ** (2 * n - 2 * k) * weight * q_fibonacci(2 * k).shift_hprime(n - k)
+        assert seen["odd-index-sum", n][0] == odd
+        assert seen["even-index-sum-cleared", n][0] == even
+
+
+def test_experimental_report_shifts_at_most_100_times_at_20(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # 4 shifts per n; summing each left side afresh makes 750
+    assert _shift_calls(monkeypatch, lambda: experimental_report(20)) <= 100
