@@ -11,8 +11,8 @@ from __future__ import annotations
 import pytest
 
 import hfib
-from hfib import algebra, fibonacci, kernels
-from hfib.algebra import H
+from hfib import algebra, fibonacci, genfun, kernels, qh
+from hfib.algebra import H, Q
 
 
 def _taylor_shift_off_from_3(coeffs, delta):
@@ -32,6 +32,21 @@ def _hfib_diagonal_off_at_7(n):
     return _HFIB_DIAGONAL(n) + H if n == 7 else _HFIB_DIAGONAL(n)
 
 
+_Q_BINOMIAL = qh.q_binomial
+
+
+def _q_binomial_off_at_6_3(n, k):
+    # vanishes at q = 1, so only the q-Pascal recurrences can see it
+    return _Q_BINOMIAL(n, k) + (Q - 1) * Q if (n, k) == (6, 3) else _Q_BINOMIAL(n, k)
+
+
+# the cube's closed form over the denominator of the squares, (k, step) = (2, 1)
+_GF_TABLE_CUBE_OFF = {
+    **genfun._GF_TABLE,
+    "cube": (*genfun._GF_TABLE["cube"][:1], (2, 1), genfun._GF_TABLE["cube"][2]),
+}
+
+
 # fault -> ((module, attribute, replacement), suites that must fail); d_image is
 # planted where the fib suites read it, so h_binomial and hfib_diagonal stay sound.
 MUTANTS = {
@@ -47,6 +62,14 @@ MUTANTS = {
         (fibonacci, "hfib_diagonal", _hfib_diagonal_off_at_7),
         ("fib-odd-even-sums", "fib-partial-sum", "fib-route-equivalence"),
     ),
+    "q_binomial(6, 3) + (q - 1) q": (
+        (qh, "q_binomial", _q_binomial_off_at_6_3),
+        ("qh-recurrences",),
+    ),
+    "cube generating function over annihilator(2, 1)": (
+        (genfun, "_GF_TABLE", _GF_TABLE_CUBE_OFF),
+        ("gf-expansions",),
+    ),
 }
 
 
@@ -58,7 +81,8 @@ def cold_caches():
 
 
 def _failures_by_suite() -> dict[str, int]:
-    return {report.suite: len(report.failures) for report in fibonacci.verify_fibonacci()}
+    reports = [*fibonacci.verify_fibonacci(), *qh.verify_qh(), *genfun.verify_genfun()]
+    return {report.suite: len(report.failures) for report in reports}
 
 
 def test_the_unplanted_suites_pass(cold_caches) -> None:
