@@ -18,7 +18,6 @@ from hfib.genfun import (
     verify_genfun,
     weighted_params,
     weighted_series_check,
-    xpoly_mul,
 )
 from hfib.operators import D, OpPoly, fib_op
 
@@ -39,12 +38,6 @@ def test_series_expand_requires_unit_constant() -> None:
 
 def test_series_expand_zero_order() -> None:
     assert len(series_expand(build_gf("fib"), 0)) == 0
-
-
-def test_xpoly_mul() -> None:
-    a = (OpPoly.one(), D)
-    b = (OpPoly.one(), -1 * D)
-    assert xpoly_mul(a, b) == (OpPoly.one(), OpPoly.zero(), -1 * (D**2))
 
 
 def test_build_gf_names() -> None:
