@@ -12,11 +12,9 @@ is the plain length-k one, not a product stepped by q-integers; the
 alternative reading breaks the additive recurrence at (n, k) = (2, 3)
 and the rejection is recorded in the report.
 
-The Gaussian binomial is built by the classical product formula
-prod_i (1 - q^(n-k+i)) / (1 - q^i) (Andrews, The Theory of Partitions,
-1976, ch. 3), in one pass of exact divisions and with no cache, so the
-additive recurrence checked below compares two constructions rather
-than re-stating the one the coefficient is built from.
+The Gaussian binomial comes from the product formula (Andrews, The
+Theory of Partitions, 1976, ch. 3), with no cache, so the additive
+recurrence checked below compares two constructions.
 
 The q-Fibonacci layer is experimental.  q_fibonacci sums q^(k^2)-
 weighted diagonals (with the summation bound widened to the full
@@ -25,8 +23,7 @@ experimental_report measures its candidate identities without asserting
 any of them: results are data, recorded per instance, with every
 convention that was needed to make a candidate well-formed written into
 the report.  Its partial, odd-index and even-index left sides are
-running sums, each grown from the one before with at most one
-hp-shift per n.
+running sums, each grown from the one before by at most one hp-shift.
 """
 
 from __future__ import annotations
@@ -271,28 +268,17 @@ def experimental_report(n_max: int | None = None) -> ExperimentalReport:
         augmented = q_fibonacci(n) + Q ** (n - 1) * H * HP * shifted
         report.record("recurrence-literal", n, lhs, literal)
         report.record("recurrence-augmented", n, lhs, augmented)
-        report.record(
-            "recurrence-augmented-q1",
-            n,
-            lhs.substitute_q(1),
-            augmented.substitute_q(1),
-        )
+        report.record("recurrence-augmented-q1", n, lhs.substitute_q(1), augmented.substitute_q(1))
 
         alt = _q_diagonal(n, 1)
         alt_lhs = _q_diagonal(n + 1, 1)
         alt_shifted = _q_diagonal(n - 1, 1).shift_hprime(1)
+        alt_augmented = H * HP * alt_shifted
+        report.record("alt-weight-recurrence-literal", n, alt_lhs, alt + Q ** (n - 1) * alt_shifted)
         report.record(
-            "alt-weight-recurrence-literal", n, alt_lhs, alt + Q ** (n - 1) * alt_shifted
+            "alt-weight-recurrence-augmented", n, alt_lhs, alt + Q ** (n - 1) * alt_augmented
         )
-        report.record(
-            "alt-weight-recurrence-augmented",
-            n,
-            alt_lhs,
-            alt + Q ** (n - 1) * H * HP * alt_shifted,
-        )
-        report.record(
-            "alt-weight-recurrence-qn-augmented", n, alt_lhs, alt + Q**n * H * HP * alt_shifted
-        )
+        report.record("alt-weight-recurrence-qn-augmented", n, alt_lhs, alt + Q**n * alt_augmented)
 
         shifted = q_fibonacci(n).shift_hprime(1)
         partial = partial + Q**n * shifted
@@ -301,13 +287,8 @@ def experimental_report(n_max: int | None = None) -> ExperimentalReport:
         odd_acc = H * HP * odd_acc.shift_hprime(1) + Q ** (2 * n) * q_fibonacci(2 * n - 1)
         even_acc = Q**2 * H * HP * even_acc.shift_hprime(1) + q_fibonacci(2 * n)
         report.record("odd-index-sum", n, odd_acc, q_fibonacci(2 * n))
-        head = d_image(n)
-        report.record(
-            "even-index-sum-cleared",
-            n,
-            even_acc,
-            Q ** (2 * n - 1) * (q_fibonacci(2 * n + 1) - head),
-        )
+        cleared = Q ** (2 * n - 1) * (q_fibonacci(2 * n + 1) - d_image(n))
+        report.record("even-index-sum-cleared", n, even_acc, cleared)
     return report
 
 
