@@ -293,7 +293,7 @@ def _run_qh(args, experimental: list) -> list[IdentityReport]:
 # flag.  Each cap keeps one `hfib verify <suite> --max <n>` (or `--order <n>`)
 # process to a few seconds on 2 vCPUs; at the cap and one step above it: pascal
 # 2.2 s at 80 (0.9 s at 60); fib 0.6 s at 40, 1.2 s at 50; operators 2.1 s at
-# 20, 6.2 s at 24; gf 1.8 s at 240, 3.8 s at 320; weighted 0.17 s and 17 MB RSS
+# 20, 6.2 s at 24; gf 1.6 s at 240, 3.3 s at 320; weighted 0.17 s and 17 MB RSS
 # at 200, 0.26 s and 17 MB at 400; qh 3.0 s at 20, 6.4 s at 24.
 VERIFY_SUITES = {
     "pascal": _Suite(

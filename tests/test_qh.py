@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from hfib.algebra import H, HP, Q, HPoly, d_image
 from hfib.fibonacci import hfib_diagonal
 from hfib.pascal import h_binomial
-from oracles import oracle_q_binomial
-from test_fibonacci import _shift_calls
 from hfib.qh import (
     ExperimentalReport,
     _q_diagonal,
@@ -22,6 +20,8 @@ from hfib.qh import (
     verify_qh,
     verify_qh_recurrences,
 )
+from oracles import oracle_q_binomial
+from test_fibonacci import _shift_calls
 
 # regression pins on the measured experimental outcomes; these freeze
 # what the report says, they are not assertions that the math must hold
@@ -60,8 +60,8 @@ def test_q_binomial_values() -> None:
 
 @given(st.integers(min_value=0, max_value=9), st.integers(min_value=0, max_value=9))
 def test_q_binomial_at_integer_points(n: int, k: int) -> None:
-    # the product formula q_binomial is built from, evaluated at q = 2 and 3,
-    # so not independent of it; test_q_binomial_matches_subset_sums is
+    # the product formula at q = 2 and 3: q_binomial is built from it, so this
+    # is not independent; test_q_binomial_matches_subset_sums is
     for qv in (2, 3):
         if k > n:
             want = Fraction(0)
