@@ -14,10 +14,13 @@ an independent variable, not a derivative).
 
 Representation.  A polynomial is a dict from an integer key to a nonzero
 coefficient.  OpPoly's key is the D-exponent.  HPoly's three exponents
-occupy 21-bit lanes of one integer, ``(eh << 42) | (ehp << 21) | eq``,
-so that integer addition of keys is exponent-vector addition.  Lane
-overflow is impossible in practice (degrees beyond 2**21 are unreachable
-at this library's scale) but HPoly's multiplication guards it anyway.
+occupy 22-bit lanes of one integer, ``(eh << 44) | (ehp << 22) | eq``,
+so that integer addition of keys is exponent-vector addition.  Each
+exponent is at most 2**21 - 1, so bit 21 of every lane is a guard bit
+that no valid key sets.  Two valid exponents sum to less than 2**22, so
+a product never carries from one lane into the next, and it overflowed
+exactly when one of its keys sets a guard bit; HPoly's multiplication
+refuses it then.
 
 Canonical term order is graded lexicographic, ascending: by total degree,
 then by the exponent tuple (h, hp, q).  Rendering and the JSON wire
@@ -33,10 +36,10 @@ it is 1).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 from math import lcm
-from operator import mul
+from operator import mul, or_
 from typing import Iterable, Sequence, Union
 
 from hfib.kernels import kadd, kmul, kpow, kscale, taylor_shift
@@ -45,11 +48,13 @@ Scalar = Union[int, Fraction]
 
 VARIABLES = ("h", "hp", "q")
 
-_LANE_BITS = 21
-_LANE_LIMIT = 1 << _LANE_BITS
-_LANE_MASK = _LANE_LIMIT - 1
+# Exponents stay below _LANE_LIMIT; the lane's top bit is the guard bit.
+_LANE_LIMIT = 1 << 21
+_LANE_BITS = 22
+_LANE_MASK = (1 << _LANE_BITS) - 1
 _HP_SHIFT = _LANE_BITS
 _H_SHIFT = 2 * _LANE_BITS
+_GUARD = (_LANE_LIMIT << _H_SHIFT) | (_LANE_LIMIT << _HP_SHIFT) | _LANE_LIMIT
 
 
 class DivergentLimitError(ArithmeticError):
@@ -244,9 +249,7 @@ class HPoly(TermRing):
     :meth:`variable`, :meth:`from_terms` or the module constants H, HP, Q.
     """
 
-    # _max_exponents is set by max_exponents on first use, or carried exactly from
-    # the operands by products, powers and hp-shifts; the term map never changes.
-    __slots__ = ("_max_exponents",)
+    __slots__ = ()
 
     VARIABLES = VARIABLES
     _JSON_NAMES = VARIABLES
@@ -300,9 +303,6 @@ class HPoly(TermRing):
 
     def max_exponents(self) -> tuple[int, int, int]:
         """Per-variable maximum exponents (0, 0, 0) for the zero polynomial."""
-        cached = getattr(self, "_max_exponents", None)
-        if cached is not None:
-            return cached
         mh = mhp = mq = 0
         for key in self._terms:
             eh, ehp, eq = _unpack(key)
@@ -312,8 +312,7 @@ class HPoly(TermRing):
                 mhp = ehp
             if eq > mq:
                 mq = eq
-        self._max_exponents = (mh, mhp, mq)
-        return self._max_exponents
+        return mh, mhp, mq
 
     def constant_term(self) -> Scalar:
         return self._terms.get(0, 0)
@@ -322,31 +321,18 @@ class HPoly(TermRing):
 
     def __mul__(self, other) -> "HPoly":
         if type(other) is HPoly:
-            sh, shp, sq = self.max_exponents()
-            oh, ohp, oq = other.max_exponents()
-            if (
-                sh + oh >= _LANE_LIMIT
-                or shp + ohp >= _LANE_LIMIT
-                or sq + oq >= _LANE_LIMIT
-            ):
+            product = kmul(self._terms, other._terms)
+            if reduce(or_, product, 0) & _GUARD:
                 raise OverflowError("product degree beyond lane capacity")
-            product = HPoly(kmul(self._terms, other._terms))
-            # Over an integral domain the degree in each variable adds, so the
-            # maxima of a nonzero product are the sums of its operands' maxima.
-            if product._terms:
-                product._max_exponents = (sh + oh, shp + ohp, sq + oq)
-            return product
+            return HPoly(product)
         return TermRing.__mul__(self, other)
 
     def __pow__(self, exponent: int) -> "HPoly":
+        # kpow squares through unchecked kmul, so a lane could carry past its
+        # guard bit into the next before any result is seen: check the degree first.
         if isinstance(exponent, int) and exponent > 0:
-            maxima = self.max_exponents()
-            if max(maxima) * exponent >= _LANE_LIMIT:
+            if max(self.max_exponents()) * exponent >= _LANE_LIMIT:
                 raise OverflowError("power degree beyond lane capacity")
-            power = TermRing.__pow__(self, exponent)
-            if power._terms:
-                power._max_exponents = tuple(m * exponent for m in maxima)
-            return power
         return TermRing.__pow__(self, exponent)
 
     # -- substitutions ------------------------------------------------
@@ -359,9 +345,7 @@ class HPoly(TermRing):
         (von zur Gathen & Gerhard, "Fast algorithms for Taylor shifts and
         certain difference equations", ISSAC 1997).  Fraction coefficients
         are first put over one common denominator, so the shift runs on
-        ints and integral results come back as ints.  The shift keeps every
-        h- and q-exponent and the leading coefficient of each lane, so the
-        result has the same exponent maxima as self.
+        ints and integral results come back as ints.
         """
         if not isinstance(delta, int):
             raise TypeError("shift amount must be an integer")
@@ -375,17 +359,13 @@ class HPoly(TermRing):
             if len(lane) <= ehp:
                 lane.extend([0] * (ehp + 1 - len(lane)))
             lane[ehp] = coeff if den == 1 else (coeff * den).numerator
-        shifted = HPoly.from_hp_lanes(
+        return HPoly.from_hp_lanes(
             (
                 (base >> _H_SHIFT, base & _LANE_MASK, taylor_shift(lane, delta))
                 for base, lane in groups.items()
             ),
             den,
         )
-        maxima = getattr(self, "_max_exponents", None)
-        if maxima is not None:
-            shifted._max_exponents = maxima
-        return shifted
 
     def substitute_q(self, value) -> "HPoly":
         """Substitute an exact rational for q, returning a polynomial in h, hp.

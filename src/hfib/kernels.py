@@ -3,7 +3,7 @@
 A term map is a dict from a non-negative integer exponent key to a
 nonzero exact rational coefficient (int or fractions.Fraction).  Keys
 add under multiplication, so callers that pack several exponents into
-one integer (hfib.algebra packs three 21-bit lanes) get multivariate
+one integer (hfib.algebra packs three 22-bit lanes) get multivariate
 arithmetic for free as long as no lane overflows; the univariate
 operator ring uses the bare exponent as the key.
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from typing import Iterator
 
 from hfib.algebra import H, HP, HPoly, _coerce_scalar, d_image, rising_numerators
 from hfib.report import DEFAULT_SEED, IdentityReport, suite_scale
@@ -109,22 +110,31 @@ def verify_pascal_recurrences(n_max: int = 12) -> IdentityReport:
     """Both Pascal-type recurrences on the full triangle up to row n_max."""
     report = IdentityReport("pascal-recurrences")
     for n in range(n_max + 1):
+        # row n shifted once; the additive rule reads entry k - 1, absorption entry k
+        shifted = [h_binomial(n, k).shift_hprime(1) for k in range(n + 1)]
         for k in range(n + 2):
             lhs = h_binomial(n + 1, k)
-            rhs = h_binomial(n, k) + H * HP * h_binomial(n, k - 1).shift_hprime(1)
+            rhs = h_binomial(n, k) + (H * HP * shifted[k - 1] if k else 0)
             report.check({"rule": "additive", "n": n, "k": k}, lhs, rhs)
         for k in range(n + 1):
             lhs = (k + 1) * h_binomial(n + 1, k + 1)
-            rhs = (n + 1) * H * HP * h_binomial(n, k).shift_hprime(1)
+            rhs = (n + 1) * H * HP * shifted[k]
             report.check({"rule": "absorption", "n": n, "k": k}, lhs, rhs)
     return report
 
 
-def _column_sum_sides(n: int, j: int, start: int) -> tuple[HPoly, HPoly]:
-    acc = HPoly.zero()
-    for i in range(start, n + 1):
-        acc = acc + h_binomial(i, j)
-    return H * (HP + j) * acc, h_binomial(n + 1, j + 1)
+def _column_sum_cases(n_max: int, from_j: bool) -> Iterator[tuple[dict, HPoly, HPoly]]:
+    """(params, lhs, rhs) for 1 <= n <= n_max and j < n, the sums kept as running column sums.
+
+    The sum of column j starts at i = j when from_j, else at the printed
+    i = 1.  The two differ only in column 0, by the row-0 term.
+    """
+    columns = [h_binomial(0, 0) if from_j else HPoly.zero()]
+    for n in range(1, n_max + 1):
+        columns = [acc + h_binomial(n, j) for j, acc in enumerate(columns)]
+        columns.append(h_binomial(n, n))
+        for j in range(n):
+            yield {"n": n, "j": j}, H * (HP + j) * columns[j], h_binomial(n + 1, j + 1)
 
 
 def verify_column_sum(n_max: int = 12) -> IdentityReport:
@@ -133,31 +143,23 @@ def verify_column_sum(n_max: int = 12) -> IdentityReport:
     The printed lower bound i = 1 drops the i = 0 term of column 0 and
     fails there; starting the sum at i = j (identical for j >= 1) makes
     every instance pass.  The search below tries the literal bound
-    first and pins whichever convention holds everywhere.
+    first and pins whichever convention holds everywhere; a trial stops
+    at its first failure, so each side of a passing run is built once.
     """
+    for from_j in (False, True):
+        trial = IdentityReport("pascal-column-sum")
+        if all(trial.check(*case) for case in _column_sum_cases(n_max, from_j)):
+            if from_j:
+                trial.pin(
+                    "column-sum lower bound at column j = 0 (printed as i = 1)",
+                    "sum starts at i = j, which includes the row-0 term when j = 0; "
+                    "identical to the printed form for every j >= 1",
+                )
+            return trial
+    # neither bound holds everywhere: report every case of the printed one
     report = IdentityReport("pascal-column-sum")
-
-    def all_pass(from_j: bool) -> bool:
-        for n in range(1, n_max + 1):
-            for j in range(n):
-                start = j if from_j else 1
-                lhs, rhs = _column_sum_sides(n, j, start)
-                if lhs != rhs:
-                    return False
-        return True
-
-    literal_ok = all_pass(from_j=False)
-    use_from_j = not literal_ok and all_pass(from_j=True)
-    if use_from_j:
-        report.pin(
-            "column-sum lower bound at column j = 0 (printed as i = 1)",
-            "sum starts at i = j, which includes the row-0 term when j = 0; "
-            "identical to the printed form for every j >= 1",
-        )
-    for n in range(1, n_max + 1):
-        for j in range(n):
-            lhs, rhs = _column_sum_sides(n, j, j if use_from_j else 1)
-            report.check({"n": n, "j": j}, lhs, rhs)
+    for case in _column_sum_cases(n_max, from_j=False):
+        report.check(*case)
     return report
 
 

@@ -140,13 +140,15 @@ def verify_qh_recurrences(n_max: int = 10) -> IdentityReport:
             f"additive recurrence first fails at (n, k) = {rejected}",
         )
     for n in range(n_max + 1):
+        # row n shifted once; the additive rule reads entry k - 1, absorption entry k
+        shifted = [qh_binomial(n, k).shift_hprime(1) for k in range(n + 1)]
         for k in range(n + 2):
             lhs = qh_binomial(n + 1, k)
-            rhs = Q**k * qh_binomial(n, k) + H * HP * qh_binomial(n, k - 1).shift_hprime(1)
+            rhs = Q**k * qh_binomial(n, k) + (H * HP * shifted[k - 1] if k else 0)
             report.check({"rule": "additive", "n": n, "k": k}, lhs, rhs)
         for k in range(n + 1):
             lhs = q_int(k + 1) * qh_binomial(n + 1, k + 1)
-            rhs = q_int(n + 1) * H * HP * qh_binomial(n, k).shift_hprime(1)
+            rhs = q_int(n + 1) * H * HP * shifted[k]
             report.check({"rule": "absorption", "n": n, "k": k}, lhs, rhs)
     return report
 

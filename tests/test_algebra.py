@@ -175,11 +175,25 @@ def test_equality_and_hash() -> None:
 
 
 def test_exponent_overflow_guard() -> None:
+    top = 2**21 - 1
     with pytest.raises(OverflowError):
         H ** (2**21)
-    big = H ** (2**20)
+    # kpow squares without a check, so the power must be refused before it runs
     with pytest.raises(OverflowError):
-        big * big
+        (HP ** (2**20)) ** 4
+    for var in (H, HP, Q):
+        big = var ** (2**20)
+        with pytest.raises(OverflowError):
+            big * big
+        # a product reaching the capacity exactly in one lane is kept
+        full = big * var ** (2**20 - 2) * (1 + var)
+        assert full.max_exponents() == tuple(top if v is var else 0 for v in (H, HP, Q))
+        with pytest.raises(OverflowError):
+            full * var
+    # every lane at capacity in one product, next to a lower term
+    corner = H**top * (HP**top + Q) * (Q ** (top - 1) + 1)
+    assert corner.max_exponents() == (top, top, top)
+    assert len(corner) == 4
 
 
 def test_shift_hprime_matches_substitution() -> None:
@@ -405,26 +419,6 @@ def test_pow_matches_repeated_product(a: HPoly, n: int) -> None:
 @given(polys)
 def test_json_round_trip_property(a: HPoly) -> None:
     assert HPoly.from_json_terms(a.to_json_terms()) == a
-
-
-def _scanned_maxima(p: HPoly) -> tuple[int, int, int]:
-    exponents = [e for e, _ in p.terms()]
-    return tuple(max((e[i] for e in exponents), default=0) for i in range(3))
-
-
-@given(polys, polys, st.integers(min_value=0, max_value=4), st.integers(min_value=-3, max_value=3))
-def test_carried_maxima_equal_a_fresh_scan(a: HPoly, b: HPoly, n: int, delta: int) -> None:
-    a.max_exponents()  # a shift carries the maxima of an input that has them
-    carried = [a.shift_hprime(delta)]
-    if a and b:
-        carried += [a * b, b * a**n, (a * b).shift_hprime(delta)]
-        if n:
-            carried.append(a**n)
-    for p in carried:
-        # set by the operation itself, before anything scans p
-        assert p._max_exponents == _scanned_maxima(p)
-    for p in (a * b, a**n, b.shift_hprime(delta), HPoly.zero() * a):
-        assert p.max_exponents() == _scanned_maxima(p)
 
 
 def test_from_hp_lanes() -> None:

@@ -258,18 +258,23 @@ def _checked_sides(monkeypatch: pytest.MonkeyPatch, run) -> list[tuple[dict, HPo
     return seen
 
 
-def _shift_calls(monkeypatch: pytest.MonkeyPatch, run) -> int:
+def _calls(monkeypatch: pytest.MonkeyPatch, method: str, run) -> int:
+    """How many times run() calls HPoly.<method>."""
     calls = 0
-    shift = HPoly.shift_hprime
+    original = getattr(HPoly, method)
 
-    def counted(self, delta):
+    def counted(self, *args):
         nonlocal calls
         calls += 1
-        return shift(self, delta)
+        return original(self, *args)
 
-    monkeypatch.setattr(HPoly, "shift_hprime", counted)
+    monkeypatch.setattr(HPoly, method, counted)
     run()
     return calls
+
+
+def _shift_calls(monkeypatch: pytest.MonkeyPatch, run) -> int:
+    return _calls(monkeypatch, "shift_hprime", run)
 
 
 def test_odd_even_left_sides_equal_the_literal_double_sum(monkeypatch: pytest.MonkeyPatch) -> None:

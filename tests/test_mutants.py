@@ -1,18 +1,22 @@
 """Planted faults that the identity suites must catch.
 
-Each row plants one fault by monkeypatch, with every cache cleared before
-and after, and names the suites that must then report at least one
-failure.  A suite that stays green under its row's fault has a blind
-spot: either the fault is out of its reach or the check is vacuous.
+Each row plants one fault by monkeypatch, in each module namespace it
+lists, with every cache cleared before and after, and names the suites
+that must then report at least one failure.  A suite that stays green
+under its row's fault has a blind spot: either the fault is out of its
+reach or the check is vacuous.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 import hfib
-from hfib import algebra, fibonacci, genfun, kernels, qh
+from hfib import algebra, fibonacci, genfun, kernels, operators, pascal, qh
 from hfib.algebra import H, Q
+from hfib.operators import D
 
 
 def _taylor_shift_off_from_3(coeffs, delta):
@@ -40,6 +44,29 @@ def _q_binomial_off_at_6_3(n, k):
     return _Q_BINOMIAL(n, k) + (Q - 1) * Q if (n, k) == (6, 3) else _Q_BINOMIAL(n, k)
 
 
+_EVAL_POINT = algebra.HPoly.eval_point
+
+
+def _eval_point_off_at_hp_degree_10(self, h, hp, q=0):
+    # 10 is the highest hp-degree the Charlier link evaluates at its default scale
+    value = _EVAL_POINT(self, h, hp, q)
+    return value + Fraction(1, 10**20) if self.max_exponents()[1] >= 10 else value
+
+
+_FIB_OP = operators.fib_op
+
+
+def _fib_op_off_at_7(n):
+    return _FIB_OP(n) + D if n == 7 else _FIB_OP(n)
+
+
+_BINET_FIB = operators.binet_fib
+
+
+def _binet_fib_off_at_7(n):
+    return _BINET_FIB(n) + D if n == 7 else _BINET_FIB(n)
+
+
 # the cube's closed form over the denominator of the squares, (k, step) = (2, 1)
 _GF_TABLE_CUBE_OFF = {
     **genfun._GF_TABLE,
@@ -47,28 +74,59 @@ _GF_TABLE_CUBE_OFF = {
 }
 
 
-# fault -> ((module, attribute, replacement), suites that must fail); d_image is
-# planted where the fib suites read it, so h_binomial and hfib_diagonal stay sound.
+# fault -> ((module, attribute, replacement), ...), suites that must fail); d_image is
+# planted where the fib suites read it, so h_binomial and hfib_diagonal stay sound,
+# and fib_op and binet_fib wherever a suite reads them.
 MUTANTS = {
     "taylor_shift wrong for shifts of 3 or more": (
-        (algebra, "taylor_shift", _taylor_shift_off_from_3),
+        ((algebra, "taylor_shift", _taylor_shift_off_from_3),),
         ("fib-doubling-sum",),
     ),
     "d_image(6) + h^6": (
-        (fibonacci, "d_image", _d_image_off_at_6),
+        ((fibonacci, "d_image", _d_image_off_at_6),),
         ("fib-odd-even-sums", "fib-doubling-sum"),
     ),
     "hfib_diagonal(7) + h": (
-        (fibonacci, "hfib_diagonal", _hfib_diagonal_off_at_7),
+        ((fibonacci, "hfib_diagonal", _hfib_diagonal_off_at_7),),
         ("fib-odd-even-sums", "fib-partial-sum", "fib-route-equivalence"),
     ),
     "q_binomial(6, 3) + (q - 1) q": (
-        (qh, "q_binomial", _q_binomial_off_at_6_3),
+        ((qh, "q_binomial", _q_binomial_off_at_6_3),),
         ("qh-recurrences",),
     ),
     "cube generating function over annihilator(2, 1)": (
-        (genfun, "_GF_TABLE", _GF_TABLE_CUBE_OFF),
+        ((genfun, "_GF_TABLE", _GF_TABLE_CUBE_OFF),),
         ("gf-expansions",),
+    ),
+    "eval_point off by 10^-20 from hp-degree 10": (
+        ((algebra.HPoly, "eval_point", _eval_point_off_at_hp_degree_10),),
+        ("pascal-charlier-link",),
+    ),
+    # every suite that reads fib_op but op-symmetric-lemmas, which checks the roots only
+    "fib_op(7) + D": (
+        ((operators, "fib_op", _fib_op_off_at_7), (genfun, "fib_op", _fib_op_off_at_7)),
+        (
+            "op-matrix-powers",
+            "op-cassini",
+            "op-addition",
+            "op-cayley-hamilton",
+            "op-inverse-powers",
+            "op-power-sums",
+            "op-catalan",
+            "op-docagne",
+            "op-negative-index",
+            "op-doubling",
+            "op-alternating",
+            "op-binet",
+            "gf-expansions",
+        ),
+    ),
+    "binet_fib(7) + D": (
+        (
+            (operators, "binet_fib", _binet_fib_off_at_7),
+            (fibonacci, "binet_fib", _binet_fib_off_at_7),
+        ),
+        ("op-binet", "fib-route-equivalence"),
     ),
 }
 
@@ -81,7 +139,13 @@ def cold_caches():
 
 
 def _failures_by_suite() -> dict[str, int]:
-    reports = [*fibonacci.verify_fibonacci(), *qh.verify_qh(), *genfun.verify_genfun()]
+    reports = [
+        *fibonacci.verify_fibonacci(),
+        *qh.verify_qh(),
+        *genfun.verify_genfun(),
+        *pascal.verify_pascal(),
+        *operators.verify_operators(),
+    ]
     return {report.suite: len(report.failures) for report in reports}
 
 
@@ -93,7 +157,8 @@ def test_the_unplanted_suites_pass(cold_caches) -> None:
 
 @pytest.mark.parametrize("fault", MUTANTS)
 def test_planted_fault_is_caught(fault, cold_caches, monkeypatch) -> None:
-    (module, attribute, replacement), suites = MUTANTS[fault]
-    monkeypatch.setattr(module, attribute, replacement)
+    plants, suites = MUTANTS[fault]
+    for module, attribute, replacement in plants:
+        monkeypatch.setattr(module, attribute, replacement)
     failures = _failures_by_suite()
     assert all(failures[suite] > 0 for suite in suites), failures

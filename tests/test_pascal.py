@@ -25,6 +25,7 @@ from hfib.pascal import (
     verify_pascal_recurrences,
 )
 from oracles import oracle_h_binomial
+from test_fibonacci import _calls, _shift_calls
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -154,6 +155,18 @@ def test_verify_column_sum_pins_convention() -> None:
     assert report.passed
     assert len(report.pinned_conventions) == 1
     assert "i = j" in report.pinned_conventions[0].resolution
+
+
+def test_recurrences_shift_each_binomial_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    # one shift per entry of rows 0..80; shifting it in both rules makes 6,723
+    assert _shift_calls(monkeypatch, lambda: verify_pascal_recurrences(80)) <= 3321
+
+
+def test_column_sum_adds_once_per_entry(monkeypatch: pytest.MonkeyPatch) -> None:
+    # one running-sum addition per entry and one hp + j per case, 3,240 cases at 80;
+    # re-summing each column for every n, for the search and again for the checks,
+    # makes 190,082
+    assert _calls(monkeypatch, "__add__", lambda: verify_column_sum(80)) <= 6482
 
 
 def test_verify_charlier_link_seeded() -> None:

@@ -178,6 +178,12 @@ def test_experimental_sides_equal_the_literal_sums(monkeypatch: pytest.MonkeyPat
         assert seen["even-index-sum-cleared", n][0] == even
 
 
+def test_recurrences_shift_each_binomial_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    # 231 entries in rows 0..20 and 9 shifts of the stepped-reading search; shifting
+    # each entry in both rules makes 492
+    assert _shift_calls(monkeypatch, lambda: verify_qh_recurrences(20)) <= 240
+
+
 def test_experimental_report_shifts_at_most_100_times_at_20(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
