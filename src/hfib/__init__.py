@@ -72,9 +72,8 @@ _CACHES = (
 def clear_caches() -> None:
     """Empty every memo cache in the package, so a long-lived process can free them.
 
-    Also drops the two states the recurrence route holds to resume from.
-    Results do not change: each cached value is recomputed on its next use.
+    The caches in _CACHES are the package's only state.  Results do not
+    change: each cached value is recomputed on its next use.
     """
     for cache in _CACHES:
         cache.cache_clear()
-    fibonacci._recurrence_held = {}

@@ -34,9 +34,8 @@ _ROUTES = {
 }
 
 # Largest n that `fib` and `eval` take by the recurrence route: one `hfib fib
-# --route recurrence` process on 2 vCPUs takes 1.9-2.3 s and peaks at 44 MB RSS
-# at n = 400, 0.35-0.39 s and 22 MB at n = 200, about 5.5 times longer per
-# doubling of n.
+# --route recurrence` process on 2 vCPUs takes 0.32-0.36 s and peaks at 33 MB RSS
+# at n = 400, 0.18-0.24 s and 20 MB at n = 200; at n = 400 it prints 4.4 MB.
 RECURRENCE_MAX_N = 400
 
 # Largest --order that `gf` takes: one `hfib gf --which cube` process on 2 vCPUs
@@ -482,6 +481,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_rationals(sys.argv[1:] if argv is None else argv))
     try:
+        # Every subcommand with --n takes a non-negative index only.
+        if getattr(args, "n", 0) < 0:
+            raise ValueError(f"--n takes a non-negative index, got --n {args.n}")
         code = args.func(args)
         # Flush here, so that a closed pipe is met below rather than at exit.
         sys.stdout.flush()

@@ -9,11 +9,10 @@ can be played against each other:
   * hfib_diagonal   - diagonal sums of deformed binomial coefficients
   * hfib_recurrence - the two-step recurrence, whose second term shifts
                       hp by one: F_(n+1) = F_n + h*hp*F_(n-1)[hp -> hp+1];
-                      it keeps each F_k as dense hp-lanes, one per h-exponent,
-                      in the binomial basis C(hp, j), where that term costs
-                      O(d) per lane (Newton series: Graham, Knuth & Patashnik,
-                      Concrete Mathematics, 1994, sec. 5.3), and holds only
-                      its last two states
+                      it keeps each F_k in the rising-factorial basis
+                      h^e (hp)_j, where that term is a move of every key by
+                      (1, 1) (rising factorial powers: Graham, Knuth &
+                      Patashnik, Concrete Mathematics, 1994, secs. 2.6, 6.1)
   * hfib_hypergeometric - a terminating 3F1-type series
   * operators.binet_fib + op_eval - the exact Binet formula in Q[D]
 
@@ -32,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 from math import comb
-from operator import add, mul, sub
+from operator import add
 
 from hfib.algebra import H, HP, HPoly, d_image
+from hfib.kernels import kadd
 from hfib.operators import binet_fib, neg_fib_op, op_eval
 from hfib.pascal import h_binomial
 from hfib.report import IdentityReport, suite_scale
@@ -66,78 +65,36 @@ def hfib_diagonal(n: int) -> HPoly:
     return total
 
 
-def _add_lane(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    if len(a) < len(b):
-        a, b = b, a
-    return (*map(add, a, b), *a[len(b) :])
+def _rising_expand(f: dict[tuple[int, int], int]) -> HPoly:
+    """The monomial form of sum c * h^e * (hp)_j over the terms {(e, j): c} of f.
 
-
-def _binomial_step(lane: tuple[int, ...]) -> tuple[int, ...]:
-    """hp * p(hp + 1) for p = sum_j a_j C(hp, j), in the same basis.
-
-    p(hp + 1) has coefficients s_j = a_j + a_(j+1) by Pascal's rule, and
-    hp * C(hp, j) = (j+1) C(hp, j+1) + j C(hp, j), so the result has
-    coefficients j * (s_(j-1) + s_j) = j * (a_(j-1) + 2 a_j + a_(j+1)).
+    Row j of the table holds the ascending hp-coefficients of the rising
+    factorial (hp)_j = hp(hp+1)...(hp+j-1), built by (hp)_(j+1) = (hp + j) * (hp)_j.
     """
-    s = (*map(add, lane, lane[1:]), lane[-1])
-    return (0, *map(mul, range(1, len(s) + 1), map(add, s, (*s[1:], 0))))
-
-
-def _monomial_lane(lane: tuple[int, ...]) -> list[int]:
-    """Ascending monomial hp-coefficients of sum_j a_j C(hp, j).
-
-    a_j / j! is the coefficient of the falling factorial hp(hp-1)...(hp-j+1);
-    the division is exact whenever the monomial coefficients are ints, and
-    is checked.  One Horner pass over the factors (hp - j) then expands it.
-    """
-    falling = []
-    factorial = 1
-    for j, a in enumerate(lane):
-        factorial *= j or 1
-        quotient, remainder = divmod(a, factorial)
-        if remainder:
-            raise ArithmeticError(f"C(hp, {j})-coefficient {a} is not divisible by {j}!")
-        falling.append(quotient)
-    out: list[int] = []
-    for j in reversed(range(len(falling))):
-        # out <- (hp - j) * out + c_j
-        out = [*map(sub, (falling[j], *out), (*(j * c for c in out), 0))]
-    return out
-
-
-# The recurrence route's last two states by index, each as binomial-basis
-# hp-lanes: entry e holds the C(hp, j)-coefficients of the h^e part.  The
-# dict is replaced, never changed, so a call never sees another's half-update.
-_recurrence_held: dict[int, tuple[tuple[int, ...], ...]] = {}
+    rows = [[1]]
+    for j in range(max((k for _, k in f), default=0)):
+        row = rows[-1]
+        rows.append([*map(add, (0, *row), (*(j * c for c in row), 0))])
+    return HPoly.from_terms(
+        ((e, i, 0), c * r) for (e, j), c in f.items() for i, r in enumerate(rows[j])
+    )
 
 
 def hfib_recurrence(n: int) -> HPoly:
     """Recurrence route: F_(n+1) = F_n + h*hp * F_(n-1) with hp shifted by one.
 
-    F_n is q-free with int coefficients, so each index is kept as dense
-    hp-lanes, one per h-exponent, in the binomial basis C(hp, j), where the
-    shift and the factor hp are linear in the lane length (_binomial_step).
-    Only the last two states are held: a call at or above the earlier one
-    resumes from them, a smaller n restarts from F_1 and F_2, and
-    hfib.clear_caches() drops them.  Only F_n itself is converted to
-    monomials and becomes an HPoly.
+    Each F_k is a map {(e, j): c} standing for sum c * h^e * (hp)_j in the
+    rising-factorial basis, where hp * (hp+1)_j = (hp)_(j+1) makes the
+    shifted term h*hp*F_(k-1)[hp -> hp+1] a move of every key by (1, 1),
+    with no arithmetic.  Every call steps from F_0 and F_1 in a loop, and
+    only F_n is expanded into monomials.
     """
-    global _recurrence_held
     if n < 0:
         raise ValueError("index must be non-negative; use hfib_negative")
-    if n == 0:
-        return HPoly.zero()
-    held = _recurrence_held
-    if not held or n < min(held):
-        held = {1: ((1,),), 2: ((1,),)}
-    k = max(held)
-    prev, cur = held[k - 1], held[k]
-    while k < n:
-        moved = ((), *map(_binomial_step, prev))
-        prev, cur = cur, tuple(_add_lane(a, b) for a, b in zip_longest(cur, moved, fillvalue=()))
-        k += 1
-    _recurrence_held = held = {k - 1: prev, k: cur}
-    return HPoly.from_hp_lanes((e, 0, _monomial_lane(lane)) for e, lane in enumerate(held[n]))
+    prev, cur = {}, {(0, 0): 1}
+    for _ in range(n):
+        prev, cur = cur, kadd(cur, {(e + 1, j + 1): c for (e, j), c in prev.items()})
+    return _rising_expand(prev)
 
 
 def hfib_hypergeometric(n: int) -> HPoly:

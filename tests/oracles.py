@@ -63,6 +63,11 @@ def oracle_q_binomial(n: int, k: int) -> dict[int, int]:
     return acc
 
 
+def oracle_rising_hp(count: int) -> sympy.Expr:
+    """hp(hp+1)...(hp+count-1) through sympy's rf."""
+    return sympy.expand(sympy.rf(HP, count))
+
+
 def oracle_rising(start: Fraction, count: int) -> Fraction:
     """start*(start+1)*...*(start+count-1) through sympy's rf."""
     value = sympy.rf(sympy.Rational(start.numerator, start.denominator), count)

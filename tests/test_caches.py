@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import hfib
 from hfib import algebra, cli, fibonacci, genfun, kernels, operators, pascal, qh, report
 
@@ -40,3 +43,25 @@ def test_clear_caches_empties_every_cache() -> None:
     assert {name: c.cache_info().currsize for name, c in caches.items()} == dict.fromkeys(caches, 0)
     after = _compute()
     assert after == before
+
+
+def _module_state() -> dict:
+    """(module, name) -> the object bound there, for every module of the package."""
+    modules = [hfib] + [
+        importlib.import_module(f"hfib.{info.name}") for info in pkgutil.iter_modules(hfib.__path__)
+    ]
+    return {(module.__name__, name): obj for module in modules for name, obj in vars(module).items()}
+
+
+def test_the_caches_are_the_only_state() -> None:
+    # a run rebinds no module-level name and changes no module-level container,
+    # so what clear_caches() empties is all the state the package holds
+    hfib.clear_caches()
+    before = _module_state()
+    contents = {key: obj.copy() for key, obj in before.items() if type(obj) in (dict, list, set)}
+    _compute()
+    fibonacci.verify_fibonacci()
+    after = _module_state()
+    assert after.keys() == before.keys()
+    assert [key for key, obj in after.items() if obj is not before[key]] == []
+    assert [key for key, copy in contents.items() if after[key] != copy] == []

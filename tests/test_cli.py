@@ -65,6 +65,34 @@ def test_fib_negative_index_errors(capsys) -> None:
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fib", "--n", "-1"),
+        ("fib", "--n", "-1", "--route", "hypergeom"),
+        ("eval", "--n", "-1", "--h", "1", "--hp", "1"),
+        ("op", "--n", "-1"),
+        ("qh", "fib", "--n", "-1"),
+        ("qh", "binom", "--n", "-1", "--k", "0"),
+    ],
+)
+def test_negative_n_is_refused_by_flag(argv, monkeypatch, capsys) -> None:
+    # refused before any work, naming the flag rather than a library function
+    def refuse(*args):
+        pytest.fail("work started")
+
+    for route in cli._ROUTES:
+        monkeypatch.setitem(cli._ROUTES, route, refuse)
+    monkeypatch.setattr(cli.operators, "fib_op", refuse)
+    monkeypatch.setattr(cli.qh, "q_fibonacci", refuse)
+    monkeypatch.setattr(cli.qh, "qh_binomial", refuse)
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --n takes a non-negative index, got --n -1\n"
+
+
 def test_pascal_markdown(capsys) -> None:
     code, out = run_cli("pascal", "--rows", "2", capsys=capsys)
     assert code == 0

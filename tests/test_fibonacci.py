@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -26,7 +25,7 @@ from hfib.fibonacci import (
     verify_routes,
 )
 from hfib.report import IdentityReport
-from oracles import assert_matches, oracle_hfib
+from oracles import assert_matches, oracle_hfib, oracle_rising_hp
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -101,65 +100,55 @@ def test_recurrence_route_is_int_and_q_free(n: int) -> None:
 
 
 def test_recurrence_lanes_layout() -> None:
-    # F_5 = 1 + 3*h*hp + h^2*hp + h^2*hp^2: lane e holds the C(hp, j)-coefficients
-    # of h^e, and hp + hp^2 = 2*C(hp, 1) + 2*C(hp, 2)
-    hfib.clear_caches()
-    assert hfib_recurrence(5) == hfib_diagonal(5)
-    assert fibonacci._recurrence_held[5] == ((1,), (0, 3), (0, 2, 2))
+    # F_5 = 1 + 3*h*hp + h^2*hp + h^2*hp^2 is 1 + 3*h*(hp)_1 + h^2*(hp)_2 in the
+    # rising-factorial basis, the map the route keeps as {(e, j): c}
+    assert fibonacci._rising_expand({(0, 0): 1, (1, 1): 3, (2, 2): 1}) == hfib_diagonal(5)
+    assert fibonacci._rising_expand({}) == 0
 
 
 def test_recurrence_route_satisfies_the_ring_recurrence() -> None:
-    # keeps shift_hprime checked against the route, which shifts its own lanes
+    # keeps shift_hprime checked against the route, which moves its own keys instead
     for n in range(3, 41):
         expected = hfib_recurrence(n - 1) + H * HP * hfib_recurrence(n - 2).shift_hprime(1)
         assert hfib_recurrence(n) == expected
 
 
-def test_clear_caches_empties_the_lane_cache() -> None:
-    hfib.clear_caches()
-    value = hfib_recurrence(12)
-    assert set(fibonacci._recurrence_held) == {11, 12}
-    hfib.clear_caches()
-    assert fibonacci._recurrence_held == {}
-    assert hfib_recurrence(12) == value == hfib_diagonal(12)
+@given(st.integers(min_value=0, max_value=24))
+def test_rising_expand_matches_sympy_oracle(j: int) -> None:
+    assert_matches(fibonacci._rising_expand({(0, j): 1}), oracle_rising_hp(j))
 
 
-@given(st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=40))
-def test_binomial_step_matches_the_taylor_shift(falling: list[int]) -> None:
-    # a_j = c_j * j! is a lane with int monomial coefficients for any int c_j
-    lane = tuple(c * math.factorial(j) for j, c in enumerate(falling))
-    poly = HPoly.from_hp_lanes([(0, 0, fibonacci._monomial_lane(lane))])
-    step = fibonacci._monomial_lane(fibonacci._binomial_step(lane))
-    assert HPoly.from_hp_lanes([(1, 0, step)]) == H * HP * poly.shift_hprime(1)
-    # and the conversion expands c_j * hp(hp-1)...(hp-j+1)
-    expected, power = HPoly.zero(), HPoly.one()
-    for j, c in enumerate(falling):
-        expected, power = expected + c * power, power * (HP - j)
-    assert poly == expected
-
-
-def test_monomial_lane_refuses_a_nonintegral_lane() -> None:
-    # C(hp, 2) = (hp^2 - hp) / 2 has no int monomial coefficients
-    with pytest.raises(ArithmeticError):
-        fibonacci._monomial_lane((0, 0, 1))
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 30)),
+        st.integers(-(10**6), 10**6).filter(bool),
+        max_size=20,
+    )
+)
+def test_rising_key_move_matches_the_ring_shift(f: dict[tuple[int, int], int]) -> None:
+    # moving every key by (1, 1) is multiplying by h*hp after shifting hp by one
+    moved = {(e + 1, j + 1): c for (e, j), c in f.items()}
+    expand = fibonacci._rising_expand
+    assert expand(moved) == H * HP * expand(f).shift_hprime(1)
 
 
 def test_recurrence_route_is_independent_and_bounded(monkeypatch: pytest.MonkeyPatch) -> None:
     hfib.clear_caches()
-    expected = hfib_diagonal(30)
+    expected = {n: hfib_diagonal(n) for n in (30, 120)}
 
     def refuse(*args: object) -> None:
-        raise AssertionError("the recurrence route ran a Taylor shift")
+        raise AssertionError("the recurrence route read another route's code")
 
+    for name in ("d_image", "h_binomial", "comb", "op_eval", "binet_fib"):
+        monkeypatch.setattr(fibonacci, name, refuse)
     monkeypatch.setattr(kernels, "taylor_shift", refuse)
     monkeypatch.setattr(algebra, "taylor_shift", refuse)
-    monkeypatch.setattr(fibonacci, "taylor_shift", refuse, raising=False)
-    assert hfib_recurrence(30) == expected
+    for n, value in expected.items():
+        assert hfib_recurrence(n) == value
     monkeypatch.undo()
-    for n in (80, 120, 40, 121):
+    # each call steps from F_0 and F_1, so no call order changes a value
+    for n in (200, 12, 200, 0, 1):
         assert hfib_recurrence(n) == hfib_diagonal(n)
-    hfib_recurrence(200)
-    assert set(fibonacci._recurrence_held) == {199, 200}
 
 
 def test_hypergeometric_route_agrees() -> None:
@@ -178,7 +167,7 @@ def _stack_depth() -> int:
 
 
 def test_recurrence_route_stays_shallow() -> None:
-    # the route steps in a loop from its held states, so the depth does not grow with n
+    # the route steps in a loop from F_0 and F_1, so the depth does not grow with n
     hfib.clear_caches()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 100)

@@ -29,6 +29,26 @@ def _d_image_off_at_6(k):
     return algebra.d_image(k) + H**6 if k == 6 else algebra.d_image(k)
 
 
+_RISING_EXPAND = fibonacci._rising_expand
+
+
+def _rising_expand_off_from_5(f):
+    # one stray h on the expansion of any map with a rising factorial (hp)_j, j >= 5
+    return _RISING_EXPAND(f) + (H if any(j >= 5 for _, j in f) else 0)
+
+
+_KRONECKER = kernels._kronecker
+
+
+def _kronecker_off_from_20_terms(a, b):
+    # top coefficient one too large on every packed product of 20 or more terms
+    out = _KRONECKER(a, b)
+    if out is not None and len(out) >= 20:
+        top = max(out)
+        out = {**out, top: out[top] + 1}
+    return out
+
+
 _HFIB_DIAGONAL = fibonacci.hfib_diagonal
 
 
@@ -75,8 +95,8 @@ _GF_TABLE_CUBE_OFF = {
 
 
 # fault -> ((module, attribute, replacement), ...), suites that must fail); d_image is
-# planted where the fib suites read it, so h_binomial and hfib_diagonal stay sound,
-# and fib_op and binet_fib wherever a suite reads them.
+# planted in one module namespace per row (in fibonacci, h_binomial and hfib_diagonal
+# stay sound), and fib_op and binet_fib wherever a suite reads them.
 MUTANTS = {
     "taylor_shift wrong for shifts of 3 or more": (
         ((algebra, "taylor_shift", _taylor_shift_off_from_3),),
@@ -85,6 +105,23 @@ MUTANTS = {
     "d_image(6) + h^6": (
         ((fibonacci, "d_image", _d_image_off_at_6),),
         ("fib-odd-even-sums", "fib-doubling-sum"),
+    ),
+    "d_image(6) + h^6 in pascal": (
+        ((pascal, "d_image", _d_image_off_at_6),),
+        ("pascal-recurrences", "pascal-column-sum", "pascal-charlier-link"),
+    ),
+    "d_image(6) + h^6 in qh": (
+        ((qh, "d_image", _d_image_off_at_6),),
+        ("qh-recurrences", "qh-q1-reduction"),
+    ),
+    "rising-factorial expansion off from (hp)_5": (
+        ((fibonacci, "_rising_expand", _rising_expand_off_from_5),),
+        ("fib-route-equivalence",),
+    ),
+    # at default scales op-cassini is the only suite with a packed product this long
+    "Kronecker product top coefficient + 1 from 20 terms": (
+        ((kernels, "_kronecker", _kronecker_off_from_20_terms),),
+        ("op-cassini",),
     ),
     "hfib_diagonal(7) + h": (
         ((fibonacci, "hfib_diagonal", _hfib_diagonal_off_at_7),),
