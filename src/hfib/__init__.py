@@ -46,6 +46,7 @@ from hfib.operators import (
     fib_op,
     neg_fib_op,
     op_eval,
+    op_value,
     qh_matrix,
     qh_power,
 )

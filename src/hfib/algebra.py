@@ -508,11 +508,3 @@ def rising_numerators(a: int, b: int, count: int) -> list[int]:
     """
     return list(accumulate(range(a, a + count * b, b), mul, initial=1))
 
-
-def rising_rational(start, count: int) -> Fraction:
-    """Numeric shifted factorial start*(start+1)*...*(start+count-1)."""
-    if count < 0:
-        raise ValueError("rising factorial length must be non-negative")
-    x = _coerce_scalar(start)
-    b = x.denominator
-    return Fraction(rising_numerators(x.numerator, b, count)[-1], b**count)

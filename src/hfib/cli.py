@@ -26,17 +26,24 @@ from typing import Callable, NamedTuple
 from hfib import fibonacci, genfun, operators, pascal, qh
 from hfib.report import SCHEMA, IdentityReport, merge_reports
 
+# Each route as (builder of F_n in Q[h, hp], form of F_n in Q[D]): `fib` prints
+# the first, and `eval` the value of the second at its point (operators.op_value).
 _ROUTES = {
-    "diagonal": fibonacci.hfib_diagonal,
-    "recurrence": fibonacci.hfib_recurrence,
-    "hypergeom": fibonacci.hfib_hypergeometric,
-    "binet": lambda n: operators.op_eval(operators.binet_fib(n)),
+    "diagonal": (fibonacci.hfib_diagonal, operators.fib_op),
+    "recurrence": (fibonacci.hfib_recurrence, fibonacci.recurrence_op),
+    "hypergeom": (fibonacci.hfib_hypergeometric, fibonacci.hypergeometric_op),
+    "binet": (lambda n: operators.op_eval(operators.binet_fib(n)), operators.binet_fib),
 }
 
-# Largest n that `fib` and `eval` take by the recurrence route: one `hfib fib
-# --route recurrence` process on 2 vCPUs takes 0.32-0.36 s and peaks at 33 MB RSS
-# at n = 400, 0.18-0.24 s and 20 MB at n = 200; at n = 400 it prints 4.4 MB.
+# Largest n that `fib` takes by the recurrence route: one `hfib fib --route
+# recurrence` process on 2 vCPUs takes 0.32-0.36 s and peaks at 33 MB RSS at
+# n = 400, 0.18-0.24 s and 20 MB at n = 200; at n = 400 it prints 4.4 MB.
 RECURRENCE_MAX_N = 400
+
+# Largest --n that `eval` takes, by any route.  Binet is the slowest: one `hfib
+# eval --route binet` process on 2 vCPUs takes 0.65-0.68 s and 18 MB RSS at
+# n = 1000, 3.5-3.9 s and 22 MB at 2000; the other routes take 0.2-0.3 s at 2000.
+EVAL_MAX_N = 2000
 
 # Largest --order that `gf` takes: one `hfib gf --which cube` process on 2 vCPUs
 # takes 1.9 s and peaks at 51 MB RSS at order 500, 5.8 s and 125 MB at 800.
@@ -139,23 +146,13 @@ def cmd_pascal(args) -> int:
     return 0
 
 
-def _route_value(route: str, n: int):
-    """F_n by the named route, refused before any work outside the route's range."""
-    if route == "recurrence" and n > RECURRENCE_MAX_N:
+def cmd_fib(args) -> int:
+    if args.route == "recurrence" and args.n > RECURRENCE_MAX_N:
         raise ValueError(
-            f"--route recurrence is capped at n = {RECURRENCE_MAX_N}, got n = {n}; "
+            f"--route recurrence is capped at n = {RECURRENCE_MAX_N}, got n = {args.n}; "
             "use --route hypergeom for larger n"
         )
-    if route == "hypergeom" and n == 0:
-        raise ValueError(
-            "--route hypergeom is defined for n >= 1; "
-            "use --route diagonal, recurrence or binet for n = 0"
-        )
-    return _ROUTES[route](n)
-
-
-def cmd_fib(args) -> int:
-    value = _route_value(args.route, args.n)
+    value = _ROUTES[args.route][0](args.n)
     if args.format == "json":
         print(_dump_json({"n": args.n, "route": args.route, "terms": value.to_json_terms()}))
     else:
@@ -247,7 +244,9 @@ def cmd_qh(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    value = _route_value(args.route, args.n).eval_point(args.h, args.hp)
+    if args.n > EVAL_MAX_N:
+        raise ValueError(f"eval --n is capped at {EVAL_MAX_N}, got --n {args.n}")
+    value = operators.op_value(_ROUTES[args.route][1](args.n), args.h, args.hp)
     if args.format == "json":
         print(
             _dump_json(
@@ -480,10 +479,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_rationals(sys.argv[1:] if argv is None else argv))
+    # Exact values may pass Python's limit of 4300 digits for int-str conversion
+    # (0 where it is lifted or absent): lift it while the subcommand runs.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         # Every subcommand with --n takes a non-negative index only.
         if getattr(args, "n", 0) < 0:
             raise ValueError(f"--n takes a non-negative index, got --n {args.n}")
+        if getattr(args, "route", None) == "hypergeom" and args.n == 0:
+            raise ValueError(
+                "--route hypergeom is defined for n >= 1; "
+                "use --route diagonal, recurrence or binet for n = 0"
+            )
         code = args.func(args)
         # Flush here, so that a closed pipe is met below rather than at exit.
         sys.stdout.flush()
@@ -496,6 +505,9 @@ def main(argv=None) -> int:
     except (ValueError, OverflowError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

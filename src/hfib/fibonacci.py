@@ -9,11 +9,11 @@ can be played against each other:
   * hfib_diagonal   - diagonal sums of deformed binomial coefficients
   * hfib_recurrence - the two-step recurrence, whose second term shifts
                       hp by one: F_(n+1) = F_n + h*hp*F_(n-1)[hp -> hp+1];
-                      it keeps each F_k in the rising-factorial basis
-                      h^e (hp)_j, where that term is a move of every key by
-                      (1, 1) (rising factorial powers: Graham, Knuth &
-                      Patashnik, Concrete Mathematics, 1994, secs. 2.6, 6.1)
-  * hfib_hypergeometric - a terminating 3F1-type series
+                      it runs as F_(n+1) = F_n + D*F_(n-1) in Q[D] and
+                      expands F_n in the basis h^k (hp)_k (rising factorial
+                      powers: Graham, Knuth & Patashnik, Concrete
+                      Mathematics, 1994, secs. 2.6, 6.1)
+  * hfib_hypergeometric - a terminating 3F1-type series, expanded alike
   * operators.binet_fib + op_eval - the exact Binet formula in Q[D]
 
 Negative indices are rationally deformed: F_(-n) is a ratio whose
@@ -31,12 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import comb
 from operator import add
 
 from hfib.algebra import H, HP, HPoly, d_image
-from hfib.kernels import kadd
-from hfib.operators import binet_fib, neg_fib_op, op_eval
+from hfib.operators import OpPoly, binet_fib, neg_fib_op, op_eval
 from hfib.pascal import h_binomial
 from hfib.report import IdentityReport, suite_scale
 
@@ -65,73 +65,75 @@ def hfib_diagonal(n: int) -> HPoly:
     return total
 
 
-def _rising_expand(f: dict[tuple[int, int], int]) -> HPoly:
-    """The monomial form of sum c * h^e * (hp)_j over the terms {(e, j): c} of f.
+def _rising_expand(x: OpPoly) -> HPoly:
+    """The monomial form of sum c_k * h^k * (hp)_k over the terms c_k D^k of x.
 
-    Row j of the table holds the ascending hp-coefficients of the rising
-    factorial (hp)_j = hp(hp+1)...(hp+j-1), built by (hp)_(j+1) = (hp + j) * (hp)_j.
+    Row k of the table holds the ascending hp-coefficients of the rising
+    factorial (hp)_k = hp(hp+1)...(hp+k-1), built by (hp)_(k+1) = (hp + k) * (hp)_k,
+    apart from d_image, so the routes stay independent of op_eval.
     """
     rows = [[1]]
-    for j in range(max((k for _, k in f), default=0)):
+    for k in range(x.degree):
         row = rows[-1]
-        rows.append([*map(add, (0, *row), (*(j * c for c in row), 0))])
+        rows.append([*map(add, (0, *row), (*(k * c for c in row), 0))])
     return HPoly.from_terms(
-        ((e, i, 0), c * r) for (e, j), c in f.items() for i, r in enumerate(rows[j])
+        ((k, i, 0), c * r) for k, c in x.terms() for i, r in enumerate(rows[k])
     )
+
+
+def recurrence_op(n: int) -> OpPoly:
+    """F_n in Q[D] by the two-step recurrence F_(k+1) = F_k + D * F_(k-1).
+
+    Each F_k is its list of D-coefficients, and D * F_(k-1) is that list
+    moved up by one place.  Every call steps from F_0 and F_1 in a loop.
+    """
+    if n < 0:
+        raise ValueError("index must be non-negative; use hfib_negative")
+    prev, cur = [], [1]
+    for _ in range(n):
+        prev, cur = cur, [a + b for a, b in zip_longest(cur, (0, *prev), fillvalue=0)]
+    return OpPoly(dict(enumerate(prev)))
 
 
 def hfib_recurrence(n: int) -> HPoly:
     """Recurrence route: F_(n+1) = F_n + h*hp * F_(n-1) with hp shifted by one.
 
-    Each F_k is a map {(e, j): c} standing for sum c * h^e * (hp)_j in the
-    rising-factorial basis, where hp * (hp+1)_j = (hp)_(j+1) makes the
-    shifted term h*hp*F_(k-1)[hp -> hp+1] a move of every key by (1, 1),
-    with no arithmetic.  Every call steps from F_0 and F_1 in a loop, and
-    only F_n is expanded into monomials.
+    Since hp * (hp+1)_j = (hp)_(j+1), the shifted term is the image of
+    D * F_(n-1) under D^k -> h^k (hp)_k, so only F_n is expanded.
     """
-    if n < 0:
-        raise ValueError("index must be non-negative; use hfib_negative")
-    prev, cur = {}, {(0, 0): 1}
-    for _ in range(n):
-        prev, cur = cur, kadd(cur, {(e + 1, j + 1): c for (e, j), c in prev.items()})
-    return _rising_expand(prev)
+    return _rising_expand(recurrence_op(n))
 
 
-def hfib_hypergeometric(n: int) -> HPoly:
-    """Terminating hypergeometric route.
+def hypergeometric_op(n: int) -> OpPoly:
+    """The terminating hypergeometric series of F_n, as an element of Q[D].
 
-    F_n = sum_k [((1-n)/2)_k ((2-n)/2)_k / ((1-n)_k k!)] * (-4h)^k
-               * (hp)(hp+1)...(hp+k-1),
+    F_n = sum_k [((1-n)/2)_k ((2-n)/2)_k / ((1-n)_k k!)] * (-4)^k * D^k,
 
     where (x)_k is the ordinary rising factorial.  One of the two
     numerator factors hits zero before the denominator factor (1-n)_k
     can vanish, so the series terminates while every partial coefficient
-    stays a well-defined rational.  The factor (-4)^k is folded into the
-    scalar coefficient, which is then the integer C(n-1-k, k), so each
-    term is an int times the int polynomial h^k (hp)_k.
+    stays a well-defined rational.  With (-4)^k folded in, each
+    coefficient is the integer C(n-1-k, k), stored as an int.
     """
     if n < 1:
         raise ValueError("hypergeometric route is defined for n >= 1")
-    a = Fraction(1 - n, 2)
-    b = Fraction(2 - n, 2)
-    d = Fraction(1 - n)
-    total = HPoly.one()
-    coeff = Fraction(1)
-    h_power = HPoly.one()
-    rising = HPoly.one()
+    a, b, d = Fraction(1 - n, 2), Fraction(2 - n, 2), Fraction(1 - n)
+    coeffs = {0: Fraction(1)}
     k = 0
     while True:
         fa, fb = a + k, b + k
         if fa == 0 or fb == 0:
-            return total
+            return OpPoly.from_coeffs(coeffs)
         fd = d + k
         if fd == 0:
             raise ArithmeticError("series hit the denominator pole before terminating")
-        coeff *= -4 * fa * fb / (fd * (k + 1))
-        h_power = h_power * H
-        rising = rising * (HP + k)
+        coeffs[k + 1] = coeffs[k] * -4 * fa * fb / (fd * (k + 1))
         k += 1
-        total = total + coeff * (h_power * rising)
+
+
+def hfib_hypergeometric(n: int) -> HPoly:
+    """Terminating hypergeometric route: hypergeometric_op(n) under D^k -> h^k (hp)_k."""
+    return _rising_expand(hypergeometric_op(n))
 
 
 @dataclass(frozen=True)

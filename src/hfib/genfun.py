@@ -18,19 +18,19 @@ verify_genfun checks the expansions against direct fib_op products.
 The weighted series at the end is the one numeric statement in the
 library: summing F_i(h, hp) / p^(i+1) against the transformed side
 sum_j h^j (hp)(hp+1)...(hp+j-1) / (p^2-p)^(j+1).  Both sides are exact
-rationals; "numeric" only means the comparison is a truncation bounded
-by a tolerance rather than a polynomial identity.
+rationals, valued by operators.op_value; "numeric" only means the
+comparison is a truncation bounded by a tolerance rather than a
+polynomial identity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
-from hfib.algebra import _coerce_scalar, rising_numerators
+from hfib.algebra import _coerce_scalar
 from hfib.fibonacci import classical_fib
-from hfib.operators import D, OpPoly, annihilator, fib_op, verify_symmetric_lemmas
+from hfib.operators import D, OpPoly, annihilator, fib_op, op_value, verify_symmetric_lemmas
 from hfib.report import Failure, IdentityReport, suite_scale
 
 
@@ -149,29 +149,17 @@ def weighted_params(p=None, h=None, hp=None, order=None, tol=None) -> tuple:
 def _fib_side(pv: Fraction, hv: Fraction, hpv: Fraction, order: int) -> tuple[Fraction, ...]:
     """(sum_(i <= order) F_i(h, hp) / p^(i+1), its term at order - 1, its last term).
 
-    F_i = sum_k C(i-1-k, k) h^k (hp)(hp+1)...(hp+k-1), so with h = e/f,
-    hp = c/d and top = max(order-1, 0) // 2 the largest k, F_i is the
-    integer G_i = sum_k C(i-1-k, k) u_k over (f d)^top, where
-    u_k = e^k R_k (f d)^(top-k) and R_k is the rising numerator of c/d.
-    With p = a/b the sum is one Horner sum of G_i b^(i+1) in a, over
-    (f d)^top a^(order+1), divided once; no polynomial F_i is built.  The
-    term at order - 1 is 0 at order 0.
+    With p = a/b the sum is op_value of sum_i a^(order-i) b^(i+1) fib_op(i)
+    over a^(order+1); no polynomial F_i is built.  The term at order - 1 is
+    0 at order 0.
     """
-    e, f, c, d = hv.numerator, hv.denominator, hpv.numerator, hpv.denominator
     a, b = pv.numerator, pv.denominator
-    top = max(order - 1, 0) // 2
-    fd = f * d
-    u = [e**k * r * fd ** (top - k) for k, r in enumerate(rising_numerators(c, d, top))]
-    g = [sum(comb(i - 1 - k, k) * u[k] for k in range((i + 1) // 2)) for i in range(order + 1)]
-    num = 0
-    for i, g_i in enumerate(g):
-        num = num * a + g_i * b ** (i + 1)
-    den = fd**top
+    weighted = sum(a ** (order - i) * b ** (i + 1) * fib_op(i) for i in range(order + 1))
 
     def term(i: int) -> Fraction:
-        return Fraction(g[i] * b ** (i + 1), den * a ** (i + 1))
+        return op_value(fib_op(i), hv, hpv) / pv ** (i + 1)
 
-    total = Fraction(num, den * a ** (order + 1))
+    total = op_value(weighted, hv, hpv) / a ** (order + 1)
     return total, term(order - 1) if order else Fraction(0), term(order)
 
 
@@ -187,9 +175,8 @@ def weighted_series_check(
     Both sides are summed to the same truncation order in exact rational
     arithmetic: the weighted Fibonacci series against the transformed
     series sum_j h^j (hp)(hp+1)...(hp+j-1) / (p^2-p)^(j+1).  Each side is
-    one integer sum over one known denominator, divided once; the
-    Fibonacci side sums F_i(h, hp) from its binomial form (_fib_side)
-    rather than building and evaluating the polynomials F_i.
+    the value at (h, hp) of one Q[D] element, taken by op_value (see
+    _fib_side), so no polynomial F_i is built or evaluated.
 
     The transformed side is only asymptotic in h: its term ratio grows
     like (hp+j)|h|/(p^2-p), so past j of about (p^2-p)/|h| the terms
@@ -218,20 +205,10 @@ def weighted_series_check(
         raise ValueError("order must be non-negative")
 
     lhs, lhs_prev, lhs_term = _fib_side(pv, hv, hpv, order)
-    # With h = e/f, hp = c/d, p^2 - p = s/t and N the order, term j is
-    # t * x^j * R_j * w^(N-j) over (f d)^N * s^(N+1), where x = e t, w = f d s
-    # and R_j is the rising numerator of c/d: one Horner sum in w, divided once.
-    f, d, s, t = hv.denominator, hpv.denominator, base.numerator, base.denominator
-    x, w = hv.numerator * t, f * d * s
-    rhs_num = 0
-    x_power = 1
-    for r in rising_numerators(hpv.numerator, d, order):
-        term_num = x_power * r
-        rhs_num = rhs_num * w + term_num
-        x_power *= x
-    rhs_den = (f * d) ** order * s ** (order + 1)
-    rhs = Fraction(t * rhs_num, rhs_den)
-    rhs_term = Fraction(t * term_num, rhs_den)
+    # the transformed side is the image of sum_j D^j / (p^2 - p)^(j+1)
+    weights = {j: Fraction(base) ** -(j + 1) for j in range(order + 1)}
+    rhs = op_value(OpPoly.from_coeffs(weights), hv, hpv)
+    rhs_term = op_value(OpPoly.from_coeffs({order: weights[order]}), hv, hpv)
     if abs(lhs_term) >= tol or abs(rhs_term) >= tol:
         if abs(rhs_term) < tol and 0 < abs(lhs_prev) <= abs(lhs_term):
             advice = (

@@ -27,8 +27,8 @@ coefficients of one variable rather than on a term map: it returns the
 coefficients of p(x + delta) by additions only (von zur Gathen &
 Gerhard, "Fast algorithms for Taylor shifts and certain difference
 equations", ISSAC 1997).  HPoly.shift_hprime runs it on each hp-lane of a
-polynomial.  The recurrence route of hfib.fibonacci does not: it works in
-the rising-factorial basis h^e (hp)_j, where its shift is a move of keys.
+polynomial.  The recurrence route of hfib.fibonacci does not: it runs in
+Q[D], where its shift is a move of the coefficient list by one place.
 """
 
 from __future__ import annotations

@@ -33,10 +33,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, lcm
 from operator import index, mul
 
-from hfib.algebra import HPoly, Scalar, TermRing, d_image
+from hfib.algebra import HPoly, Scalar, TermRing, _coerce_scalar, d_image, rising_numerators
 from hfib.kernels import binary_power
 from hfib.report import IdentityReport, suite_scale
 
@@ -100,6 +100,26 @@ def op_eval(x: OpPoly) -> HPoly:
     for exp, coeff in x._terms.items():
         acc = acc + coeff * d_image(exp)
     return acc
+
+
+def op_value(x: OpPoly, h, hp) -> Fraction:
+    """op_eval(x).eval_point(h, hp), with no polynomial built.
+
+    With h = e/f, hp = c/d, K the degree of x and m the common denominator
+    of its coefficients c_k, D^k contributes the integer
+    m c_k e^k R_k (f d)^(K-k), R_k the rising numerator of c/d.  The sum is
+    taken by Horner's rule in f d and divided once, by m (f d)^K.
+    """
+    hv, hpv = _coerce_scalar(h), _coerce_scalar(hp)
+    terms = x._terms
+    m = lcm(*(c.denominator for c in terms.values() if type(c) is not int))
+    e, fd = hv.numerator, hv.denominator * hpv.denominator
+    total, e_power = 0, 1
+    for k, r in enumerate(rising_numerators(hpv.numerator, hpv.denominator, x.degree)):
+        c = terms.get(k)
+        total = total * fd + (c.numerator * (m // c.denominator) * e_power * r if c else 0)
+        e_power *= e
+    return Fraction(total, m * fd**x.degree)
 
 
 # -- the 2x2 operator matrix ------------------------------------------

@@ -22,7 +22,8 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator
 
-from hfib.algebra import H, HP, HPoly, _coerce_scalar, d_image, rising_numerators
+from hfib.algebra import H, HP, HPoly, _coerce_scalar, d_image
+from hfib.operators import OpPoly, op_value
 from hfib.report import DEFAULT_SEED, IdentityReport, suite_scale
 
 
@@ -66,23 +67,16 @@ def row_sum(n: int) -> HPoly:
 def charlier(n: int, z, a) -> Fraction:
     """Charlier polynomial value c_n(z; a) = sum C(n,k) a^-k (-z)(-z+1)...
 
-    Exact rational evaluation; a must be nonzero.  With a = u/v and
-    -z = c/d, term k is C(n,k) v^k R_k / (u d)^k, R_k the rising
-    numerator of c/d, so the sum is one integer over (u d)^n.
+    Exact rational evaluation; a must be nonzero.  The sum is the image of
+    (1 + D)^n = sum C(n,k) D^k at h = 1/a, hp = -z, taken by op_value.
     """
     if n < 0:
         raise ValueError("degree must be non-negative")
     av = _coerce_scalar(a)
     if av == 0:
         raise ValueError("Charlier parameter a must be nonzero")
-    minus_z = -_coerce_scalar(z)
-    u, v = av.numerator, av.denominator
-    d = minus_z.denominator
-    ud = u * d
-    total = 0
-    for k, r in enumerate(rising_numerators(minus_z.numerator, d, n)):
-        total += comb(n, k) * v**k * ud ** (n - k) * r
-    return Fraction(total, ud**n)
+    binomials = OpPoly({k: comb(n, k) for k in range(n + 1)})
+    return op_value(binomials, 1 / Fraction(av), -_coerce_scalar(z))
 
 
 def charlier_samples(count: int, rng: random.Random) -> list[tuple[Fraction, Fraction]]:

@@ -24,18 +24,21 @@ def oracle_term_product(a: dict, b: dict) -> dict:
     return {key: coeff for key, coeff in acc.items() if coeff}
 
 
+# Each sum below is one sympy.Add over all its terms: adding the terms one at a
+# time rebuilds the growing sum at every step, quadratic in the term count.
+
+
 def hpoly_to_sympy(value) -> sympy.Expr:
-    total = sympy.Integer(0)
-    for (eh, ehp, eq), coeff in value.terms():
-        total += sympy.Rational(Fraction(coeff)) * H**eh * HP**ehp * Q**eq
-    return sympy.expand(total)
+    terms = (
+        sympy.Rational(Fraction(coeff)) * H**eh * HP**ehp * Q**eq
+        for (eh, ehp, eq), coeff in value.terms()
+    )
+    return sympy.expand(sympy.Add(*terms))
 
 
 def oppoly_to_sympy(value, d: sympy.Symbol) -> sympy.Expr:
-    total = sympy.Integer(0)
-    for exp, coeff in value.terms():
-        total += sympy.Rational(Fraction(coeff)) * d**exp
-    return sympy.expand(total)
+    terms = (sympy.Rational(Fraction(coeff)) * d**exp for exp, coeff in value.terms())
+    return sympy.expand(sympy.Add(*terms))
 
 
 def oracle_h_binomial(n: int, k: int) -> sympy.Expr:
@@ -44,10 +47,7 @@ def oracle_h_binomial(n: int, k: int) -> sympy.Expr:
 
 
 def oracle_hfib(n: int) -> sympy.Expr:
-    total = sympy.Integer(0)
-    for k in range((n - 1) // 2 + 1):
-        total += oracle_h_binomial(n - 1 - k, k)
-    return sympy.expand(total)
+    return sympy.expand(sympy.Add(*(oracle_h_binomial(n - 1 - k, k) for k in range((n - 1) // 2 + 1))))
 
 
 def oracle_q_binomial(n: int, k: int) -> dict[int, int]:

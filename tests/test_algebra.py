@@ -17,11 +17,10 @@ from hfib.algebra import (
     HPoly,
     d_image,
     render_terms,
-    rising_rational,
     shifted_factorial,
 )
 from hfib.fibonacci import hfib_diagonal
-from hfib.operators import D, OpPoly
+from hfib.operators import D, OpPoly, op_value
 from oracles import H as SH
 from oracles import HP as SHP
 from oracles import Q as SQ
@@ -90,9 +89,10 @@ def test_scalar_coercion() -> None:
         lambda: (1 + H * HP).eval_point(0.1, Fraction(1, 2)),
         lambda: (1 + H * HP).eval_point(Fraction(1, 10), 0.5),
         lambda: (H * Q).eval_point(1, 1, q=0.5),
-        lambda: rising_rational(0.1, 2),
+        lambda: op_value(D**2, 0.1, 1),
+        lambda: op_value(D**2, 1, 0.1),
     ],
-    ids=["substitute_q", "eval_point-h", "eval_point-hp", "eval_point-q", "rising_rational"],
+    ids=["substitute_q", "eval_point-h", "eval_point-hp", "eval_point-q", "op_value-h", "op_value-hp"],
 )
 def test_scalar_entry_points_refuse_floats(call) -> None:
     with pytest.raises(TypeError, match="exact rational"):
@@ -272,7 +272,7 @@ def test_eval_point_at_high_hp_degree(n) -> None:
     value = hfib_diagonal(n)
     for hv, hpv in points:
         expected = sum(
-            comb(n - 1 - k, k) * hv**k * rising_rational(hpv, k) for k in range((n + 1) // 2)
+            comb(n - 1 - k, k) * hv**k * op_value(D**k, 1, hpv) for k in range((n + 1) // 2)
         )
         assert value.eval_point(hv, hpv) == expected, (hv, hpv)
 
@@ -318,10 +318,11 @@ def test_shifted_factorial_values() -> None:
         shifted_factorial(HP, 1, -1)
 
 
-def test_rising_rational() -> None:
-    assert rising_rational(Fraction(1, 2), 0) == 1
-    assert rising_rational(Fraction(1, 2), 3) == Fraction(1, 2) * Fraction(3, 2) * Fraction(5, 2)
-    assert rising_rational(Fraction(-2), 4) == 0
+def test_op_value_of_a_d_power_is_a_rising_factorial() -> None:
+    # D^k at h = 1 is the rising factorial (hp)_k
+    assert op_value(D**0, 1, Fraction(1, 2)) == 1
+    assert op_value(D**3, 1, Fraction(1, 2)) == Fraction(1, 2) * Fraction(3, 2) * Fraction(5, 2)
+    assert op_value(D**4, 1, Fraction(-2)) == 0
 
 
 @given(
@@ -334,8 +335,8 @@ def test_rising_rational() -> None:
 @example(Fraction(-4), 7)
 @example(-4, 3)
 @example(Fraction(7, 3), 0)
-def test_rising_rational_matches_sympy(start, count: int) -> None:
-    value = rising_rational(start, count)
+def test_op_value_of_a_d_power_matches_sympy(start, count: int) -> None:
+    value = op_value(D**count, 1, start)
     assert type(value) is Fraction
     assert value == oracle_rising(Fraction(start), count)
 

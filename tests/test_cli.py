@@ -9,11 +9,14 @@ import shutil
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
 
-from hfib import cli
+import hfib
+from hfib import algebra, cli, fibonacci, operators
+from hfib.algebra import HPoly
 from hfib.report import Failure, IdentityReport
 
 REPO = Path(__file__).resolve().parents[1]
@@ -82,7 +85,7 @@ def test_negative_n_is_refused_by_flag(argv, monkeypatch, capsys) -> None:
         pytest.fail("work started")
 
     for route in cli._ROUTES:
-        monkeypatch.setitem(cli._ROUTES, route, refuse)
+        monkeypatch.setitem(cli._ROUTES, route, (refuse, refuse))
     monkeypatch.setattr(cli.operators, "fib_op", refuse)
     monkeypatch.setattr(cli.qh, "q_fibonacci", refuse)
     monkeypatch.setattr(cli.qh, "qh_binomial", refuse)
@@ -270,15 +273,13 @@ def test_verify_bound_below_one_exits_2(argv, monkeypatch, capsys) -> None:
     assert "must be at least 1" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("fib", "--n", "450", "--route", "recurrence"),
-        ("eval", "--n", "401", "--route", "recurrence", "--h", "1", "--hp", "1"),
-    ],
-)
+def _refuse_route(n):
+    pytest.fail("the route started")
+
+
+@pytest.mark.parametrize("argv", [("fib", "--n", "450", "--route", "recurrence")])
 def test_recurrence_route_cap_exits_2(argv, monkeypatch, capsys) -> None:
-    monkeypatch.setitem(cli._ROUTES, "recurrence", lambda n: pytest.fail("the route started"))
+    monkeypatch.setitem(cli._ROUTES, "recurrence", (_refuse_route, _refuse_route))
     code = cli.main(list(argv))
     err = capsys.readouterr().err
     assert code == 2
@@ -295,14 +296,80 @@ def test_recurrence_route_cap_exits_2(argv, monkeypatch, capsys) -> None:
     ],
 )
 def test_hypergeom_route_refuses_n_0_and_names_routes_that_take_it(argv, monkeypatch, capsys) -> None:
-    monkeypatch.setitem(cli._ROUTES, "hypergeom", lambda n: pytest.fail("the route started"))
+    monkeypatch.setitem(cli._ROUTES, "hypergeom", (_refuse_route, _refuse_route))
     code = cli.main(list(argv))
     err = capsys.readouterr().err
     assert code == 2
-    # every route the message names takes n = 0
+    # every route the message names takes n = 0, in both forms
     for route in ("diagonal", "recurrence", "binet"):
         assert route in err
-        assert cli._ROUTES[route](0) == 0
+        build, form = cli._ROUTES[route]
+        assert build(0) == 0
+        assert cli.operators.op_value(form(0), 1, 1) == 0
+
+
+@pytest.mark.parametrize("route", ["diagonal", "recurrence", "hypergeom", "binet"])
+def test_eval_n_above_cap_exits_2(route, monkeypatch, capsys) -> None:
+    # one cap for every route, refused before either form of F_n is built
+    for name in cli._ROUTES:
+        monkeypatch.setitem(cli._ROUTES, name, (_refuse_route, _refuse_route))
+    n = cli.EVAL_MAX_N + 1
+    code = cli.main(["eval", "--n", str(n), "--route", route, "--h", "1", "--hp", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: eval --n is capped at {cli.EVAL_MAX_N}, got --n {n}\n"
+
+
+@pytest.mark.parametrize("route", ["diagonal", "recurrence", "hypergeom", "binet"])
+def test_eval_builds_no_polynomial(route, monkeypatch, capsys) -> None:
+    # eval reads only the Q[D] form of each route and sums its value at the point
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval built a polynomial")
+
+    for name in cli._ROUTES:
+        monkeypatch.setitem(cli._ROUTES, name, (refuse, cli._ROUTES[name][1]))
+    for name in ("__init__", "from_terms", "from_hp_lanes", "eval_point"):
+        monkeypatch.setattr(HPoly, name, refuse)
+    for module in (algebra, operators, fibonacci):
+        monkeypatch.setattr(module, "d_image", refuse)
+    monkeypatch.setattr(operators, "op_eval", refuse)
+    for name in ("hfib_diagonal", "hfib_recurrence", "hfib_hypergeometric"):
+        monkeypatch.setattr(fibonacci, name, refuse)
+    hfib.clear_caches()
+    argv = ("eval", "--n", "60", "--route", route, "--h", "-7/3", "--hp", "2/5")
+    code, out = run_cli(*argv, capsys=capsys)
+    assert code == 0
+    assert out.encode() == (REPO / "tests" / "golden" / "eval_n60_recurrence.txt").read_bytes()
+
+
+def test_eval_at_cap_runs_and_the_routes_agree(capsys) -> None:
+    # binet, the slowest route, takes seconds at the cap, so it is left out here
+    values = set()
+    for route in ("diagonal", "recurrence", "hypergeom"):
+        argv = ("eval", "--n", str(cli.EVAL_MAX_N), "--route", route, "--h", "1/10", "--hp", "1/2")
+        code, out = run_cli(*argv, capsys=capsys)
+        assert code == 0
+        values.add(out)
+    assert len(values) == 1
+
+
+def test_eval_prints_values_beyond_4300_digits(capsys) -> None:
+    # Python refuses by default to convert an int of more than 4300 digits to str;
+    # main lifts that limit while the subcommand runs and restores the caller's
+    before = sys.get_int_max_str_digits()
+    code, out = run_cli("eval", "--n", "60", "--h", "1/1" + "0" * 200, "--hp", "2", capsys=capsys)
+    assert code == 0
+    assert sys.get_int_max_str_digits() == before
+    # F_60 = sum_k C(59 - k, k) h^k (hp)_k, and (2)_k = (k + 1)!
+    h = Fraction(1, 10**200)
+    expected = sum(comb(59 - k, k) * h**k * factorial(k + 1) for k in range(30))
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(out) > 4300
+        assert out == f"{expected}\n"
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 @pytest.mark.parametrize(

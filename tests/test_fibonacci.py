@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import hfib
 from hfib.algebra import H, HP, HPoly, d_image, shifted_factorial
-from hfib import algebra, fibonacci, kernels
+from hfib import algebra, fibonacci, kernels, operators
+from hfib.operators import D, OpPoly
 from hfib.fibonacci import (
     classical_fib,
     fib_table,
@@ -19,12 +20,14 @@ from hfib.fibonacci import (
     hfib_hypergeometric,
     hfib_negative,
     hfib_recurrence,
+    recurrence_op,
     verify_fibonacci,
     verify_odd_even_sums,
     verify_partial_sum,
     verify_routes,
 )
 from hfib.report import IdentityReport
+from oracles import H as SH
 from oracles import assert_matches, oracle_hfib, oracle_rising_hp
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -101,9 +104,10 @@ def test_recurrence_route_is_int_and_q_free(n: int) -> None:
 
 def test_recurrence_lanes_layout() -> None:
     # F_5 = 1 + 3*h*hp + h^2*hp + h^2*hp^2 is 1 + 3*h*(hp)_1 + h^2*(hp)_2 in the
-    # rising-factorial basis, the map the route keeps as {(e, j): c}
-    assert fibonacci._rising_expand({(0, 0): 1, (1, 1): 3, (2, 2): 1}) == hfib_diagonal(5)
-    assert fibonacci._rising_expand({}) == 0
+    # rising-factorial basis, the image of 1 + 3D + D^2 that the route keeps
+    assert recurrence_op(5) == 1 + 3 * D + D**2
+    assert fibonacci._rising_expand(1 + 3 * D + D**2) == hfib_diagonal(5)
+    assert fibonacci._rising_expand(OpPoly.zero()) == 0
 
 
 def test_recurrence_route_satisfies_the_ring_recurrence() -> None:
@@ -115,36 +119,37 @@ def test_recurrence_route_satisfies_the_ring_recurrence() -> None:
 
 @given(st.integers(min_value=0, max_value=24))
 def test_rising_expand_matches_sympy_oracle(j: int) -> None:
-    assert_matches(fibonacci._rising_expand({(0, j): 1}), oracle_rising_hp(j))
+    assert_matches(fibonacci._rising_expand(D**j), SH**j * oracle_rising_hp(j))
 
 
 @given(
-    st.dictionaries(
-        st.tuples(st.integers(0, 6), st.integers(0, 30)),
-        st.integers(-(10**6), 10**6).filter(bool),
-        max_size=20,
-    )
+    st.dictionaries(st.integers(0, 30), st.integers(-(10**6), 10**6).filter(bool), max_size=20)
 )
-def test_rising_key_move_matches_the_ring_shift(f: dict[tuple[int, int], int]) -> None:
-    # moving every key by (1, 1) is multiplying by h*hp after shifting hp by one
-    moved = {(e + 1, j + 1): c for (e, j), c in f.items()}
+def test_rising_key_move_matches_the_ring_shift(f: dict[int, int]) -> None:
+    # multiplying by D is multiplying the image by h*hp after shifting hp by one
+    x = OpPoly.from_coeffs(f)
     expand = fibonacci._rising_expand
-    assert expand(moved) == H * HP * expand(f).shift_hprime(1)
+    assert expand(D * x) == H * HP * expand(x).shift_hprime(1)
 
 
 def test_recurrence_route_is_independent_and_bounded(monkeypatch: pytest.MonkeyPatch) -> None:
+    # the recurrence and hypergeometric routes share only _rising_expand
     hfib.clear_caches()
     expected = {n: hfib_diagonal(n) for n in (30, 120)}
 
     def refuse(*args: object) -> None:
-        raise AssertionError("the recurrence route read another route's code")
+        raise AssertionError("a route read another route's code")
 
-    for name in ("d_image", "h_binomial", "comb", "op_eval", "binet_fib"):
-        monkeypatch.setattr(fibonacci, name, refuse)
+    others = ("d_image", "h_binomial", "comb", "op_eval", "binet_fib", "fib_op")
+    for name in others:
+        monkeypatch.setattr(fibonacci, name, refuse, raising=False)
+        monkeypatch.setattr(operators, name, refuse, raising=False)
+    monkeypatch.setattr(algebra, "d_image", refuse)
     monkeypatch.setattr(kernels, "taylor_shift", refuse)
     monkeypatch.setattr(algebra, "taylor_shift", refuse)
     for n, value in expected.items():
         assert hfib_recurrence(n) == value
+        assert hfib_hypergeometric(n) == value
     monkeypatch.undo()
     # each call steps from F_0 and F_1, so no call order changes a value
     for n in (200, 12, 200, 0, 1):

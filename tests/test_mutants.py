@@ -32,9 +32,9 @@ def _d_image_off_at_6(k):
 _RISING_EXPAND = fibonacci._rising_expand
 
 
-def _rising_expand_off_from_5(f):
-    # one stray h on the expansion of any map with a rising factorial (hp)_j, j >= 5
-    return _RISING_EXPAND(f) + (H if any(j >= 5 for _, j in f) else 0)
+def _rising_expand_off_from_5(x):
+    # one stray h on the expansion of any operator of degree 5 or more
+    return _RISING_EXPAND(x) + (H if x.degree >= 5 else 0)
 
 
 _KRONECKER = kernels._kronecker
@@ -71,6 +71,14 @@ def _eval_point_off_at_hp_degree_10(self, h, hp, q=0):
     # 10 is the highest hp-degree the Charlier link evaluates at its default scale
     value = _EVAL_POINT(self, h, hp, q)
     return value + Fraction(1, 10**20) if self.max_exponents()[1] >= 10 else value
+
+
+_OP_VALUE = operators.op_value
+
+
+def _op_value_off_from_degree_5(x, h, hp):
+    value = _OP_VALUE(x, h, hp)
+    return value + Fraction(1, 10**20) if x.degree >= 5 else value
 
 
 _FIB_OP = operators.fib_op
@@ -137,6 +145,11 @@ MUTANTS = {
     ),
     "eval_point off by 10^-20 from hp-degree 10": (
         ((algebra.HPoly, "eval_point", _eval_point_off_at_hp_degree_10),),
+        ("pascal-charlier-link",),
+    ),
+    # the weighted series reads op_value too, but compares within its tolerance
+    "op_value off by 10^-20 from degree 5 in pascal": (
+        ((pascal, "op_value", _op_value_off_from_degree_5),),
         ("pascal-charlier-link",),
     ),
     # every suite that reads fib_op but op-symmetric-lemmas, which checks the roots only

@@ -21,6 +21,7 @@ from hfib.operators import (
     lambda_plus,
     neg_fib_op,
     op_eval,
+    op_value,
     qh_matrix,
     qh_power,
     verify_addition,
@@ -105,6 +106,23 @@ def test_composition_rule(x: OpPoly, n: int) -> None:
 @given(op_polys, op_polys)
 def test_op_eval_is_additive_not_multiplicative(x: OpPoly, y: OpPoly) -> None:
     assert op_eval(x + y) == op_eval(x) + op_eval(y)
+
+
+points = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=12),
+)
+
+
+@given(op_polys, points, points)
+@example(OpPoly.zero(), Fraction(2, 3), Fraction(-1, 2))
+@example(1 + 3 * D + D**2, 0, Fraction(5, 7))
+@example(Fraction(1, 3) * D**4 - D, Fraction(-7, 3), 0)
+@example(D**6 + Fraction(5, 2), -2, Fraction(-11, 4))
+def test_op_value_is_the_evaluated_image(x: OpPoly, h, hp) -> None:
+    value = op_value(x, h, hp)
+    assert type(value) is Fraction
+    assert value == op_eval(x).eval_point(h, hp)
 
 
 def test_op_eval_multiplicativity_fails_in_general() -> None:
