@@ -62,6 +62,18 @@ GF_MAX_M = 1000
 # 323 MB at 85.
 QH_MAX_N = {"binom": 150, "fib": 70}
 
+# Largest --rows that `pascal` takes.  Its output grows as rows^4.  One process on
+# 2 vCPUs takes 0.45 s, 33 MB RSS and 12.7 MB of stdout at --rows 100 (1.4 s and
+# 237 MB with --format json), 1.3 s, 83 MB and 64 MB at 150 (2.8 s and 264 MB
+# with --format csv), 28 s at 300.
+PASCAL_MAX_ROWS = 100
+
+# Largest --max that `table` takes.  Its output grows as n^4.  One process on
+# 2 vCPUs takes 0.6 s, 36 MB RSS and 8.5 MB of stdout at --max 150 (1.6 s and
+# 194 MB with --format json), 1.1 s, 65 MB and 27 MB at 200 (2.8 s and 458 MB
+# with --format json).
+TABLE_MAX = 150
+
 # Markdown `verify` lists at most this many failures per group.
 MARKDOWN_FAILURES = 20
 
@@ -120,6 +132,8 @@ def _dump_json(data) -> str:
 
 
 def cmd_pascal(args) -> int:
+    if args.rows > PASCAL_MAX_ROWS:
+        raise ValueError(f"pascal --rows is capped at {PASCAL_MAX_ROWS}, got --rows {args.rows}")
     triangle = pascal.pascal_triangle(args.rows)
     if args.format == "json":
         data = {
@@ -161,6 +175,8 @@ def cmd_fib(args) -> int:
 
 
 def cmd_table(args) -> int:
+    if args.max > TABLE_MAX:
+        raise ValueError(f"table --max is capped at {TABLE_MAX}, got --max {args.max}")
     table = fibonacci.fib_table(args.max)
     if args.format == "json":
         data = {
@@ -478,13 +494,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_attach_negative_rationals(sys.argv[1:] if argv is None else argv))
     # Exact values may pass Python's limit of 4300 digits for int-str conversion
-    # (0 where it is lifted or absent): lift it while the subcommand runs.
+    # (0 where it is lifted or absent), in a flag's value as in the output: lift
+    # it from parsing on, and restore it on every exit, argparse's SystemExit too.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digits:
         sys.set_int_max_str_digits(0)
     try:
+        args = parser.parse_args(_attach_negative_rationals(sys.argv[1:] if argv is None else argv))
         # Every subcommand with --n takes a non-negative index only.
         if getattr(args, "n", 0) < 0:
             raise ValueError(f"--n takes a non-negative index, got --n {args.n}")

@@ -28,12 +28,12 @@ recording the choice in the report (see verify_doubling_sum).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from math import comb
 from operator import add
+from typing import NamedTuple
 
 from hfib.algebra import H, HP, HPoly, d_image
 from hfib.operators import OpPoly, binet_fib, neg_fib_op, op_eval
@@ -136,8 +136,7 @@ def hfib_hypergeometric(n: int) -> HPoly:
     return _rising_expand(hypergeometric_op(n))
 
 
-@dataclass(frozen=True)
-class NegHFib:
+class NegHFib(NamedTuple):
     """Negative-index value F_(-n) as an exact ratio.
 
     numerator / (h^n * (hp)(hp+1)...(hp+n-1)); denominator_count is the
@@ -166,15 +165,13 @@ def hfib_negative(n: int) -> NegHFib:
 # -- tabulation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FibTableRow:
+class FibTableRow(NamedTuple):
     n: int
     value: HPoly
     classical: int
 
 
-@dataclass(frozen=True)
-class FibTable:
+class FibTable(NamedTuple):
     rows: tuple[FibTableRow, ...]
     pinned_conventions: tuple[tuple[str, str], ...]
 

@@ -25,8 +25,8 @@ polynomial identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from hfib.algebra import _coerce_scalar
 from hfib.fibonacci import classical_fib
@@ -38,21 +38,19 @@ class ConvergenceError(ArithmeticError):
     """The truncated weighted series cannot certify the requested tolerance."""
 
 
-@dataclass(frozen=True)
-class OpSeries:
+class OpSeries(NamedTuple):
     """Truncated power series in x with Q[D] coefficients."""
 
     coeffs: tuple[OpPoly, ...]
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # the order, not the one field of the tuple
         return len(self.coeffs)
 
     def coefficient(self, k: int) -> OpPoly:
         return self.coeffs[k]
 
 
-@dataclass(frozen=True)
-class OpRatFun:
+class OpRatFun(NamedTuple):
     """Rational function in x over Q[D], as coefficient tuples."""
 
     numerator: tuple[OpPoly, ...]

@@ -30,11 +30,11 @@ tables local to the call, and the checks read them from there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from operator import index, mul
+from typing import NamedTuple
 
 from hfib.algebra import HPoly, Scalar, TermRing, _coerce_scalar, d_image, rising_numerators
 from hfib.kernels import binary_power
@@ -125,9 +125,12 @@ def op_value(x: OpPoly, h, hp) -> Fraction:
 # -- the 2x2 operator matrix ------------------------------------------
 
 
-@dataclass(frozen=True)
-class OpMatrix2:
-    """2x2 matrix over Q[D]; entries row-major a11, a12, a21, a22."""
+class OpMatrix2(NamedTuple):
+    """2x2 matrix over Q[D]; entries row-major a11, a12, a21, a22.
+
+    A tuple underneath: __mul__ and __rmul__ scale by a number, where a
+    tuple would repeat.
+    """
 
     a11: OpPoly
     a12: OpPoly
@@ -201,8 +204,7 @@ def qh_power(n: int) -> OpMatrix2:
 _DISCRIMINANT = OpPoly({0: 1, 1: 4})  # 1 + 4D
 
 
-@dataclass(frozen=True)
-class SqrtExt:
+class SqrtExt(NamedTuple):
     """Element even + odd*s of Q[D][s] / (s^2 - (1+4D))."""
 
     even: OpPoly
@@ -312,8 +314,7 @@ def _exact_quotient(x: OpPoly, divisor: int, what: str) -> OpPoly:
 # -- negative indices ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NegIndexOp:
+class NegIndexOp(NamedTuple):
     """g_n = D^n F_(-n): the denominator-cleared negative-index operator."""
 
     n: int

@@ -16,11 +16,10 @@ in the report.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from hfib.algebra import H, HP, HPoly, _coerce_scalar, d_image
 from hfib.operators import OpPoly, op_value
@@ -41,8 +40,7 @@ def h_binomial(n: int, k: int) -> HPoly:
     return comb(n, k) * d_image(k)
 
 
-@dataclass(frozen=True)
-class TriangleRow:
+class TriangleRow(NamedTuple):
     n: int
     entries: tuple[HPoly, ...]
 

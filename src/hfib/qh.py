@@ -28,14 +28,14 @@ running sums, each grown from the one before by at most one hp-shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 from hfib.algebra import H, HP, HPoly, Q, d_image
 from hfib.fibonacci import hfib_diagonal
 from hfib.pascal import h_binomial
-from hfib.report import SCHEMA, IdentityReport, PinnedConvention, suite_scale
+from hfib.report import SCHEMA, IdentityReport, PinnedConvention, _Record, suite_scale
 
 
 def q_int(n: int) -> HPoly:
@@ -183,24 +183,28 @@ def verify_qh(n_max: int | None = None) -> list[IdentityReport]:
 # -- experimental layer ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExperimentalCheck:
+class ExperimentalCheck(NamedTuple):
     identity: str
     n: int
     holds: bool
 
 
-@dataclass
-class ExperimentalReport:
+class ExperimentalReport(_Record):
     """Measured (never asserted) candidate identities for the q-layer.
 
     `pinned` names the candidates that held for every measured instance;
     a strict consumer may choose to gate on exactly those.
     """
 
-    suite: str = "qh-experimental"
-    checks: list[ExperimentalCheck] = field(default_factory=list)
-    conventions: list[PinnedConvention] = field(default_factory=list)
+    def __init__(
+        self,
+        suite: str = "qh-experimental",
+        checks: list[ExperimentalCheck] | None = None,
+        conventions: list[PinnedConvention] | None = None,
+    ) -> None:
+        self.suite = suite
+        self.checks = [] if checks is None else checks
+        self.conventions = [] if conventions is None else conventions
 
     def record(self, identity: str, n: int, lhs: HPoly, rhs: HPoly) -> None:
         self.checks.append(ExperimentalCheck(identity, n, lhs == rhs))

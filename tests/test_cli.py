@@ -372,6 +372,24 @@ def test_eval_prints_values_beyond_4300_digits(capsys) -> None:
         sys.set_int_max_str_digits(before)
 
 
+def test_eval_reads_rationals_beyond_4300_digits(capsys) -> None:
+    # argparse converts --h before the subcommand runs, so the limit is lifted from parsing on
+    before = sys.get_int_max_str_digits()
+    code, out = run_cli("eval", "--n", "3", "--h", "1/1" + "0" * 4400, "--hp", "2", capsys=capsys)
+    assert code == 0
+    assert sys.get_int_max_str_digits() == before
+    # F_3 = 1 + h * hp = 1 + 2/10^4400 = (5*10^4399 + 1) / (5*10^4399)
+    assert out == f"5{'0' * 4398}1/5{'0' * 4399}\n"
+
+
+@pytest.mark.parametrize("argv", [("eval", "--n", "3"), ("--help",)])
+def test_limit_is_restored_when_argparse_exits(argv, capsys) -> None:
+    before = sys.get_int_max_str_digits()
+    with pytest.raises(SystemExit):
+        cli.main(list(argv))
+    assert sys.get_int_max_str_digits() == before
+
+
 @pytest.mark.parametrize(
     "argv, refused",
     [
@@ -446,6 +464,39 @@ def test_qh_n_at_cap_runs(obj, extra, monkeypatch, capsys) -> None:
         monkeypatch.setattr(cli.qh, builder, lambda *a: cli.qh.HPoly.one())
     assert cli.main(["qh", obj, "--n", str(cli.QH_MAX_N[obj]), *extra]) == 0
     assert capsys.readouterr().out == "1\n"
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "json", "csv"])
+def test_pascal_rows_above_cap_exits_2(fmt, monkeypatch, capsys) -> None:
+    monkeypatch.setattr(cli.pascal, "pascal_triangle", lambda rows: pytest.fail("the build started"))
+    rows = cli.PASCAL_MAX_ROWS + 1
+    code = cli.main(["pascal", "--rows", str(rows), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: pascal --rows is capped at {cli.PASCAL_MAX_ROWS}, got --rows {rows}\n"
+
+
+def test_pascal_rows_at_cap_runs(monkeypatch, capsys) -> None:
+    monkeypatch.setattr(cli.pascal, "pascal_triangle", lambda rows: [])
+    assert cli.main(["pascal", "--rows", str(cli.PASCAL_MAX_ROWS)]) == 0
+
+
+@pytest.mark.parametrize("command", ["table", "table2"])
+@pytest.mark.parametrize("fmt", ["markdown", "json"])
+def test_table_max_above_cap_exits_2(command, fmt, monkeypatch, capsys) -> None:
+    monkeypatch.setattr(cli.fibonacci, "fib_table", lambda n_max: pytest.fail("the build started"))
+    n_max = cli.TABLE_MAX + 1
+    code = cli.main([command, "--max", str(n_max), "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: table --max is capped at {cli.TABLE_MAX}, got --max {n_max}\n"
+
+
+def test_table_max_at_cap_runs(monkeypatch, capsys) -> None:
+    monkeypatch.setattr(cli.fibonacci, "fib_table", lambda n_max: cli.fibonacci.FibTable((), ()))
+    assert cli.main(["table", "--max", str(cli.TABLE_MAX)]) == 0
 
 
 @pytest.mark.parametrize(

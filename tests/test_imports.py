@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -36,3 +40,23 @@ def test_no_unused_top_level_import(path: Path) -> None:
 def test_an_unused_import_is_found() -> None:
     tree = ast.parse("from __future__ import annotations\nimport os\nfrom functools import lru_cache\nos.sep\n")
     assert _unused_imports(tree) == ["lru_cache (line 3)"]
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect() -> None:
+    # each hfib command and perfbench op is a fresh interpreter, so start-up is paid per check;
+    # compare with the modules loaded before the import, so that what `site` loads does not count
+    probe = (
+        "import json, sys; before = set(sys.modules); import hfib.cli; "
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    added = set(json.loads(out.stdout))
+    assert "hfib.cli" in added
+    assert not added & {"dataclasses", "inspect"}

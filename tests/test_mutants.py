@@ -88,6 +88,15 @@ def _fib_op_off_at_7(n):
     return _FIB_OP(n) + D if n == 7 else _FIB_OP(n)
 
 
+_QH_POWER = operators.qh_power
+
+
+def _qh_power_off_at_7(n):
+    # one stray D in the top-right entry; op-matrix-powers sees it through matrix equality
+    power = _QH_POWER(n)
+    return operators.OpMatrix2(power.a11, power.a12 + D, power.a21, power.a22) if n == 7 else power
+
+
 _BINET_FIB = operators.binet_fib
 
 
@@ -170,6 +179,10 @@ MUTANTS = {
             "op-binet",
             "gf-expansions",
         ),
+    ),
+    "qh_power(7) with a12 + D": (
+        ((operators, "qh_power", _qh_power_off_at_7),),
+        ("op-matrix-powers", "op-cassini", "op-cayley-hamilton", "op-inverse-powers"),
     ),
     "binet_fib(7) + D": (
         (

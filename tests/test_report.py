@@ -2,11 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from hfib.fibonacci import verify_fibonacci
-from hfib.operators import verify_operators
-from hfib.pascal import verify_pascal
-from hfib.qh import verify_qh
-from hfib.report import SCHEMA, Failure, IdentityReport, merge_reports
+from hfib.fibonacci import fib_table, hfib_negative, verify_fibonacci
+from hfib.genfun import build_gf, series_expand
+from hfib.operators import OpMatrix2, SqrtExt, neg_fib_op, verify_operators
+from hfib.pascal import pascal_row, verify_pascal
+from hfib.qh import ExperimentalCheck, ExperimentalReport, verify_qh
+from hfib.report import SCHEMA, Failure, IdentityReport, PinnedConvention, merge_reports
 
 
 def test_check_records_failures_lazily() -> None:
@@ -61,3 +62,50 @@ def test_suites_refuse_n_max_below_one(suite, n_max) -> None:
     # 0 used to run the default scales and -1 a vacuous pass with no cases
     with pytest.raises(ValueError, match="at least 1"):
         suite(n_max)
+
+
+# Each immutable result type, as (builder of a fresh instance, one of its fields).
+RECORDS = {
+    "Failure": (lambda: Failure({"n": 7}, "x", "y"), "lhs"),
+    "PinnedConvention": (lambda: PinnedConvention("amb", "res"), "resolution"),
+    "OpMatrix2": (OpMatrix2.identity, "a12"),
+    "SqrtExt": (SqrtExt.one, "odd"),
+    "NegIndexOp": (lambda: neg_fib_op(5), "g"),
+    "OpSeries": (lambda: series_expand(build_gf("fib"), 6), "coeffs"),
+    "OpRatFun": (lambda: build_gf("square"), "denominator"),
+    "NegHFib": (lambda: hfib_negative(5), "numerator"),
+    "FibTableRow": (lambda: fib_table(4).rows[4], "value"),
+    "FibTable": (lambda: fib_table(9), "rows"),
+    "TriangleRow": (lambda: pascal_row(4), "entries"),
+    "ExperimentalCheck": (lambda: ExperimentalCheck("partial-sum", 3, True), "holds"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_frozen_values(name) -> None:
+    build, field = RECORDS[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name
+    with pytest.raises(AttributeError):
+        setattr(a, field, getattr(b, field))
+    assert a == b and not a != b
+    if name != "Failure":  # its params are a dict
+        assert hash(a) == hash(b)
+
+
+def test_records_keep_their_arithmetic_and_length() -> None:
+    # as tuples, int * matrix would repeat it and len(series) would count one field
+    ident = OpMatrix2.identity()
+    for scaled in (2 * ident, ident * 2):
+        assert (scaled.a11, scaled.a12, scaled.a21, scaled.a22) == (2, 0, 0, 2)
+    assert len(series_expand(build_gf("fib"), 6)) == 6
+
+
+@pytest.mark.parametrize("cls, args", [(IdentityReport, ("demo",)), (ExperimentalReport, ())])
+def test_reports_are_mutable_values(cls, args) -> None:
+    a, b = cls(*args), cls(*args)
+    assert a == b and a.suite == b.suite
+    a.suite = "other"
+    assert a != b
+    with pytest.raises(TypeError):
+        hash(b)
