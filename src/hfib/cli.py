@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import re
@@ -35,44 +34,43 @@ _ROUTES = {
     "binet": (lambda n: operators.op_eval(operators.binet_fib(n)), operators.binet_fib),
 }
 
-# Largest n that `fib` takes by the recurrence route: one `hfib fib --route
-# recurrence` process on 2 vCPUs takes 0.32-0.36 s and peaks at 33 MB RSS at
-# n = 400, 0.18-0.24 s and 20 MB at n = 200; at n = 400 it prints 4.4 MB.
-RECURRENCE_MAX_N = 400
-
-# Largest --n that `eval` takes, by any route.  Binet is the slowest: one `hfib
-# eval --route binet` process on 2 vCPUs takes 0.65-0.68 s and 18 MB RSS at
-# n = 1000, 3.5-3.9 s and 22 MB at 2000; the other routes take 0.2-0.3 s at 2000.
-EVAL_MAX_N = 2000
-
-# Largest --order that `gf` takes: one `hfib gf --which cube` process on 2 vCPUs
-# takes 1.9 s and peaks at 51 MB RSS at order 500, 5.8 s and 125 MB at 800.
-GF_MAX_ORDER = 500
-
-# Largest --m that `gf --which shifted` takes; its coefficients are F_(m+k) for
-# k below the order.  One process on 2 vCPUs takes 2.2 s, 81 MB RSS and 62 MB of
-# stdout at m = 1000 and --order 500 (0.19 s at --order 4), 5.4 s, 167 MB and
-# 196 MB at m = 2000 (0.28 s at --order 4).
-GF_MAX_M = 1000
-
-# Largest --n that `qh binom` and `qh fib` take.  One process on 2 vCPUs takes
-# 0.8 s, 89 MB RSS and 10 MB of stdout for `qh binom --n 100 --k 50`, 2.5 s,
-# 286 MB and 52 MB at n = 150, 3.8 s, 460 MB and 95 MB at n = 175, k = 87;
-# `qh fib` takes 0.9 s and 89 MB at n = 60, 1.7 s and 156 MB at 70, 3.6 s and
-# 323 MB at 85.
-QH_MAX_N = {"binom": 150, "fib": 70}
-
-# Largest --rows that `pascal` takes.  Its output grows as rows^4.  One process on
-# 2 vCPUs takes 0.45 s, 33 MB RSS and 12.7 MB of stdout at --rows 100 (1.4 s and
-# 237 MB with --format json), 1.3 s, 83 MB and 64 MB at 150 (2.8 s and 264 MB
-# with --format csv), 28 s at 300.
-PASCAL_MAX_ROWS = 100
-
-# Largest --max that `table` takes.  Its output grows as n^4.  One process on
-# 2 vCPUs takes 0.6 s, 36 MB RSS and 8.5 MB of stdout at --max 150 (1.6 s and
-# 194 MB with --format json), 1.1 s, 65 MB and 27 MB at 200 (2.8 s and 458 MB
-# with --format json).
-TABLE_MAX = 150
+# The largest value of each size flag, keyed by (command as its refusal names
+# it, flag); main() refuses a value above it before any work.  Each figure is
+# one process on 2 vCPUs, with peak RSS.
+_CAPS = {
+    # Output grows as rows^4: 0.45 s, 33 MB RSS and 12.7 MB of stdout at 100
+    # (1.4 s and 237 MB with --format json), 1.3 s, 83 MB and 64 MB at 150 (83 MB
+    # with --format csv too), 28 s at 300.
+    ("pascal", "--rows"): 100,
+    # Also for the alias `table2`.  Output grows as n^4: 0.6 s, 36 MB RSS and
+    # 8.5 MB of stdout at 150 (1.6 s and 194 MB with --format json), 1.1 s,
+    # 65 MB and 27 MB at 200 (2.8 s and 458 MB with --format json).
+    ("table", "--max"): 150,
+    # Every route: F_n has Theta(n^2) terms, so its text grows faster than n^3.
+    # At 800, 1.4-2.0 s, 152-166 MB RSS and 38 MB of stdout (2.0-2.7 s and
+    # 223-245 MB with --format json); at 1000, 2.8-3.8 s, 290-314 MB and 75 MB
+    # (3.7-4.8 s and 397-436 MB with --format json).
+    ("fib", "--n"): 800,
+    # --eval prints F_n itself, as `fib` does: 1.6 s and 163 MB RSS at 800 (2.5 s
+    # and 242 MB with --format json), 3.2 s and 309 MB at 1000 (4.6 s and 431 MB).
+    # The Q[D] form alone takes 0.13 s at 800, 0.8 s at 5000, 4.1-4.6 s at 10000.
+    ("op", "--n"): 800,
+    # `gf --which cube`: 1.9 s and 51 MB RSS at 500, 5.8 s and 125 MB at 800.
+    ("gf", "--order"): 500,
+    # `gf --which shifted`, whose coefficients are F_(m+k) for k below the order:
+    # 2.2 s, 81 MB RSS and 62 MB of stdout at 1000 and --order 500 (0.19 s at
+    # --order 4), 5.4 s, 167 MB and 196 MB at 2000 (0.28 s at --order 4).
+    ("gf", "--m"): 1000,
+    # 0.8 s, 89 MB RSS and 10 MB of stdout at n = 100, k = 50, 2.5 s, 286 MB and
+    # 52 MB at 150 (6.8 s and 727 MB with --format json), 3.8 s, 460 MB and 95 MB
+    # at n = 175, k = 87.
+    ("qh binom", "--n"): 150,
+    # 0.9 s and 89 MB RSS at 60, 1.7 s and 156 MB at 70, 3.6 s and 323 MB at 85.
+    ("qh fib", "--n"): 70,
+    # Every route; Binet is the slowest: 0.65-0.68 s and 18 MB RSS at 1000,
+    # 3.5-3.9 s and 22 MB at 2000; the other routes take 0.2-0.3 s at 2000.
+    ("eval", "--n"): 2000,
+}
 
 # Markdown `verify` lists at most this many failures per group.
 MARKDOWN_FAILURES = 20
@@ -132,8 +130,6 @@ def _dump_json(data) -> str:
 
 
 def cmd_pascal(args) -> int:
-    if args.rows > PASCAL_MAX_ROWS:
-        raise ValueError(f"pascal --rows is capped at {PASCAL_MAX_ROWS}, got --rows {args.rows}")
     triangle = pascal.pascal_triangle(args.rows)
     if args.format == "json":
         data = {
@@ -144,13 +140,11 @@ def cmd_pascal(args) -> int:
         }
         print(_dump_json(data))
     elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(["n", "k", "value"])
         for row in triangle:
             for k, entry in enumerate(row.entries):
                 writer.writerow([row.n, k, str(entry)])
-        print(buf.getvalue(), end="")
     else:
         print("| n | k | value |")
         print("| --- | --- | --- |")
@@ -161,11 +155,6 @@ def cmd_pascal(args) -> int:
 
 
 def cmd_fib(args) -> int:
-    if args.route == "recurrence" and args.n > RECURRENCE_MAX_N:
-        raise ValueError(
-            f"--route recurrence is capped at n = {RECURRENCE_MAX_N}, got n = {args.n}; "
-            "use --route hypergeom for larger n"
-        )
     value = _ROUTES[args.route][0](args.n)
     if args.format == "json":
         print(_dump_json({"n": args.n, "route": args.route, "terms": value.to_json_terms()}))
@@ -175,8 +164,6 @@ def cmd_fib(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.max > TABLE_MAX:
-        raise ValueError(f"table --max is capped at {TABLE_MAX}, got --max {args.max}")
     table = fibonacci.fib_table(args.max)
     if args.format == "json":
         data = {
@@ -215,12 +202,8 @@ def cmd_op(args) -> int:
 
 
 def cmd_gf(args) -> int:
-    if args.order > GF_MAX_ORDER:
-        raise ValueError(f"gf --order is capped at {GF_MAX_ORDER}, got --order {args.order}")
     if args.m is not None and args.which != "shifted":
         raise ValueError(f"gf --which {args.which} does not read --m; only --which shifted does")
-    if args.m is not None and args.m > GF_MAX_M:
-        raise ValueError(f"gf --m is capped at {GF_MAX_M}, got --m {args.m}")
     m = 1 if args.m is None else args.m
     ratfun = genfun.build_gf(args.which, m)
     series = genfun.series_expand(ratfun, args.order)
@@ -242,9 +225,6 @@ def cmd_gf(args) -> int:
 
 
 def cmd_qh(args) -> int:
-    cap = QH_MAX_N[args.object]
-    if args.n > cap:
-        raise ValueError(f"qh {args.object} --n is capped at {cap}, got --n {args.n}")
     if args.object == "binom":
         value = qh.qh_binomial(args.n, args.k)
     else:
@@ -260,8 +240,6 @@ def cmd_qh(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.n > EVAL_MAX_N:
-        raise ValueError(f"eval --n is capped at {EVAL_MAX_N}, got --n {args.n}")
     value = operators.op_value(_ROUTES[args.route][1](args.n), args.h, args.hp)
     if args.format == "json":
         print(
@@ -505,6 +483,15 @@ def main(argv=None) -> int:
         # Every subcommand with --n takes a non-negative index only.
         if getattr(args, "n", 0) < 0:
             raise ValueError(f"--n takes a non-negative index, got --n {args.n}")
+        # A size flag above its cap is refused here, before any work, under the
+        # command's name in _CAPS (`gf --m` is None when not given).
+        command = "table" if args.command == "table2" else args.command
+        if command == "qh":
+            command = f"qh {args.object}"
+        for (name, flag), cap in _CAPS.items():
+            value = getattr(args, flag[2:]) if name == command else None
+            if value is not None and value > cap:
+                raise ValueError(f"{command} {flag} is capped at {cap}, got {flag} {value}")
         if getattr(args, "route", None) == "hypergeom" and args.n == 0:
             raise ValueError(
                 "--route hypergeom is defined for n >= 1; "

@@ -273,19 +273,8 @@ def test_verify_bound_below_one_exits_2(argv, monkeypatch, capsys) -> None:
     assert "must be at least 1" in capsys.readouterr().err
 
 
-def _refuse_route(n):
-    pytest.fail("the route started")
-
-
-@pytest.mark.parametrize("argv", [("fib", "--n", "450", "--route", "recurrence")])
-def test_recurrence_route_cap_exits_2(argv, monkeypatch, capsys) -> None:
-    monkeypatch.setitem(cli._ROUTES, "recurrence", (_refuse_route, _refuse_route))
-    code = cli.main(list(argv))
-    err = capsys.readouterr().err
-    assert code == 2
-    assert "--route recurrence" in err
-    assert str(cli.RECURRENCE_MAX_N) in err
-    assert "--route hypergeom" in err
+def _refuse_build(*args):
+    pytest.fail("the build started")
 
 
 @pytest.mark.parametrize(
@@ -296,7 +285,7 @@ def test_recurrence_route_cap_exits_2(argv, monkeypatch, capsys) -> None:
     ],
 )
 def test_hypergeom_route_refuses_n_0_and_names_routes_that_take_it(argv, monkeypatch, capsys) -> None:
-    monkeypatch.setitem(cli._ROUTES, "hypergeom", (_refuse_route, _refuse_route))
+    monkeypatch.setitem(cli._ROUTES, "hypergeom", (_refuse_build, _refuse_build))
     code = cli.main(list(argv))
     err = capsys.readouterr().err
     assert code == 2
@@ -306,19 +295,6 @@ def test_hypergeom_route_refuses_n_0_and_names_routes_that_take_it(argv, monkeyp
         build, form = cli._ROUTES[route]
         assert build(0) == 0
         assert cli.operators.op_value(form(0), 1, 1) == 0
-
-
-@pytest.mark.parametrize("route", ["diagonal", "recurrence", "hypergeom", "binet"])
-def test_eval_n_above_cap_exits_2(route, monkeypatch, capsys) -> None:
-    # one cap for every route, refused before either form of F_n is built
-    for name in cli._ROUTES:
-        monkeypatch.setitem(cli._ROUTES, name, (_refuse_route, _refuse_route))
-    n = cli.EVAL_MAX_N + 1
-    code = cli.main(["eval", "--n", str(n), "--route", route, "--h", "1", "--hp", "1"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == f"error: eval --n is capped at {cli.EVAL_MAX_N}, got --n {n}\n"
 
 
 @pytest.mark.parametrize("route", ["diagonal", "recurrence", "hypergeom", "binet"])
@@ -347,7 +323,7 @@ def test_eval_at_cap_runs_and_the_routes_agree(capsys) -> None:
     # binet, the slowest route, takes seconds at the cap, so it is left out here
     values = set()
     for route in ("diagonal", "recurrence", "hypergeom"):
-        argv = ("eval", "--n", str(cli.EVAL_MAX_N), "--route", route, "--h", "1/10", "--hp", "1/2")
+        argv = ("eval", "--n", str(cli._CAPS["eval", "--n"]), "--route", route, "--h", "1/10", "--hp", "1/2")
         code, out = run_cli(*argv, capsys=capsys)
         assert code == 0
         values.add(out)
@@ -416,87 +392,108 @@ def test_verify_max_above_cap_exits_2(argv, refused, monkeypatch, capsys) -> Non
         assert (f"verify {suite} ({record.cap})" in err) == (suite in refused)
 
 
-def test_gf_order_above_cap_exits_2(monkeypatch, capsys) -> None:
-    monkeypatch.setattr(cli.genfun, "build_gf", lambda *a: pytest.fail("the expansion started"))
-    order = cli.GF_MAX_ORDER + 1
-    code = cli.main(["gf", "--which", "cube", "--order", str(order)])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == f"error: gf --order is capped at {cli.GF_MAX_ORDER}, got --order {order}\n"
+def _instant_route(n):
+    return HPoly.one()
 
 
-def test_gf_m_above_cap_exits_2(monkeypatch, capsys) -> None:
-    monkeypatch.setattr(cli.genfun, "build_gf", lambda *a: pytest.fail("the expansion started"))
-    m = cli.GF_MAX_M + 1
-    code = cli.main(["gf", "--which", "shifted", "--m", str(m), "--order", "4"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == f"error: gf --m is capped at {cli.GF_MAX_M}, got --m {m}\n"
+# For each (command, flag) of cli._CAPS: the argv variants that flag is refused
+# alike in (every route, format and alias), each without the capped flag, and
+# the builders as (namespace, name, stub that answers at once).
+CAPPED_ARGV = {
+    ("pascal", "--rows"): (
+        [("pascal", "--format", fmt) for fmt in ("markdown", "json", "csv")],
+        [(cli.pascal, "pascal_triangle", lambda rows: [])],
+    ),
+    ("table", "--max"): (
+        [(command, "--format", fmt) for command in ("table", "table2") for fmt in ("markdown", "json")],
+        [(cli.fibonacci, "fib_table", lambda n_max: cli.fibonacci.FibTable((), ()))],
+    ),
+    ("fib", "--n"): (
+        [("fib", "--route", route, "--format", fmt) for route in cli._ROUTES for fmt in ("text", "json")],
+        [(cli._ROUTES, route, (_instant_route, _instant_route)) for route in cli._ROUTES],
+    ),
+    ("op", "--n"): (
+        [("op", *flags, "--format", fmt) for flags in ((), ("--eval",)) for fmt in ("text", "json")],
+        [
+            (cli.operators, "fib_op", lambda n: cli.operators.OpPoly.one()),
+            (cli.operators, "op_eval", lambda x: HPoly.one()),
+        ],
+    ),
+    ("gf", "--order"): (
+        [("gf", "--which", which) for which in cli.genfun.GF_NAMES],
+        [
+            (cli.genfun, "build_gf", lambda which, m: cli.genfun.gf_shifted(1)),
+            (cli.genfun, "series_expand", lambda f, order: cli.genfun.OpSeries(())),
+        ],
+    ),
+    ("gf", "--m"): (
+        [("gf", "--which", "shifted", "--order", "4", "--format", fmt) for fmt in ("text", "json")],
+        [(cli.genfun, "build_gf", lambda which, m: cli.genfun.gf_shifted(1))],
+    ),
+    ("qh binom", "--n"): (
+        [("qh", "binom", "--k", "0", "--format", fmt) for fmt in ("text", "json")],
+        [(cli.qh, "qh_binomial", lambda n, k: HPoly.one())],
+    ),
+    ("qh fib", "--n"): (
+        [("qh", "fib", "--format", fmt) for fmt in ("text", "json")],
+        [(cli.qh, "q_fibonacci", lambda n: HPoly.one())],
+    ),
+    ("eval", "--n"): (
+        [("eval", "--route", route, "--h", "1", "--hp", "1") for route in cli._ROUTES],
+        [(cli._ROUTES, route, (_instant_route, lambda n: cli.operators.OpPoly.one())) for route in cli._ROUTES],
+    ),
+}
 
 
-def test_gf_m_at_cap_runs(monkeypatch, capsys) -> None:
-    monkeypatch.setattr(cli.genfun, "build_gf", lambda which, m: cli.genfun.gf_shifted(1))
-    assert cli.main(["gf", "--which", "shifted", "--m", str(cli.GF_MAX_M), "--order", "4"]) == 0
+CAP_IDS = [f"{command} {flag}" for command, flag in cli._CAPS]
 
 
-def test_gf_order_at_cap_runs(monkeypatch, capsys) -> None:
-    monkeypatch.setattr(cli.genfun, "series_expand", lambda f, order: cli.genfun.OpSeries(()))
-    assert cli.main(["gf", "--which", "cube", "--order", str(cli.GF_MAX_ORDER)]) == 0
+def _plant(monkeypatch, builders, refuse: bool) -> None:
+    for namespace, name, stub in builders:
+        if refuse:
+            stub = (_refuse_build, _refuse_build) if isinstance(stub, tuple) else _refuse_build
+        if isinstance(namespace, dict):
+            monkeypatch.setitem(namespace, name, stub)
+        else:
+            monkeypatch.setattr(namespace, name, stub)
 
 
-@pytest.mark.parametrize(("obj", "extra"), [("binom", ("--k", "0")), ("fib", ())])
-def test_qh_n_above_cap_exits_2(obj, extra, monkeypatch, capsys) -> None:
-    for builder in ("qh_binomial", "q_fibonacci"):
-        monkeypatch.setattr(cli.qh, builder, lambda *a: pytest.fail("the build started"))
-    cap = cli.QH_MAX_N[obj]
-    code = cli.main(["qh", obj, "--n", str(cap + 1), *extra])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == f"error: qh {obj} --n is capped at {cap}, got --n {cap + 1}\n"
+@pytest.mark.parametrize(("command", "flag"), list(cli._CAPS), ids=CAP_IDS)
+def test_size_flag_above_cap_exits_2_before_any_work(command, flag, monkeypatch, capsys) -> None:
+    variants, builders = CAPPED_ARGV[command, flag]
+    _plant(monkeypatch, builders, refuse=True)
+    cap = cli._CAPS[command, flag]
+    for argv in variants:
+        code = cli.main([*argv, flag, str(cap + 1)])
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err == f"error: {command} {flag} is capped at {cap}, got {flag} {cap + 1}\n"
 
 
-@pytest.mark.parametrize(("obj", "extra"), [("binom", ("--k", "0")), ("fib", ())])
-def test_qh_n_at_cap_runs(obj, extra, monkeypatch, capsys) -> None:
-    for builder in ("qh_binomial", "q_fibonacci"):
-        monkeypatch.setattr(cli.qh, builder, lambda *a: cli.qh.HPoly.one())
-    assert cli.main(["qh", obj, "--n", str(cli.QH_MAX_N[obj]), *extra]) == 0
-    assert capsys.readouterr().out == "1\n"
+@pytest.mark.parametrize(("command", "flag"), list(cli._CAPS), ids=CAP_IDS)
+def test_size_flag_at_cap_runs(command, flag, monkeypatch, capsys) -> None:
+    variants, builders = CAPPED_ARGV[command, flag]
+    _plant(monkeypatch, builders, refuse=False)
+    for argv in variants:
+        assert cli.main([*argv, flag, str(cli._CAPS[command, flag])]) == 0, argv
+        assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("fmt", ["markdown", "json", "csv"])
-def test_pascal_rows_above_cap_exits_2(fmt, monkeypatch, capsys) -> None:
-    monkeypatch.setattr(cli.pascal, "pascal_triangle", lambda rows: pytest.fail("the build started"))
-    rows = cli.PASCAL_MAX_ROWS + 1
-    code = cli.main(["pascal", "--rows", str(rows), "--format", fmt])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == f"error: pascal --rows is capped at {cli.PASCAL_MAX_ROWS}, got --rows {rows}\n"
-
-
-def test_pascal_rows_at_cap_runs(monkeypatch, capsys) -> None:
-    monkeypatch.setattr(cli.pascal, "pascal_triangle", lambda rows: [])
-    assert cli.main(["pascal", "--rows", str(cli.PASCAL_MAX_ROWS)]) == 0
-
-
-@pytest.mark.parametrize("command", ["table", "table2"])
-@pytest.mark.parametrize("fmt", ["markdown", "json"])
-def test_table_max_above_cap_exits_2(command, fmt, monkeypatch, capsys) -> None:
-    monkeypatch.setattr(cli.fibonacci, "fib_table", lambda n_max: pytest.fail("the build started"))
-    n_max = cli.TABLE_MAX + 1
-    code = cli.main([command, "--max", str(n_max), "--format", fmt])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == f"error: table --max is capped at {cli.TABLE_MAX}, got --max {n_max}\n"
-
-
-def test_table_max_at_cap_runs(monkeypatch, capsys) -> None:
-    monkeypatch.setattr(cli.fibonacci, "fib_table", lambda n_max: cli.fibonacci.FibTable((), ()))
-    assert cli.main(["table", "--max", str(cli.TABLE_MAX)]) == 0
+def test_every_int_flag_outside_verify_is_capped() -> None:
+    # qh binom --k needs no cap of its own: a k above n returns 0 at once, so --n bounds it
+    exempt = {("qh binom", "--k")}
+    int_flags = set()
+    parsers = [cli.build_parser()]
+    while parsers:
+        parser = parsers.pop()
+        command = parser.prog.removeprefix("hfib").strip()
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif action.type is int and command != "verify":
+                int_flags.add((command, action.option_strings[0]))
+    assert int_flags - exempt == set(cli._CAPS)
 
 
 @pytest.mark.parametrize(

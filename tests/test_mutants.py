@@ -56,6 +56,11 @@ def _hfib_diagonal_off_at_7(n):
     return _HFIB_DIAGONAL(n) + H if n == 7 else _HFIB_DIAGONAL(n)
 
 
+def _hfib_diagonal_plus_1_at_7(n):
+    # unlike + h, survives h -> 0, so the classical limit sees it
+    return _HFIB_DIAGONAL(n) + 1 if n == 7 else _HFIB_DIAGONAL(n)
+
+
 _Q_BINOMIAL = qh.q_binomial
 
 
@@ -86,6 +91,12 @@ _FIB_OP = operators.fib_op
 
 def _fib_op_off_at_7(n):
     return _FIB_OP(n) + D if n == 7 else _FIB_OP(n)
+
+
+def _lambda_plus_odd_part_off():
+    # lambda_+ = 1/2 + (1/2) s with the odd part 1/2 + D
+    half = operators.OpPoly.const(Fraction(1, 2))
+    return operators.SqrtExt(half, half + D)
 
 
 _QH_POWER = operators.qh_power
@@ -144,6 +155,18 @@ MUTANTS = {
         ((fibonacci, "hfib_diagonal", _hfib_diagonal_off_at_7),),
         ("fib-odd-even-sums", "fib-partial-sum", "fib-route-equivalence"),
     ),
+    "hfib_diagonal(7) + 1": (
+        ((fibonacci, "hfib_diagonal", _hfib_diagonal_plus_1_at_7),),
+        (
+            "fib-route-equivalence",
+            "fib-classical-limit",
+            "fib-partial-sum",
+            "fib-odd-even-sums",
+            "fib-doubling-sum",
+            "fib-alternating-sum",
+            "fib-negative-reflection",
+        ),
+    ),
     "q_binomial(6, 3) + (q - 1) q": (
         ((qh, "q_binomial", _q_binomial_off_at_6_3),),
         ("qh-recurrences",),
@@ -179,6 +202,11 @@ MUTANTS = {
             "op-binet",
             "gf-expansions",
         ),
+    ),
+    # only op-symmetric-lemmas reads the extension roots
+    "lambda_plus with D added to its odd part": (
+        ((operators, "lambda_plus", _lambda_plus_odd_part_off),),
+        ("op-symmetric-lemmas",),
     ),
     "qh_power(7) with a12 + D": (
         ((operators, "qh_power", _qh_power_off_at_7),),
