@@ -458,17 +458,43 @@ def _plant(monkeypatch, builders, refuse: bool) -> None:
             monkeypatch.setattr(namespace, name, stub)
 
 
+def _assert_refused_above_cap(command, flag, argv, capsys) -> None:
+    cap = cli._CAPS[command, flag]
+    code = cli.main([*argv, flag, str(cap + 1)])
+    captured = capsys.readouterr()
+    assert code == 2, argv
+    assert captured.out == ""
+    assert captured.err == f"error: {command} {flag} is capped at {cap}, got {flag} {cap + 1}\n"
+
+
 @pytest.mark.parametrize(("command", "flag"), list(cli._CAPS), ids=CAP_IDS)
 def test_size_flag_above_cap_exits_2_before_any_work(command, flag, monkeypatch, capsys) -> None:
     variants, builders = CAPPED_ARGV[command, flag]
     _plant(monkeypatch, builders, refuse=True)
-    cap = cli._CAPS[command, flag]
     for argv in variants:
-        code = cli.main([*argv, flag, str(cap + 1)])
-        captured = capsys.readouterr()
-        assert code == 2, argv
-        assert captured.out == ""
-        assert captured.err == f"error: {command} {flag} is capped at {cap}, got {flag} {cap + 1}\n"
+        _assert_refused_above_cap(command, flag, argv, capsys)
+
+
+@pytest.mark.parametrize("route", ["diagonal", "recurrence", "hypergeom", "binet"])
+def test_eval_n_above_cap_exits_2(route, monkeypatch, capsys) -> None:
+    # one cap for every route, refused before either form of F_n is built
+    _plant(monkeypatch, CAPPED_ARGV["eval", "--n"][1], refuse=True)
+    argv = ("eval", "--route", route, "--h", "1", "--hp", "1")
+    _assert_refused_above_cap("eval", "--n", argv, capsys)
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "json", "csv"])
+def test_pascal_rows_above_cap_exits_2(fmt, monkeypatch, capsys) -> None:
+    _plant(monkeypatch, CAPPED_ARGV["pascal", "--rows"][1], refuse=True)
+    _assert_refused_above_cap("pascal", "--rows", ("pascal", "--format", fmt), capsys)
+
+
+@pytest.mark.parametrize("command", ["table", "table2"])
+@pytest.mark.parametrize("fmt", ["markdown", "json"])
+def test_table_max_above_cap_exits_2(command, fmt, monkeypatch, capsys) -> None:
+    # table2 is an alias of table, so its refusal names table
+    _plant(monkeypatch, CAPPED_ARGV["table", "--max"][1], refuse=True)
+    _assert_refused_above_cap("table", "--max", (command, "--format", fmt), capsys)
 
 
 @pytest.mark.parametrize(("command", "flag"), list(cli._CAPS), ids=CAP_IDS)
