@@ -67,8 +67,8 @@ _CAPS = {
     ("qh binom", "--n"): 150,
     # 0.9 s and 89 MB RSS at 60, 1.7 s and 156 MB at 70, 3.6 s and 323 MB at 85.
     ("qh fib", "--n"): 70,
-    # Every route; Binet is the slowest: 0.65-0.68 s and 18 MB RSS at 1000,
-    # 3.5-3.9 s and 22 MB at 2000; the other routes take 0.2-0.3 s at 2000.
+    # Every route; Binet is the slowest: 0.15 s and 17 MB RSS at 1000, 0.73 s and
+    # 17 MB at 2000, 2.5 s and 20 MB at 4000; the other routes take 0.14-0.28 s at 2000.
     ("eval", "--n"): 2000,
 }
 

@@ -252,20 +252,19 @@ def lambda_minus() -> SqrtExt:
 def binet_fib(n: int) -> OpPoly:
     """Operator Fibonacci number via (lp^n - lm^n) / (lp - lm), exactly.
 
-    lp - lm = s, so the quotient is the odd part of lp^n - lm^n; the even
-    part must vanish identically and is asserted to.  With lp, lm =
-    (1 +- s)/2 that odd part is the one of (1 + s)^n - (1 - s)^n, divided
-    by 2^n.  Both powers are raised in Z[D][s] and the division is exact
-    and asserted to, so no coefficient is ever a fraction (integer-
-    preserving arithmetic, as in Bareiss, Math. Comp. 22, 1968).
+    With lp, lm = (1 +- s)/2 and lp - lm = s, the quotient is 2/2^n times
+    the odd part (the coefficient of s) of (1 + s)^n, sum_i C(n, 2i+1) s^(2i);
+    s^2 = 1 + 4D makes that sum_i C(n, 2i+1) (1 + 4D)^i, summed by Horner's
+    rule in Z[D].  The division of twice that sum by 2^n is exact and
+    asserted to, so no coefficient is ever a fraction (integer-preserving
+    arithmetic, as in Bareiss, Math. Comp. 22, 1968).
     """
     if n < 0:
         raise ValueError("index must be non-negative")
-    one = OpPoly.one()
-    diff = SqrtExt(one, one) ** n - SqrtExt(one, -one) ** n
-    if not diff.even.is_zero:
-        raise ArithmeticError("even part of lambda_+^n - lambda_-^n did not cancel")
-    return _exact_quotient(diff.odd, 1 << n, "odd part of (1 + s)^n - (1 - s)^n")
+    odd = OpPoly.zero()
+    for i in range((n - 1) // 2, -1, -1):
+        odd = odd * _DISCRIMINANT + comb(n, 2 * i + 1)
+    return _exact_quotient(2 * odd, 1 << n, "twice the odd part of (1 + s)^n")
 
 
 @lru_cache(maxsize=None)
@@ -278,7 +277,7 @@ def annihilator(k: int, step: int = 1) -> tuple[OpPoly, ...]:
     its order k + 1 bounds the initial values that fix such a sequence
     (Zeilberger, "The C-finite ansatz", Ramanujan J. 31, 2013).
 
-    Built as binet_fib is: with lp, lm = (1 +- s)/2 each factor is scaled
+    Built in Z[D][s]: with lp, lm = (1 +- s)/2 each factor is scaled
     to 2^(step k) x - (1 + s)^(step a) (1 - s)^(step (k-a)) in Z[D][s].
     The s-parts of the product must cancel and its one division by
     2^(step k (k+1)) must be exact; both are asserted.

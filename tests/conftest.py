@@ -1,8 +1,15 @@
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 from hypothesis import HealthCheck, settings
+
+# import hfib from this checkout's src, here and in every subprocess a test starts
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+sys.path.insert(0, SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 settings.register_profile(
     "ci",

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import ast
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -49,10 +48,8 @@ def test_cli_import_loads_no_dataclasses_or_inspect() -> None:
         "import json, sys; before = set(sys.modules); import hfib.cli; "
         "print(json.dumps(sorted(set(sys.modules) - before)))"
     )
-    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
     out = subprocess.run(
         [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,

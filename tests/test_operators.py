@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hfib import algebra, operators
+from hfib import algebra, fibonacci, operators
 from hfib.algebra import H, HP, HPoly, shifted_factorial
 from hfib.fibonacci import classical_fib, hfib_diagonal
 from hfib.operators import (
@@ -183,8 +183,26 @@ def test_sqrt_ext_squares() -> None:
 @given(st.integers(min_value=0, max_value=25))
 @example(120)
 @example(240)
+@example(1000)
 def test_binet_route(n: int) -> None:
     assert binet_fib(n) == fib_op(n)
+
+
+def test_binet_route_reads_no_other_route(monkeypatch) -> None:
+    # an independent route: no other F_n builder, no D-image and no power in Z[D][s]
+    expected = {n: fib_op(n) for n in (0, 1, 2, 7, 60, 301)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Binet route read another route")
+
+    monkeypatch.setattr(operators, "fib_op", refuse)
+    monkeypatch.setattr(fibonacci, "recurrence_op", refuse)
+    monkeypatch.setattr(fibonacci, "hypergeometric_op", refuse)
+    monkeypatch.setattr(algebra, "d_image", refuse)
+    monkeypatch.setattr(operators, "d_image", refuse)
+    monkeypatch.setattr(SqrtExt, "__pow__", refuse)
+    for n, value in expected.items():
+        assert binet_fib(n) == value, n
 
 
 def test_binet_coefficients_are_int() -> None:
