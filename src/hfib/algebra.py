@@ -42,7 +42,7 @@ from math import lcm
 from operator import mul, or_
 from typing import Iterable, Sequence, Union
 
-from hfib.kernels import kadd, kmul, kpow, kscale, taylor_shift
+from hfib.kernels import kadd, kmul, kpow, kscale, ksub, taylor_shift
 
 Scalar = Union[int, Fraction]
 
@@ -55,6 +55,7 @@ _LANE_MASK = (1 << _LANE_BITS) - 1
 _HP_SHIFT = _LANE_BITS
 _H_SHIFT = 2 * _LANE_BITS
 _GUARD = (_LANE_LIMIT << _H_SHIFT) | (_LANE_LIMIT << _HP_SHIFT) | _LANE_LIMIT
+_KEY_BITS = 3 * _LANE_BITS
 
 
 class DivergentLimitError(ArithmeticError):
@@ -100,7 +101,8 @@ class TermRing:
 
     A subclass gives its variable names (VARIABLES, and _JSON_NAMES on the
     wire), its ring's name for messages (_RING), and the hooks `_exponents`
-    (key -> exponent tuple) and `_key` (exponents -> key, validating).
+    (key -> exponent tuple), `_key` (exponents -> key, validating) and
+    `_rank` (key -> an integer whose order is the canonical term order).
     Operands mix only with the same ring and with exact rationals.
     """
 
@@ -174,13 +176,13 @@ class TermRing:
         rhs = self._coerce_operand(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        return type(self)(ksub(self._terms, rhs._terms))
 
     def __rsub__(self, other):
         rhs = self._coerce_operand(other)
         if rhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return type(self)(ksub(rhs._terms, self._terms))
 
     def __mul__(self, other):
         if type(other) is type(self):
@@ -212,9 +214,8 @@ class TermRing:
 
     def _exponent_terms(self) -> list[tuple[tuple[int, ...], Scalar]]:
         """Terms as (exponent tuple, coeff) in canonical order."""
-        items = [(self._exponents(key), coeff) for key, coeff in self._terms.items()]
-        items.sort(key=lambda item: (sum(item[0]), item[0]))
-        return items
+        terms, exponents = self._terms, self._exponents
+        return [(exponents(key), terms[key]) for key in sorted(terms, key=self._rank)]
 
     def __str__(self) -> str:
         return render_terms(self._exponent_terms(), self.VARIABLES)
@@ -256,6 +257,12 @@ class HPoly(TermRing):
     _RING = "Q[h, hp, q]"
     _exponents = staticmethod(_unpack)
     _key = staticmethod(_pack)
+
+    @staticmethod
+    def _rank(key: int) -> int:
+        # total degree above the key, whose integer order is the lex order of its lanes
+        degree = (key >> _H_SHIFT) + ((key >> _HP_SHIFT) & _LANE_MASK) + (key & _LANE_MASK)
+        return (degree << _KEY_BITS) | key
 
     # -- construction ------------------------------------------------
 
@@ -421,18 +428,22 @@ class HPoly(TermRing):
         judged per monomial (no cancellation between monomials), which is
         the conservative contract this library checks against.
         """
-        total = Fraction(0)
+        whole = 0
+        part = Fraction(0)
         for key, coeff in self._terms.items():
-            eh, ehp, eq = _unpack(key)
-            if eq:
+            if key & _LANE_MASK:
                 raise ValueError("classical limit is defined only for q-free polynomials")
+            eh, ehp = key >> _H_SHIFT, (key >> _HP_SHIFT) & _LANE_MASK
             if eh < ehp:
                 raise DivergentLimitError(
                     f"monomial with h-exponent {eh} < hp-exponent {ehp} diverges as h -> 0"
                 )
             if eh == ehp:
-                total += coeff
-        return total
+                if type(coeff) is int:
+                    whole += coeff
+                else:
+                    part += coeff
+        return part + whole
 
 
 H = HPoly.variable("h")

@@ -76,9 +76,9 @@ def _rising_expand(x: OpPoly) -> HPoly:
     for k in range(x.degree):
         row = rows[-1]
         rows.append([*map(add, (0, *row), (*(k * c for c in row), 0))])
-    return HPoly.from_terms(
-        ((k, i, 0), c * r) for k, c in x.terms() for i, r in enumerate(rows[k])
-    )
+    terms = x._terms
+    assert all(type(c) is int for c in terms.values()), "F_n has integer D-coefficients"
+    return HPoly.from_hp_lanes((k, 0, [c * r for r in rows[k]]) for k, c in terms.items())
 
 
 def recurrence_op(n: int) -> OpPoly:

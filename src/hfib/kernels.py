@@ -1,4 +1,4 @@
-"""Kernels: the four term-map loops of hfib.algebra.TermRing and one dense-list shift.
+"""Kernels: the five term-map loops of hfib.algebra.TermRing and one dense-list shift.
 
 A term map is a dict from a non-negative integer exponent key to a
 nonzero exact rational coefficient (int or fractions.Fraction).  Keys
@@ -10,19 +10,24 @@ operator ring uses the bare exponent as the key.
 Coefficients live in an integral domain, so a product of nonzero
 coefficients is never zero and only sums need a zero check.  Kernels
 never mutate their arguments and never store a zero coefficient.
+ksub is a - b in one pass, with no negated copy of b.
 
-kmul has two product paths, chosen from its operands.  Dense maps with
-int coefficients and at least _KRONECKER_MIN_TERMS terms on the shorter
-side are multiplied by Kronecker substitution: each is packed into one
-big integer, with one coefficient per fixed-width byte lane, the two
-integers are multiplied once (CPython uses Karatsuba at this size) and
-the product is read back lane by lane (Kronecker, 1882; Harvey, "Faster
-polynomial multiplication via multipoint Kronecker substitution",
-J. Symbolic Comput. 44, 2009).  Everything else (small products,
+kmul has three product paths, chosen from its operands.  A one-term
+operand c x^k moves every key of the other by k and scales its
+coefficients by c, and kpow raises a one-term map to {k*n: c**n}.  Dense
+maps with int coefficients and at least _KRONECKER_MIN_TERMS terms on
+the shorter side are multiplied by Kronecker substitution: each is
+packed into one big integer, with one coefficient per fixed-width lane,
+the two integers are multiplied once (CPython uses Karatsuba at this
+size) and the product is read back lane by lane (Kronecker, 1882;
+Harvey, "Faster polynomial multiplication via multipoint Kronecker
+substitution", J. Symbolic Comput. 44, 2009).  Lanes of 1, 2, 4 or 8
+bytes are machine words that `array` packs and reads in C; wider
+coefficients take byte lanes.  Everything else (small products,
 Fraction coefficients and the sparse packed keys of hfib.algebra) takes
 the schoolbook double loop.
 
-The fifth kernel, taylor_shift, works on a dense list of int
+The sixth kernel, taylor_shift, works on a dense list of int
 coefficients of one variable rather than on a term map: it returns the
 coefficients of p(x + delta) by additions only (von zur Gathen &
 Gerhard, "Fast algorithms for Taylor shifts and certain difference
@@ -33,20 +38,31 @@ Q[D], where its shift is a move of the coefficient list by one place.
 
 from __future__ import annotations
 
-from itertools import accumulate
+import sys
+from array import array
+from itertools import accumulate, repeat
 from typing import Sequence
 
 # Shorter-operand term count from which kmul tries the Kronecker path.
-# Packing costs a fixed 10-20 us, so below about 8 x 8 terms the schoolbook
-# loop wins.  Replaying the dense int products of op-ring's suites with at
-# least 4 terms on the shorter side took 361 ms by schoolbook alone and
-# 289 / 281 / 276 / 277 ms with this at 6 / 8 / 9 / 10; on `hfib verify all`
-# a value below 8 cost time (12.5 ms at 6, 10.4 ms by schoolbook alone).
-# perfbench op-ring runs of 20 s could not tell 6, 8, 10 and 12 apart.
+# Packing costs a fixed few microseconds, so below about 8 x 8 terms the
+# schoolbook loop wins.  Replaying the 5,911 dense int products of op-ring's
+# suites with at least 4 terms on the shorter side (21 interleaved rounds,
+# word lanes) took, as a median share of the schoolbook time in the same
+# round, 0.568 / 0.589 / 0.593 / 0.594 / 0.620 / 0.618 / 0.643 with this at
+# 6 / 7 / ... / 12; the 502 such products of `hfib verify all` took
+# 1.096 / 1.009 / 1.006 / 0.992 / 0.998 / 1.002 / 0.986.  6 is best on the
+# first and worst on the second, and no value beats 9 on both by more than
+# the quartile spread of its rounds (0.57-0.70 on op-ring).
 _KRONECKER_MIN_TERMS = 9
 # A map is dense enough to pack when its largest key is below this many
 # times its term count; every lane up to the largest key is packed.
 _KRONECKER_SPAN = 2
+
+# (item size, signed typecode) of the machine words that carry Kronecker lanes,
+# narrowest first; sizes are read from `array`, not assumed.
+_WORD_CODES = sorted({array(code).itemsize: code for code in "bhilq"}.items())
+# `array` words are in native byte order; lanes are little-endian words.
+_BIG_ENDIAN = sys.byteorder == "big"
 
 _INT_ONLY = frozenset((int,))
 
@@ -63,6 +79,23 @@ def kadd(a: dict, b: dict) -> dict:
             out[key] = coeff
         else:
             total = have + coeff
+            if total:
+                out[key] = total
+            else:
+                del out[key]
+    return out
+
+
+def ksub(a: dict, b: dict) -> dict:
+    if not b:
+        return dict(a)
+    out = dict(a)
+    for key, coeff in b.items():
+        have = out.get(key)
+        if have is None:
+            out[key] = -coeff
+        else:
+            total = have - coeff
             if total:
                 out[key] = total
             else:
@@ -92,8 +125,14 @@ def _kronecker(a: dict, b: dict) -> dict | None:
     coefficient: each is a sum of at most len(a) products, so its size is
     below 2**(bits(max|a|) + bits(max|b|) + bits(len(a))), and one more bit
     carries the sign.  Lanes are read back as balanced digits: adding
-    `half` to every lane makes each one non-negative, so byte slices give
-    the coefficients exactly, negative ones and cancellations included.
+    `half` to every lane makes each one non-negative, so the lanes give the
+    coefficients exactly, negative ones and cancellations included.
+
+    Lanes of 1, 2, 4 or 8 bytes are signed machine words, written and read
+    by `array` in C.  A two's-complement word w of a coefficient c is
+    (c + half) ^ half, so XOR with the packed halves turns a map of words
+    into its biased lanes and, after the product, biased lanes back into
+    words.  Wider coefficients take byte lanes, one slice per lane.
     """
     top_a, top_b = max(a), max(b)
     if top_a >= _KRONECKER_SPAN * len(a) or top_b >= _KRONECKER_SPAN * len(b):
@@ -107,15 +146,32 @@ def _kronecker(a: dict, b: dict) -> dict | None:
         + len(a).bit_length()
         + 1
     )
-    width = (bits + 7) >> 3
-    half = 1 << (8 * width - 1)
     lanes = top_a + top_b + 1
-    product = _pack(a, top_a, width, half) * _pack(b, top_b, width, half)
+    for width, code in _WORD_CODES:
+        if bits <= 8 * width:
+            break
+    else:
+        width, code = (bits + 7) >> 3, None
+    half = 1 << (8 * width - 1)
     from_bytes = int.from_bytes
-    biased = product + from_bytes(half.to_bytes(width, "little") * lanes, "little")
-    raw = biased.to_bytes(lanes * width, "little")
-    coeffs = [from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
-    return {key: coeff for key, coeff in enumerate(coeffs) if coeff}
+    halves = from_bytes(half.to_bytes(width, "little") * lanes, "little")
+    if code is None:
+        product = _pack(a, top_a, width, half) * _pack(b, top_b, width, half)
+        raw = (product + halves).to_bytes(lanes * width, "little")
+        coeffs = [from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
+        return {key: coeff for key, coeff in enumerate(coeffs) if coeff}
+    product = 1
+    for m, top in ((a, top_a), (b, top_b)):
+        words = array(code, map(m.get, range(top + 1), repeat(0)))
+        if _BIG_ENDIAN:
+            words.byteswap()
+        # the halves above a map's top lane are added by the XOR and taken off again
+        product *= (from_bytes(words, "little") ^ halves) - halves
+    words = array(code)
+    words.frombytes(((product + halves) ^ halves).to_bytes(lanes * width, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return {key: coeff for key, coeff in enumerate(words) if coeff}
 
 
 def kmul(a: dict, b: dict) -> dict:
@@ -123,6 +179,9 @@ def kmul(a: dict, b: dict) -> dict:
         return {}
     if len(a) > len(b):
         a, b = b, a
+    if len(a) == 1:
+        ((ka, ca),) = a.items()
+        return {ka + kb: ca * cb for kb, cb in b.items()}
     if len(a) >= _KRONECKER_MIN_TERMS:
         out = _kronecker(a, b)
         if out is not None:
@@ -159,6 +218,11 @@ def binary_power(base, n: int, one, mul):
 def kpow(a: dict, n: int) -> dict:
     if n < 0:
         raise ValueError("kpow exponent must be non-negative")
+    if n == 0:
+        return {0: 1}
+    if len(a) == 1:
+        ((key, coeff),) = a.items()
+        return {key * n: coeff**n}
     return binary_power(a, n, {0: 1}, kmul)
 
 

@@ -61,6 +61,10 @@ class OpPoly(TermRing):
             raise ValueError("D-exponents must be non-negative")
         return exp
 
+    @staticmethod
+    def _rank(key: int) -> int:
+        return key  # the key is the degree
+
     @classmethod
     def from_coeffs(cls, coeffs: dict[int, Scalar]) -> "OpPoly":
         return cls.from_terms(((exp,), coeff) for exp, coeff in coeffs.items())
@@ -158,6 +162,11 @@ class OpMatrix2(NamedTuple):
         )
 
     def __mul__(self, other) -> "OpMatrix2":
+        if other is self:
+            # Q[D] is commutative, so a square takes five products, not eight
+            a, b, c, d = self
+            bc, trace = b * c, a + d
+            return OpMatrix2(a * a + bc, b * trace, c * trace, d * d + bc)
         if isinstance(other, OpMatrix2):
             return OpMatrix2(
                 self.a11 * other.a11 + self.a12 * other.a21,

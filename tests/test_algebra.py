@@ -183,8 +183,10 @@ def test_exponent_overflow_guard() -> None:
         (HP ** (2**20)) ** 4
     for var in (H, HP, Q):
         big = var ** (2**20)
-        with pytest.raises(OverflowError):
-            big * big
+        # one-term products and powers are key moves, still behind the guard
+        for overflowing in (lambda: big * big, lambda: big * (big + 1), lambda: big**2):
+            with pytest.raises(OverflowError):
+                overflowing()
         # a product reaching the capacity exactly in one lane is kept
         full = big * var ** (2**20 - 2) * (1 + var)
         assert full.max_exponents() == tuple(top if v is var else 0 for v in (H, HP, Q))

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from math import comb
 
@@ -21,7 +22,7 @@ term_maps = st.dictionaries(
 
 
 def test_four_kernels_are_exported() -> None:
-    for name in ("kadd", "kmul", "kpow", "kscale"):
+    for name in ("kadd", "kmul", "kpow", "kscale", "ksub"):
         assert callable(getattr(kernels, name))
 
 
@@ -60,6 +61,19 @@ def test_inputs_not_mutated(a: dict, b: dict) -> None:
 def test_no_zero_coefficients_in_results(a: dict, b: dict) -> None:
     for result in (kernels.kadd(a, b), kernels.kmul(a, b), kernels.kscale(a, 3)):
         assert all(result.values())
+
+
+@example({3: 5}, {3: 5})
+@example({}, {0: Fraction(1, 2)})
+@given(term_maps, term_maps)
+def test_ksub_is_one_pass_kadd_of_the_negation(a: dict, b: dict) -> None:
+    snap_a, snap_b = dict(a), dict(b)
+    got = kernels.ksub(a, b)
+    assert got == kernels.kadd(a, kernels.kscale(b, -1))
+    assert all(got.values())
+    assert kernels.ksub(a, a) == {}
+    assert kernels.ksub(a, {}) == a and kernels.ksub(a, {}) is not a
+    assert a == snap_a and b == snap_b
 
 
 # Kronecker-path coverage: dense int maps of 1-80 terms reach both sides of
@@ -142,6 +156,98 @@ def test_kronecker_path_gate() -> None:
     assert kernels._kronecker(sparse, dense) is None
     packed = {(key << 21) | key: 1 for key in range(_T)}
     assert kernels._kronecker(packed, dense) is None
+
+
+one_term_maps = st.dictionaries(
+    st.integers(min_value=0, max_value=1 << 12),
+    st.one_of(
+        st.integers(min_value=-(2**70), max_value=2**70).filter(bool),
+        st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool),
+    ),
+    min_size=1,
+    max_size=1,
+)
+
+
+@example({0: 1}, {})
+@example({7: -3}, {k: k + 1 for k in range(40)})
+@given(one_term_maps, st.one_of(term_maps, dense_int_maps))
+def test_one_term_product_is_a_key_move(a: dict, b: dict) -> None:
+    for left, right in ((a, b), (b, a)):
+        got = _check_product(left, right)
+        if all(type(c) is int for c in (*a.values(), *b.values())):
+            assert all(type(c) is int for c in got.values())
+
+
+@example({5: Fraction(1, 2)}, 0)
+@example({0: -1}, 7)
+@given(one_term_maps, st.integers(min_value=0, max_value=9))
+def test_one_term_power_is_a_key_move(a: dict, n: int) -> None:
+    snap = dict(a)
+    got = kernels.kpow(a, n)
+    expected = {0: 1}
+    for _ in range(n):
+        expected = oracle_term_product(expected, a)
+    assert got == expected
+    assert all(got.values())
+    # at n = 0 that is {0: 1} with an int, whatever the coefficient's type
+    assert [type(c) for c in got.values()] == [type(c) for c in expected.values()]
+    assert a == snap
+
+
+def test_word_lanes_are_chosen_by_item_size() -> None:
+    assert [size for size, _ in kernels._WORD_CODES] == [1, 2, 4, 8]
+    for size, code in kernels._WORD_CODES:
+        assert array(code).itemsize == size and code.islower()
+
+
+def _lane_bits(a: dict, b: dict) -> int:
+    # the lane size _kronecker derives, sign bit included; `a` is the shorter map
+    return (
+        max(map(abs, a.values())).bit_length()
+        + max(map(abs, b.values())).bit_length()
+        + len(a).bit_length()
+        + 1
+    )
+
+
+def _edge_pairs(bits: int):
+    """Dense 9-term maps whose product needs lanes of exactly `bits` bits."""
+    x = (bits - 5) // 2
+    ma, mb = 2**x - 1, 2 ** (bits - 5 - x) - 1
+    keys = range(9)
+    yield {k: ma for k in keys}, {k: mb for k in keys}  # peak 9 * ma * mb, positive
+    yield {k: ma for k in keys}, {k: -mb for k in keys}  # the same peak, negative
+    # alternating signs: every odd lane cancels to zero
+    yield {k: (-1) ** k * ma for k in keys}, {k: mb for k in keys}
+    # (1 + x + ... + x^8)(1 - x + ... - x^7) = (1 - x^9)(1 + x^2 + x^4 + x^6): the
+    # shorter map has 8 terms, which take as many bits as 9
+    yield {k: ma for k in keys}, {k: (-1) ** k * mb for k in range(8)}
+
+
+@pytest.mark.parametrize("bits", [8, 9, 16, 17, 32, 33, 64, 65])
+def test_word_lanes_at_each_width_edge(bits: int, monkeypatch) -> None:
+    byte_packs = 0
+    pack = kernels._pack
+
+    def counting(*args):
+        nonlocal byte_packs
+        byte_packs += 1
+        return pack(*args)
+
+    monkeypatch.setattr(kernels, "_pack", counting)
+    for a, b in _edge_pairs(bits):
+        assert _lane_bits(a, b) == bits
+        expected = oracle_term_product(a, b)
+        got = kernels._kronecker(a, b)
+        assert got == expected
+        assert all(type(c) is int for c in got.values())
+        assert kernels.kmul(a, b) == expected == kernels.kmul(b, a)
+    # from 16 bits on, the peak 9 * ma * mb fills every bit of its lane but the sign
+    peak = oracle_term_product(*next(_edge_pairs(bits)))[8]
+    assert peak.bit_length() == bits - 1 or bits < 16
+    # 8-byte words hold lanes of up to 64 bits; wider ones take byte lanes
+    assert (byte_packs > 0) == (bits > 64)
 
 
 def _shift_by_definition(a: list[int], delta: int) -> list[int]:

@@ -50,6 +50,32 @@ def _kronecker_off_from_20_terms(a, b):
     return out
 
 
+_KMUL = kernels.kmul
+
+
+def _one_term_product_off_from_10_terms(a, b):
+    # top coefficient one too large on every one-term product of 10 or more terms
+    out = _KMUL(a, b)
+    if min(len(a), len(b)) == 1 and len(out) >= 10:
+        top = max(out)
+        out = {**out, top: out[top] + 1}
+    return out
+
+
+_KSUB = kernels.ksub
+
+
+def _ksub_sign_kept_from_10_terms(a, b):
+    # a - b keeps the sign of the first term of b that a lacks, both of 10 or more terms
+    out = _KSUB(a, b)
+    if len(a) >= 10 and len(b) >= 10:
+        for key, coeff in b.items():
+            if key not in a:
+                out[key] = coeff
+                break
+    return out
+
+
 _HFIB_DIAGONAL = fibonacci.hfib_diagonal
 
 
@@ -162,6 +188,32 @@ MUTANTS = {
     "Kronecker product top coefficient + 1 from 20 terms": (
         ((kernels, "_kronecker", _kronecker_off_from_20_terms),),
         ("op-cassini",),
+    ),
+    # kmul is planted in kernels too, where kpow squares through it
+    "one-term product top coefficient + 1 from 10 terms": (
+        (
+            (algebra, "kmul", _one_term_product_off_from_10_terms),
+            (kernels, "kmul", _one_term_product_off_from_10_terms),
+        ),
+        (
+            "pascal-recurrences",
+            "fib-partial-sum",
+            "fib-odd-even-sums",
+            "fib-doubling-sum",
+            "qh-recurrences",
+            "qh-q1-reduction",
+            "gf-expansions",
+            "op-matrix-powers",
+            "op-cassini",
+            "op-addition",
+            "op-power-sums",
+            "op-catalan",
+            "op-doubling",
+        ),
+    ),
+    "ksub keeps a sign from 10 terms": (
+        ((algebra, "ksub", _ksub_sign_kept_from_10_terms),),
+        ("gf-expansions", "op-cassini", "op-catalan", "op-docagne"),
     ),
     # h vanishes in the classical limit h -> 0 with h hp = 1
     "hfib_diagonal(7) + h": (

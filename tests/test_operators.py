@@ -153,6 +153,15 @@ def test_matrix_determinant_power(n: int) -> None:
     assert qh_power(n).det() == (-D) ** n
 
 
+@given(op_polys, op_polys, op_polys, op_polys)
+def test_matrix_square_equals_the_eight_product_form(a, b, c, d) -> None:
+    m = OpMatrix2(a, b, c, d)
+    eight = OpMatrix2(a * a + b * c, a * b + b * d, c * a + d * c, c * b + d * d)
+    assert m * m == eight
+    assert m**2 == eight
+    assert m * OpMatrix2(a, b, c, d) == eight
+
+
 def test_matrix_identity_and_pow_guard() -> None:
     ident = OpMatrix2.identity()
     assert qh_matrix() * ident == qh_matrix()
