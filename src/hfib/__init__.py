@@ -64,6 +64,7 @@ _CACHES = (
     operators.annihilator,
     operators.fib_op,
     operators._g,
+    operators.qh_power,
     pascal.h_binomial,
     qh.qh_binomial,
     qh._q_diagonal,

@@ -22,10 +22,14 @@ extension Q[D][s]/(s^2 - (1+4D)) whose roots (1 +- s)/2 give an exact
 Binet formula, and the negative-index operators g_n = D^n F_-n defined
 by running the recurrence backwards.
 
-The grid suites (addition, d'Ocagne, Catalan, power sums, inverse
-powers) compute each product once per call: the products and powers
-their inner loops share are built once, through fib_op, into rows and
-tables local to the call, and the checks read them from there.
+The suites ask the kernels for few and small products.  Each matrix
+power Q^n is built once per process: qh_power is a cache that squares
+Q^(n // 2).  The grid suites (addition, d'Ocagne, Catalan, Cassini,
+power sums, inverse powers) build each product F_a F_b, each D-shift
+and each signed power of D once per call, into rows and ladders local
+to the call, and the checks read them from there.  The binomial power
+sums are taken by Horner's rule in their small factor, so no power of
+it is built.
 """
 
 from __future__ import annotations
@@ -202,10 +206,23 @@ def qh_matrix() -> OpMatrix2:
     return OpMatrix2(OpPoly.one(), OpPoly.one(), D, OpPoly.zero())
 
 
+@lru_cache(maxsize=None)
 def qh_power(n: int) -> OpMatrix2:
-    if n < 1:
+    """Q^n for Q = [[1, 1], [D, 0]] and n >= 1, from the cached Q^(n // 2).
+
+    One five-product square of Q^(n // 2), then, for odd n, one product by
+    Q, which only moves entries and shifts a column by D: binary powering
+    through the cache (Knuth, TAOCP vol. 2, 4.6.3), so each power is built
+    once until hfib.clear_caches and the powers 1..N take O(N) products.
+    """
+    if not isinstance(n, int) or n < 1:
         raise ValueError("matrix power is defined for n >= 1")
-    return qh_matrix() ** n
+    if n == 1:
+        return qh_matrix()
+    half = qh_power(n >> 1)
+    a, b, c, d = square = half * half
+    # [[a, b], [c, d]] * [[1, 1], [D, 0]] = [[a + D b, a], [c + D d, c]]
+    return OpMatrix2(a + D * b, a, c + D * d, c) if n & 1 else square
 
 
 # -- quadratic extension and the Binet route ---------------------------
@@ -276,7 +293,7 @@ def binet_fib(n: int) -> OpPoly:
     return _exact_quotient(2 * odd, 1 << n, "twice the odd part of (1 + s)^n")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def annihilator(k: int, step: int = 1) -> tuple[OpPoly, ...]:
     """Ascending x-coefficients of prod_(a=0..k) (x - lp^(step a) lm^(step (k-a))).
 
@@ -376,13 +393,16 @@ def verify_matrix_powers(n_max: int = 10) -> IdentityReport:
 
 
 def verify_cassini(n_max: int = 20) -> IdentityReport:
-    """Cassini identity and the determinant statement it comes from."""
+    """Cassini identity and the determinant statement it comes from.
+
+    Both right sides are read from one ladder of (-D)^j, built once per call.
+    """
     report = IdentityReport("op-cassini")
+    signed = _power_ladder(-D, n_max)  # (-1)^j D^j
     for n in range(1, n_max + 1):
         lhs = fib_op(n + 1) * fib_op(n - 1) - fib_op(n) ** 2
-        rhs = (-1) ** n * D ** (n - 1)
-        report.check({"n": n}, lhs, rhs)
-        report.check({"n": n, "form": "det"}, qh_power(n).det(), (-1) ** n * D**n)
+        report.check({"n": n}, lhs, -signed[n - 1])
+        report.check({"n": n, "form": "det"}, qh_power(n).det(), signed[n])
     return report
 
 
@@ -391,39 +411,48 @@ def _product_row(a: int, top: int) -> list[OpPoly]:
     return [fib_op(a) * fib_op(b) for b in range(top + 1)]
 
 
+def _power_ladder(x: OpPoly, top: int) -> list[OpPoly]:
+    """x^0, x^1, ..., x^top by repeated multiplication."""
+    ladder = [OpPoly.one()]
+    for _ in range(top):
+        ladder.append(ladder[-1] * x)
+    return ladder
+
+
 def verify_addition(m_max: int = 12, n_max: int = 12) -> IdentityReport:
     """The four index-addition formulas on an m x n grid.
 
-    Each product F_a F_b is computed once per call: a window of three
-    product rows, for m - 1, m and m + 1, slides down the grid.
+    Each product F_a F_b, and its shift D F_a F_b, is computed once per
+    call: a window of product rows for m and m + 1, and of shifted rows
+    for m - 1 and m, slides down the grid.
     """
     report = IdentityReport("op-addition")
     top = n_max + 1
-    prev, row = _product_row(0, top), _product_row(1, top)
+    shifted_prev, row = [D * x for x in _product_row(0, top)], _product_row(1, top)
     for m in range(1, m_max + 1):
-        nxt = _product_row(m + 1, top)
+        nxt, shifted_row = _product_row(m + 1, top), [D * x for x in row]
         for n in range(1, n_max + 1):
             report.check(
                 {"m": m, "n": n, "form": "m+n+1"},
                 fib_op(m + n + 1),
-                nxt[n + 1] + D * row[n],
+                nxt[n + 1] + shifted_row[n],
             )
             report.check(
                 {"m": m, "n": n, "form": "m+n, split right"},
                 fib_op(m + n),
-                nxt[n] + D * row[n - 1],
+                nxt[n] + shifted_row[n - 1],
             )
             report.check(
                 {"m": m, "n": n, "form": "m+n, split left"},
                 fib_op(m + n),
-                row[n + 1] + D * prev[n],
+                row[n + 1] + shifted_prev[n],
             )
             report.check(
                 {"m": m, "n": n, "form": "m+n-1"},
                 fib_op(m + n - 1),
-                row[n] + D * prev[n - 1],
+                row[n] + shifted_prev[n - 1],
             )
-        prev, row = row, nxt
+        shifted_prev, row = shifted_row, nxt
     return report
 
 
@@ -446,19 +475,21 @@ def verify_inverse_powers(n_max: int = 12) -> IdentityReport:
     """Adjugate-style inverses, multiplicatively: Q^n * M = D^n * I.
 
     Inverses of Q^n live outside Q[D] (they need D^-n), so the checks
-    clear denominators and stay polynomial.  Each Q^n is computed once per
-    call and shared by the three checks at n.
+    clear denominators and stay polynomial.  Each Q^n is built once per
+    process, by qh_power, and shared by the three checks at n; each D^n is
+    read from a ladder built once per call.
     """
     report = IdentityReport("op-inverse-powers")
     identity = OpMatrix2.identity()
-    q = qh_matrix()
+    q, zero = qh_matrix(), OpPoly.zero()
+    d_powers = _power_ladder(D, n_max)
     for n in range(1, n_max + 1):
         power = qh_power(n)
         adj = OpMatrix2(
             D * fib_op(n - 1), -1 * fib_op(n), (-1 * D) * fib_op(n), fib_op(n + 1)
         )
         signed = (-1) ** n * adj
-        target = D**n * identity
+        target = OpMatrix2(d_powers[n], zero, zero, d_powers[n])  # D^n I
         report.check({"n": n, "side": "right"}, power * signed, target)
         report.check({"n": n, "side": "left"}, signed * power, target)
         combo = (-1) ** (n + 1) * (fib_op(n) * q - fib_op(n + 1) * identity)
@@ -466,35 +497,34 @@ def verify_inverse_powers(n_max: int = 12) -> IdentityReport:
     return report
 
 
-def _power_ladder(x: OpPoly, top: int) -> list[OpPoly]:
-    """x^0, x^1, ..., x^top by repeated multiplication."""
-    ladder = [OpPoly.one()]
-    for _ in range(top):
-        ladder.append(ladder[-1] * x)
-    return ladder
+def _horner(x: OpPoly, coeffs: list[OpPoly]) -> OpPoly:
+    """sum_i coeffs[i] x^(len(coeffs) - 1 - i), by Horner's rule in x."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
+        acc = acc * x + c
+    return acc
 
 
 def verify_power_sums(n_max: int = 6, k_max: int = 6) -> IdentityReport:
     """Binomial expansions of F_(kn) in terms of F_k, F_(k-1) and F_(k+1).
 
-    Each product is computed once per call: per k, the powers of F_k,
-    F_(k-1) and F_(k+1) and the weights F_k^i F_i that both forms share,
-    so each summand takes one large product.
+    Both forms are sums sum_i C(n, i) x^(n-i) c_i w_i over the weights
+    w_i = F_k^i F_i: x = D F_(k-1) with c_i = 1, and x = F_(k+1) with
+    c_i = (-1)^(i+1).  Each sum is taken by Horner's rule in x (Knuth,
+    TAOCP vol. 2, 4.6.4), n products by the small x and no power of it;
+    the weights, which both forms share, are built once per k.
     """
     report = IdentityReport("op-power-sums")
     for k in range(1, k_max + 1):
-        # every power of F_k, F_(k-1) and F_(k+1) the sums below read
-        p_k, p_km1, p_kp1 = (_power_ladder(fib_op(j), n_max) for j in (k, k - 1, k + 1))
-        weighted = [p_k[i] * fib_op(i) for i in range(n_max + 1)]
+        weighted = [p * fib_op(i) for i, p in enumerate(_power_ladder(fib_op(k), n_max))]
+        shifted, following = D * fib_op(k - 1), fib_op(k + 1)
         for n in range(1, n_max + 1):
             target = fib_op(k * n)
-            lhs = OpPoly.zero()
-            for i in range(n + 1):
-                lhs = lhs + comb(n, i) * D ** (n - i) * p_km1[n - i] * weighted[i]
+            lhs = _horner(shifted, [comb(n, i) * weighted[i] for i in range(n + 1)])
             report.check({"k": k, "n": n, "form": "F_(k-1) weights"}, lhs, target)
-            alt = OpPoly.zero()
-            for i in range(n + 1):
-                alt = alt + comb(n, i) * (-1) ** (i + 1) * p_kp1[n - i] * weighted[i]
+            alt = _horner(
+                following, [comb(n, i) * (-1) ** (i + 1) * weighted[i] for i in range(n + 1)]
+            )
             report.check({"k": k, "n": n, "form": "F_(k+1) weights"}, alt, target)
     return report
 
@@ -503,15 +533,16 @@ def verify_catalan(n_max: int = 15) -> IdentityReport:
     """Catalan identity F_(n-m) F_(n+m) - F_n^2 = (-1)^(n+1-m) D^(n-m) F_m^2.
 
     Each product is computed once per call: the squares F_0^2 ... F_N^2
-    are built once and read by both sides.
+    are built once and read by both sides, and each signed shift
+    (-1)^(j+1) D^j once, into a ladder.
     """
     report = IdentityReport("op-catalan")
     squares = [fib_op(j) ** 2 for j in range(n_max + 1)]
+    signed = [-p for p in _power_ladder(-D, n_max)]  # (-1)^(j+1) D^j
     for n in range(1, n_max + 1):
         for m in range(1, n + 1):
             lhs = fib_op(n - m) * fib_op(n + m) - squares[n]
-            rhs = (-1) ** (n + 1 - m) * D ** (n - m) * squares[m]
-            report.check({"n": n, "m": m}, lhs, rhs)
+            report.check({"n": n, "m": m}, lhs, signed[n - m] * squares[m])
     return report
 
 
@@ -520,21 +551,25 @@ def verify_docagne(bound: int = 15) -> IdentityReport:
 
     For m >= n the right side is (-1)^n D^n F_(m-n); for m < n the
     negative index appears and the denominator-cleared form is
-    (-1)^n D^m g_(n-m).  Each product F_a F_b is computed once per call:
-    two product rows, for m and m + 1, slide down the grid.
+    (-1)^n D^m g_(n-m) = (-D)^m (-1)^(n-m) g_(n-m).  Each product F_a F_b
+    is computed once per call: two product rows, for m and m + 1, slide
+    down the grid.  The (-D)^j and the signed (-1)^j g_j are built once
+    per call and read from there.
     """
     report = IdentityReport("op-docagne")
     top = bound + 1
+    signed_d = _power_ladder(-D, bound)
+    signed_g = [(-1) ** j * neg_fib_op(j).g for j in range(bound)]
     row = _product_row(1, top)
     for m in range(1, bound + 1):
         nxt = _product_row(m + 1, top)
         for n in range(1, bound + 1):
             lhs = row[n + 1] - nxt[n]
             if m >= n:
-                rhs = (-1) ** n * D**n * fib_op(m - n)
+                rhs = signed_d[n] * fib_op(m - n)
                 branch = "m >= n"
             else:
-                rhs = (-1) ** n * D**m * neg_fib_op(n - m).g
+                rhs = signed_d[m] * signed_g[n - m]
                 branch = "m < n"
             report.check({"m": m, "n": n, "branch": branch}, lhs, rhs)
         row = nxt

@@ -26,7 +26,7 @@ from hfib.operators import OpPoly, op_value
 from hfib.report import DEFAULT_SEED, IdentityReport, suite_scale
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def h_binomial(n: int, k: int) -> HPoly:
     """Deformed binomial coefficient C(n,k) * h^k * (hp)(hp+1)...(hp+k-1).
 

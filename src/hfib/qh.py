@@ -71,7 +71,7 @@ def q_binomial(n: int, k: int) -> HPoly:
     return HPoly.from_terms(((0, 0, e), c) for e, c in enumerate(coeffs))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def qh_binomial(n: int, k: int) -> HPoly:
     """(q, h)-deformed binomial C_q(n, k) * h^k * (hp)(hp+1)...(hp+k-1)."""
     if n < 0:
@@ -104,7 +104,7 @@ def q_fibonacci(n: int) -> HPoly:
     return _q_diagonal(n, 0)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _q_diagonal(n: int, linear: int) -> HPoly:
     # sum_k q^(k^2 + linear*k) C_qh(n-1-k, k) over the full diagonal: the
     # q-Fibonacci weight at linear = 0, the alternative q^(k^2 + k) at 1

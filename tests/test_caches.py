@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import importlib
 import pkgutil
+import re
+
+import pytest
 
 import hfib
 from hfib import algebra, cli, fibonacci, genfun, kernels, operators, pascal, qh, report
@@ -26,6 +29,7 @@ def _compute() -> list:
         genfun.build_gf("fib"),
         operators.fib_op(9),
         operators.neg_fib_op(5).g,
+        operators.qh_power(5),
         pascal.h_binomial(6, 3),
         qh.q_binomial(6, 3),
         qh.qh_binomial(5, 2),
@@ -65,3 +69,30 @@ def test_the_caches_are_the_only_state() -> None:
     assert after.keys() == before.keys()
     assert [key for key, obj in after.items() if obj is not before[key]] == []
     assert [key for key, copy in contents.items() if after[key] != copy] == []
+
+
+# (cache, an argument tuple it refuses, the integer call that warms it); the
+# float arguments hash and compare equal to the integer ones
+_REFUSED = {
+    "h_binomial": (pascal.h_binomial, (5.0, 2), (5, 2)),
+    "qh_binomial": (qh.qh_binomial, (5.0, 2), (5, 2)),
+    "annihilator": (operators.annihilator, (2, 1.0), (2, 1)),
+    "_q_diagonal": (qh._q_diagonal, (7.0, 1), (7, 1)),
+    "qh_power": (operators.qh_power, (5.0,), (5,)),
+}
+
+
+def test_the_refusal_table_covers_every_multi_argument_cache() -> None:
+    many = {name for name, cache in _package_caches().items() if cache.__wrapped__.__code__.co_argcount > 1}
+    assert many <= set(_REFUSED)
+
+
+@pytest.mark.parametrize("name", _REFUSED)
+def test_a_refused_call_raises_alike_cold_and_warm(name) -> None:
+    cache, refused, warm = _REFUSED[name]
+    hfib.clear_caches()
+    with pytest.raises((TypeError, ValueError)) as cold_error:
+        cache(*refused)
+    cache(*warm)
+    with pytest.raises(cold_error.type, match=re.escape(str(cold_error.value))):
+        cache(*refused)

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from hfib import algebra, fibonacci, operators
+import hfib
+from hfib import algebra, fibonacci, genfun, operators
 from hfib.algebra import H, HP, HPoly, shifted_factorial
 from hfib.fibonacci import classical_fib, hfib_diagonal
 from hfib.operators import (
@@ -31,6 +33,7 @@ from hfib.operators import (
     verify_operators,
     verify_power_sums,
 )
+from hfib.report import IdentityReport
 
 op_polys = st.dictionaries(
     st.integers(min_value=0, max_value=6),
@@ -137,6 +140,21 @@ def test_matrix_generator_and_powers() -> None:
     assert (q2.a11, q2.a12, q2.a21, q2.a22) == (1 + D, OpPoly.one(), D, D)
     with pytest.raises(ValueError):
         qh_power(0)
+
+
+@pytest.mark.parametrize("order", [range(1, 131), range(130, 0, -1)], ids=["ascending", "descending"])
+def test_qh_power_equals_the_binary_power(order) -> None:
+    # the cached halving powers against OpMatrix2.__pow__, from cold caches
+    hfib.clear_caches()
+    q = qh_matrix()
+    for n in order:
+        assert qh_power(n) == q**n
+
+
+def test_qh_power_builds_only_the_halving_chain() -> None:
+    hfib.clear_caches()
+    qh_power(9)
+    assert qh_power.cache_info().currsize == 4  # Q^9 from Q^4, Q^2 and Q
 
 
 @given(st.integers(min_value=1, max_value=15))
@@ -285,10 +303,74 @@ def test_cassini_spot() -> None:
     assert lhs == -(D**4)
 
 
-def test_verify_power_sums_cases() -> None:
+def _explicit_power_sum(k: int, n: int, form: str) -> OpPoly:
+    """The power sum summed term by term, each power built apart: the oracle for Horner's rule."""
+    total = OpPoly.zero()
+    for i in range(n + 1):
+        weight = comb(n, i) * fib_op(k) ** i * fib_op(i)
+        if form == "F_(k-1) weights":
+            total = total + D ** (n - i) * fib_op(k - 1) ** (n - i) * weight
+        else:
+            total = total + (-1) ** (i + 1) * fib_op(k + 1) ** (n - i) * weight
+    return total
+
+
+def test_verify_power_sums_cases(monkeypatch) -> None:
+    # every left side, taken by Horner's rule, equals the explicit sum
+    seen = []
+    check = IdentityReport.check
+
+    def recording(self, params, lhs, rhs):
+        seen.append((params, lhs))
+        return check(self, params, lhs, rhs)
+
+    monkeypatch.setattr(IdentityReport, "check", recording)
     report = verify_power_sums(8, 8)
-    assert report.cases == 2 * 8 * 8
+    assert report.cases == len(seen) == 2 * 8 * 8
     assert not report.failures
+    for params, lhs in seen:
+        assert lhs == _explicit_power_sum(params["k"], params["n"], params["form"]), params
+
+
+# op-ring's calls and the cases of each report, as its benchmark workload pins them
+_OP_RING_CALLS = (
+    (verify_power_sums, (12, 12), {"op-power-sums": 288}),
+    (verify_catalan, (40,), {"op-catalan": 820}),
+    (verify_docagne, (40,), {"op-docagne": 1600}),
+    (operators.verify_cassini, (60,), {"op-cassini": 120}),
+    (verify_addition, (30, 30), {"op-addition": 3600}),
+    (verify_inverse_powers, (40,), {"op-inverse-powers": 120}),
+    (operators.verify_binet, (60,), {"op-binet": 61}),
+    (genfun.verify_genfun, (40,), {"op-symmetric-lemmas": 16, "gf-expansions": 480}),
+)
+
+
+@pytest.mark.parametrize("suite, args, cases", _OP_RING_CALLS, ids=lambda x: getattr(x, "__name__", None))
+def test_op_ring_sizes_keep_their_cases_and_pass(suite, args, cases) -> None:
+    result = suite(*args)
+    reports = result if isinstance(result, list) else [result]
+    assert {r.suite: r.cases for r in reports} == cases
+    assert [r.failures for r in reports] == [[]] * len(reports)
+
+
+def test_verify_operators_default_cases() -> None:
+    reports = verify_operators()
+    assert {r.suite: r.cases for r in reports} == {
+        "op-matrix-powers": 50,
+        "op-cassini": 40,
+        "op-addition": 576,
+        "op-cayley-hamilton": 16,
+        "op-inverse-powers": 36,
+        "op-power-sums": 72,
+        "op-catalan": 120,
+        "op-docagne": 225,
+        "op-negative-index": 21,
+        "op-doubling": 20,
+        "op-alternating": 20,
+        "op-binet": 26,
+        "op-symmetric-lemmas": 16,
+    }
+    assert all(r.passed for r in reports)
 
 
 def test_verify_operators_all_pass() -> None:
