@@ -59,11 +59,9 @@ __version__ = "0.1.0"
 # Every memo cache in the package; all are unbounded lru_caches.
 _CACHES = (
     algebra._d_step,
-    fibonacci.classical_fib,
     fibonacci.hfib_diagonal,
     operators.annihilator,
     operators.fib_op,
-    operators._g,
     operators.qh_power,
     pascal.h_binomial,
     qh.qh_binomial,

@@ -21,27 +21,26 @@ denominator is h^n * (hp)(hp+1)...(hp+n-1); NegHFib carries the
 numerator and that denominator shape exactly.
 
 Some of the summation identities circulate in print with missing
-weights or shifted parameters; their verify functions try the literal
-form first, then pin the corrected form when the literal fails,
-recording the choice in the report (see verify_doubling_sum).
+weights or shifted parameters.  Their verify functions hand the printed
+reading and the corrected one to IdentityReport.check_first_reading,
+which checks the first that holds in every case and pins it in the
+report (see verify_doubling_sum).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
 from math import comb
 from operator import add
 from typing import NamedTuple
 
 from hfib.algebra import H, HP, HPoly, d_image
-from hfib.operators import OpPoly, binet_fib, neg_fib_op, op_eval
+from hfib.operators import OpPoly, _horner, binet_fib, neg_fib_op, op_eval, two_step_op
 from hfib.pascal import h_binomial
 from hfib.report import IdentityReport, suite_scale
 
 
-@lru_cache(maxsize=None)
 def classical_fib(n: int) -> int:
     """Ordinary Fibonacci number, F_0 = 0, F_1 = 1."""
     if n < 0:
@@ -82,17 +81,10 @@ def _rising_expand(x: OpPoly) -> HPoly:
 
 
 def recurrence_op(n: int) -> OpPoly:
-    """F_n in Q[D] by the two-step recurrence F_(k+1) = F_k + D * F_(k-1).
-
-    Each F_k is its list of D-coefficients, and D * F_(k-1) is that list
-    moved up by one place.  Every call steps from F_0 and F_1 in a loop.
-    """
+    """F_n in Q[D] by the two-step recurrence F_(k+1) = F_k + D * F_(k-1), from F_0 and F_1."""
     if n < 0:
         raise ValueError("index must be non-negative; use hfib_negative")
-    prev, cur = [], [1]
-    for _ in range(n):
-        prev, cur = cur, [a + b for a, b in zip_longest(cur, (0, *prev), fillvalue=0)]
-    return OpPoly(dict(enumerate(prev)))
+    return two_step_op(n, 1)
 
 
 def hfib_recurrence(n: int) -> HPoly:
@@ -244,22 +236,22 @@ def verify_partial_sum(n_max: int = 20) -> IdentityReport:
         acc = acc + hfib_diagonal(n).shift_hprime(1)
         lhs[n] = H * HP * acc
 
-    def rhs_literal(n: int) -> HPoly:
-        return hfib_diagonal(n + 2).shift_hprime(1) - 1
+    def cases(shifted: bool):
+        for n, side in lhs.items():
+            rhs = hfib_diagonal(n + 2)
+            yield {"n": n}, side, (rhs.shift_hprime(1) if shifted else rhs) - 1
 
-    def rhs_unshifted(n: int) -> HPoly:
-        return hfib_diagonal(n + 2) - 1
-
-    rhs = rhs_literal
-    if not all(lhs[n] == rhs_literal(n) for n in range(1, n_max + 1)):
-        rhs = rhs_unshifted
-        report.pin(
-            "shift marker printed on the right side F_(n+2)",
-            "right side is F_(n+2) at unshifted (h, hp); the shift applies "
-            "only inside the summed terms",
-        )
-    for n in range(1, n_max + 1):
-        report.check({"n": n}, lhs[n], rhs(n))
+    report.check_first_reading(
+        cases,
+        {
+            True: None,
+            False: (
+                "shift marker printed on the right side F_(n+2)",
+                "right side is F_(n+2) at unshifted (h, hp); the shift applies "
+                "only inside the summed terms",
+            ),
+        },
+    )
     return report
 
 
@@ -296,31 +288,27 @@ def verify_doubling_sum(n_max: int = 12) -> IdentityReport:
     literal form is tried first and the weighted form pinned when it
     fails.
     """
+
+    def cases(weighted: bool):
+        for n in range(1, n_max + 1):
+            acc = HPoly.zero()
+            for i in range(1, n + 1):
+                weight = comb(n, i) * d_image(n - i) if weighted else comb(n, i)
+                acc = acc + weight * hfib_diagonal(i).shift_hprime(n - i)
+            yield {"n": n}, acc, hfib_diagonal(2 * n)
+
     report = IdentityReport("fib-doubling-sum")
-
-    def literal(n: int) -> HPoly:
-        acc = HPoly.zero()
-        for i in range(1, n + 1):
-            acc = acc + comb(n, i) * hfib_diagonal(i).shift_hprime(n - i)
-        return acc
-
-    def weighted(n: int) -> HPoly:
-        acc = HPoly.zero()
-        for i in range(1, n + 1):
-            acc = acc + comb(n, i) * d_image(n - i) * hfib_diagonal(i).shift_hprime(n - i)
-        return acc
-
-    literal_ok = all(literal(n) == hfib_diagonal(2 * n) for n in range(1, n_max + 1))
-    form = literal
-    if not literal_ok:
-        form = weighted
-        report.pin(
-            "binomial doubling sum printed without weights on the summands",
-            "each summand carries h^(n-i) * (hp)(hp+1)...(hp+n-i-1), the "
-            "evaluated image of the operator doubling identity",
-        )
-    for n in range(1, n_max + 1):
-        report.check({"n": n}, form(n), hfib_diagonal(2 * n))
+    report.check_first_reading(
+        cases,
+        {
+            False: None,
+            True: (
+                "binomial doubling sum printed without weights on the summands",
+                "each summand carries h^(n-i) * (hp)(hp+1)...(hp+n-i-1), the "
+                "evaluated image of the operator doubling identity",
+            ),
+        },
+    )
     return report
 
 
@@ -328,13 +316,12 @@ def verify_alternating_sum(n_max: int = 12) -> IdentityReport:
     """Alternating binomial sum sum_(i) C(n,i) (-1)^(n-i) F_i = (-1)^(n-1) F_n.
 
     All indices at the same (h, hp); the literal print holds as stated.
+    The sum is taken by Horner's rule in -1.
     """
     report = IdentityReport("fib-alternating-sum")
     for n in range(1, n_max + 1):
-        acc = HPoly.zero()
-        for i in range(1, n + 1):
-            acc = acc + comb(n, i) * (-1) ** (n - i) * hfib_diagonal(i)
-        report.check({"n": n}, acc, (-1) ** (n - 1) * hfib_diagonal(n))
+        lhs = _horner(-1, [comb(n, i) * hfib_diagonal(i) for i in range(1, n + 1)])
+        report.check({"n": n}, lhs, (-1) ** (n - 1) * hfib_diagonal(n))
     return report
 
 
@@ -350,7 +337,7 @@ def verify_negative_reflection(n_max: int = 15) -> IdentityReport:
         )
         report.check(
             {"n": n, "route": "operator"},
-            op_eval(neg_fib_op(n).g),
+            op_eval(neg_fib_op(n)),
             value.numerator,
         )
     return report

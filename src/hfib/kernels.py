@@ -203,12 +203,12 @@ def kmul(a: dict, b: dict) -> dict:
     return out
 
 
-def binary_power(base, n: int, one, mul):
-    """base**n for n >= 0 by square-and-multiply, from the identity `one` and the product `mul`."""
-    result = one
+def binary_power(base, n: int, mul):
+    """base**n for n >= 1 by square-and-multiply with the product `mul`, none by the identity."""
+    result = None
     while n:
         if n & 1:
-            result = mul(result, base)
+            result = base if result is None else mul(result, base)
         n >>= 1
         if n:
             base = mul(base, base)
@@ -223,7 +223,7 @@ def kpow(a: dict, n: int) -> dict:
     if len(a) == 1:
         ((key, coeff),) = a.items()
         return {key * n: coeff**n}
-    return binary_power(a, n, {0: 1}, kmul)
+    return binary_power(a, n, kmul)
 
 
 def taylor_shift(coeffs: Sequence[int], delta: int) -> list[int]:

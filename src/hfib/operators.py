@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import comb, lcm
 from operator import index, mul
 from typing import NamedTuple
@@ -100,6 +101,18 @@ def fib_op(n: int) -> OpPoly:
     if n == 0:
         return OpPoly.zero()
     return OpPoly({k: comb(n - 1 - k, k) for k in range((n - 1) // 2 + 1)})
+
+
+def two_step_op(n: int, sign: int) -> OpPoly:
+    """u_n in Q[D] for u_0 = 0, u_1 = 1 and u_(k+1) = sign * u_k + D * u_(k-1), n >= 0.
+
+    Each u_k is its list of D-coefficients, and D * u_(k-1) is that list
+    moved up by one place.  Every call steps from u_0 and u_1 in a loop.
+    """
+    prev, cur = [], [1]
+    for _ in range(n):
+        prev, cur = cur, [sign * a + b for a, b in zip_longest(cur, (0, *prev), fillvalue=0)]
+    return OpPoly(dict(enumerate(prev)))
 
 
 def op_eval(x: OpPoly) -> HPoly:
@@ -192,7 +205,7 @@ class OpMatrix2(NamedTuple):
     def __pow__(self, exponent: int) -> "OpMatrix2":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("matrix power needs a non-negative integer exponent")
-        return binary_power(self, exponent, OpMatrix2.identity(), mul)
+        return binary_power(self, exponent, mul) if exponent else OpMatrix2.identity()
 
     def det(self) -> OpPoly:
         return self.a11 * self.a22 - self.a12 * self.a21
@@ -259,7 +272,7 @@ class SqrtExt(NamedTuple):
     def __pow__(self, exponent: int) -> "SqrtExt":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("extension power needs a non-negative integer exponent")
-        return binary_power(self, exponent, SqrtExt.one(), mul)
+        return binary_power(self, exponent, mul) if exponent else SqrtExt.one()
 
     def __str__(self) -> str:
         return f"({self.even}) + ({self.odd})*s"
@@ -339,31 +352,14 @@ def _exact_quotient(x: OpPoly, divisor: int, what: str) -> OpPoly:
 # -- negative indices ---------------------------------------------------
 
 
-class NegIndexOp(NamedTuple):
-    """g_n = D^n F_(-n): the denominator-cleared negative-index operator."""
+def neg_fib_op(n: int) -> OpPoly:
+    """g_n = D^n F_(-n), by the backward recurrence g_n = -g_(n-1) + D * g_(n-2).
 
-    n: int
-    g: OpPoly
-
-
-@lru_cache(maxsize=None)
-def _g(n: int) -> OpPoly:
-    if n == 0:
-        return OpPoly.zero()
-    if n == 1:
-        return OpPoly.one()
-    # Backward recurrence F_(-n) = F_(-n+2) - F_(-n+1), cleared by D^n:
-    # g_n = -g_(n-1) + D * g_(n-2).  neg_fib_op fills the cache bottom-up,
-    # so both calls are cache hits.
-    return -_g(n - 1) + D * _g(n - 2)
-
-
-def neg_fib_op(n: int) -> NegIndexOp:
+    That is F_(-n) = F_(-n+2) - F_(-n+1) cleared by D^n, from g_0 = 0 and g_1 = 1.
+    """
     if n < 0:
         raise ValueError("neg_fib_op takes the positive magnitude n of the index -n")
-    for k in range(n):
-        _g(k)
-    return NegIndexOp(n, _g(n))
+    return two_step_op(n, -1)
 
 
 # -- identity suites -----------------------------------------------------
@@ -497,7 +493,7 @@ def verify_inverse_powers(n_max: int = 12) -> IdentityReport:
     return report
 
 
-def _horner(x: OpPoly, coeffs: list[OpPoly]) -> OpPoly:
+def _horner(x: TermRing | int, coeffs: list[TermRing]) -> TermRing:
     """sum_i coeffs[i] x^(len(coeffs) - 1 - i), by Horner's rule in x."""
     acc = coeffs[0]
     for c in coeffs[1:]:
@@ -559,7 +555,7 @@ def verify_docagne(bound: int = 15) -> IdentityReport:
     report = IdentityReport("op-docagne")
     top = bound + 1
     signed_d = _power_ladder(-D, bound)
-    signed_g = [(-1) ** j * neg_fib_op(j).g for j in range(bound)]
+    signed_g = [(-1) ** j * neg_fib_op(j) for j in range(bound)]
     row = _product_row(1, top)
     for m in range(1, bound + 1):
         nxt = _product_row(m + 1, top)
@@ -581,28 +577,24 @@ def verify_neg_index(n_max: int = 20) -> IdentityReport:
     report = IdentityReport("op-negative-index")
     for n in range(n_max + 1):
         sign = 1 if n % 2 else -1
-        report.check({"n": n}, neg_fib_op(n).g, sign * fib_op(n))
+        report.check({"n": n}, neg_fib_op(n), sign * fib_op(n))
     return report
 
 
 def verify_doubling(n_max: int = 20) -> IdentityReport:
-    """Index doubling sum_(i) C(n,i) D^(n-i) F_i = F_(2n)."""
+    """Index doubling sum_(i) C(n,i) D^(n-i) F_i = F_(2n), by Horner's rule in D."""
     report = IdentityReport("op-doubling")
     for n in range(1, n_max + 1):
-        lhs = OpPoly.zero()
-        for i in range(n + 1):
-            lhs = lhs + comb(n, i) * D ** (n - i) * fib_op(i)
+        lhs = _horner(D, [comb(n, i) * fib_op(i) for i in range(n + 1)])
         report.check({"n": n}, lhs, fib_op(2 * n))
     return report
 
 
 def verify_alternating(n_max: int = 20) -> IdentityReport:
-    """Alternating sum sum_(i) C(n,i) (-1)^(n-i) F_i = (-1)^(n-1) F_n."""
+    """Alternating sum sum_(i) C(n,i) (-1)^(n-i) F_i = (-1)^(n-1) F_n, by Horner's rule in -1."""
     report = IdentityReport("op-alternating")
     for n in range(1, n_max + 1):
-        lhs = OpPoly.zero()
-        for i in range(n + 1):
-            lhs = lhs + comb(n, i) * (-1) ** (n - i) * fib_op(i)
+        lhs = _horner(-1, [comb(n, i) * fib_op(i) for i in range(n + 1)])
         report.check({"n": n}, lhs, (-1) ** (n - 1) * fib_op(n))
     return report
 

@@ -26,6 +26,15 @@ from hfib.operators import OpPoly, op_value
 from hfib.report import DEFAULT_SEED, IdentityReport, suite_scale
 
 
+def _in_row(n: int, k: int) -> bool:
+    """Whether 0 <= k <= n; a non-integer index or a negative n is refused first."""
+    if not (isinstance(n, int) and isinstance(k, int)):
+        raise TypeError(f"binomial indices must be integers, got ({n!r}, {k!r})")
+    if n < 0:
+        raise ValueError("row index must be non-negative")
+    return 0 <= k <= n
+
+
 @lru_cache(maxsize=None, typed=True)
 def h_binomial(n: int, k: int) -> HPoly:
     """Deformed binomial coefficient C(n,k) * h^k * (hp)(hp+1)...(hp+k-1).
@@ -33,9 +42,7 @@ def h_binomial(n: int, k: int) -> HPoly:
     Out-of-range k (negative or above n) gives the zero polynomial, as
     for ordinary binomials; n must be non-negative.
     """
-    if n < 0:
-        raise ValueError("row index must be non-negative")
-    if k < 0 or k > n:
+    if not _in_row(n, k):
         return HPoly.zero()
     return comb(n, k) * d_image(k)
 
@@ -98,20 +105,31 @@ def charlier_samples(count: int, rng: random.Random) -> list[tuple[Fraction, Fra
     return samples
 
 
+def pascal_rule_cases(binomial, q, bracket, n_max: int) -> Iterator[tuple[dict, HPoly, HPoly]]:
+    """(params, lhs, rhs) of both Pascal-type rules of `binomial` on rows 0..n_max.
+
+    additive C(n+1, k) = q^k C(n, k) + h*hp C(n, k-1)[hp -> hp+1] and absorption
+    [k+1] C(n+1, k+1) = [n+1] h*hp C(n, k)[hp -> hp+1], with q, [m] = 1, m for the
+    h-binomials and Q, q_int(m) for the (q, h) ones.
+    """
+    for n in range(n_max + 1):
+        # row n shifted once; the additive rule reads entry k - 1, absorption entry k
+        shifted = [binomial(n, k).shift_hprime(1) for k in range(n + 1)]
+        for k in range(n + 2):
+            lhs = binomial(n + 1, k)
+            rhs = q**k * binomial(n, k) + (H * HP * shifted[k - 1] if k else 0)
+            yield {"rule": "additive", "n": n, "k": k}, lhs, rhs
+        for k in range(n + 1):
+            lhs = bracket(k + 1) * binomial(n + 1, k + 1)
+            rhs = bracket(n + 1) * H * HP * shifted[k]
+            yield {"rule": "absorption", "n": n, "k": k}, lhs, rhs
+
+
 def verify_pascal_recurrences(n_max: int = 12) -> IdentityReport:
     """Both Pascal-type recurrences on the full triangle up to row n_max."""
     report = IdentityReport("pascal-recurrences")
-    for n in range(n_max + 1):
-        # row n shifted once; the additive rule reads entry k - 1, absorption entry k
-        shifted = [h_binomial(n, k).shift_hprime(1) for k in range(n + 1)]
-        for k in range(n + 2):
-            lhs = h_binomial(n + 1, k)
-            rhs = h_binomial(n, k) + (H * HP * shifted[k - 1] if k else 0)
-            report.check({"rule": "additive", "n": n, "k": k}, lhs, rhs)
-        for k in range(n + 1):
-            lhs = (k + 1) * h_binomial(n + 1, k + 1)
-            rhs = (n + 1) * H * HP * shifted[k]
-            report.check({"rule": "absorption", "n": n, "k": k}, lhs, rhs)
+    for case in pascal_rule_cases(h_binomial, 1, int, n_max):
+        report.check(*case)
     return report
 
 
@@ -134,24 +152,21 @@ def verify_column_sum(n_max: int = 12) -> IdentityReport:
 
     The printed lower bound i = 1 drops the i = 0 term of column 0 and
     fails there; starting the sum at i = j (identical for j >= 1) makes
-    every instance pass.  The search below tries the literal bound
-    first and pins whichever convention holds everywhere; a trial stops
-    at its first failure, so each side of a passing run is built once.
+    every instance pass.  The printed bound is tried first, and the
+    first reading that holds everywhere is pinned.
     """
-    for from_j in (False, True):
-        trial = IdentityReport("pascal-column-sum")
-        if all(trial.check(*case) for case in _column_sum_cases(n_max, from_j)):
-            if from_j:
-                trial.pin(
-                    "column-sum lower bound at column j = 0 (printed as i = 1)",
-                    "sum starts at i = j, which includes the row-0 term when j = 0; "
-                    "identical to the printed form for every j >= 1",
-                )
-            return trial
-    # neither bound holds everywhere: report every case of the printed one
     report = IdentityReport("pascal-column-sum")
-    for case in _column_sum_cases(n_max, from_j=False):
-        report.check(*case)
+    report.check_first_reading(
+        lambda from_j: _column_sum_cases(n_max, from_j),
+        {
+            False: None,
+            True: (
+                "column-sum lower bound at column j = 0 (printed as i = 1)",
+                "sum starts at i = j, which includes the row-0 term when j = 0; "
+                "identical to the printed form for every j >= 1",
+            ),
+        },
+    )
     return report
 
 

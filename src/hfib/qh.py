@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from hfib.algebra import H, HP, HPoly, Q, d_image
 from hfib.fibonacci import hfib_diagonal
-from hfib.pascal import h_binomial
+from hfib.pascal import _in_row, h_binomial, pascal_rule_cases
 from hfib.report import SCHEMA, IdentityReport, PinnedConvention, _Record, suite_scale
 
 
@@ -54,9 +54,7 @@ def q_binomial(n: int, k: int) -> HPoly:
     a divisor (1 - q^i) one forward running sum with stride i, whose top
     i coefficients an exact division leaves at zero (checked).
     """
-    if n < 0:
-        raise ValueError("row index must be non-negative")
-    if k < 0 or k > n:
+    if not _in_row(n, k):
         return HPoly.zero()
     k = min(k, n - k)
     coeffs = [1]
@@ -74,9 +72,7 @@ def q_binomial(n: int, k: int) -> HPoly:
 @lru_cache(maxsize=None, typed=True)
 def qh_binomial(n: int, k: int) -> HPoly:
     """(q, h)-deformed binomial C_q(n, k) * h^k * (hp)(hp+1)...(hp+k-1)."""
-    if n < 0:
-        raise ValueError("row index must be non-negative")
-    if k < 0 or k > n:
+    if not _in_row(n, k):
         return HPoly.zero()
     return q_binomial(n, k) * d_image(k)
 
@@ -84,7 +80,7 @@ def qh_binomial(n: int, k: int) -> HPoly:
 def _qh_binomial_stepped(n: int, k: int) -> HPoly:
     # Rejected alternative reading: shifted factorial stepped by
     # q-integers, prod_j (hp + [j]).  Kept only to document its failure.
-    if k < 0 or k > n:
+    if not _in_row(n, k):
         return HPoly.zero()
     prod = HPoly.one()
     for j in range(k):
@@ -122,34 +118,18 @@ def verify_qh_recurrences(n_max: int = 10) -> IdentityReport:
         "plain length-k factorial (hp)(hp+1)...(hp+k-1); the reading "
         "stepped by q-integers breaks the additive recurrence",
     )
-    rejected = None
-    for n in range(n_max + 1):
-        for k in range(n + 2):
-            lhs = _qh_binomial_stepped(n + 1, k)
-            rhs = Q**k * _qh_binomial_stepped(n, k) + H * HP * _qh_binomial_stepped(
-                n, k - 1
-            ).shift_hprime(1)
-            if lhs != rhs:
-                rejected = (n, k)
-                break
-        if rejected:
-            break
+    stepped = pascal_rule_cases(_qh_binomial_stepped, Q, q_int, n_max)
+    additive_failures = (
+        (p["n"], p["k"]) for p, lhs, rhs in stepped if p["rule"] == "additive" and lhs != rhs
+    )
+    rejected = next(additive_failures, None)
     if rejected:
         report.pin(
             "evidence for the rejected stepped reading",
             f"additive recurrence first fails at (n, k) = {rejected}",
         )
-    for n in range(n_max + 1):
-        # row n shifted once; the additive rule reads entry k - 1, absorption entry k
-        shifted = [qh_binomial(n, k).shift_hprime(1) for k in range(n + 1)]
-        for k in range(n + 2):
-            lhs = qh_binomial(n + 1, k)
-            rhs = Q**k * qh_binomial(n, k) + (H * HP * shifted[k - 1] if k else 0)
-            report.check({"rule": "additive", "n": n, "k": k}, lhs, rhs)
-        for k in range(n + 1):
-            lhs = q_int(k + 1) * qh_binomial(n + 1, k + 1)
-            rhs = q_int(n + 1) * H * HP * shifted[k]
-            report.check({"rule": "absorption", "n": n, "k": k}, lhs, rhs)
+    for case in pascal_rule_cases(qh_binomial, Q, q_int, n_max):
+        report.check(*case)
     return report
 
 

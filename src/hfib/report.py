@@ -81,6 +81,30 @@ class IdentityReport(_Record):
     def pin(self, ambiguity: str, resolution: str) -> None:
         self.pinned_conventions.append(PinnedConvention(ambiguity, resolution))
 
+    def check_first_reading(self, cases: Callable, readings: dict) -> None:
+        """Check the first reading of an identity that holds in every case, and pin it.
+
+        readings maps each reading, in the order tried (the printed one
+        first), to its (ambiguity, resolution) pin or None; cases(reading)
+        yields its (params, lhs, rhs) one at a time, so no reading is held.
+        A trial stops at its first failing case and takes back the cases it
+        checked.  When no reading holds, the last is checked in full.
+        """
+        for reading, pin in readings.items():
+            start = self.cases
+            for params, lhs, rhs in cases(reading):
+                if lhs != rhs:
+                    self.cases = start
+                    break
+                self.check(params, lhs, rhs)
+            else:
+                break
+        else:
+            for case in cases(reading):
+                self.check(*case)
+        if pin is not None:
+            self.pin(*pin)
+
     @property
     def passed(self) -> bool:
         return not self.failures

@@ -36,6 +36,11 @@ def hpoly_to_sympy(value) -> sympy.Expr:
     return sympy.expand(sympy.Add(*terms))
 
 
+def golden_shape(value) -> list[list]:
+    """The terms of an HPoly in q-free golden-file form: sorted [eh, ehp, "coeff"] rows."""
+    return sorted([eh, ehp, str(Fraction(c))] for (eh, ehp, _), c in value.terms())
+
+
 def oppoly_to_sympy(value, d: sympy.Symbol) -> sympy.Expr:
     terms = (sympy.Rational(Fraction(coeff)) * d**exp for exp, coeff in value.terms())
     return sympy.expand(sympy.Add(*terms))

@@ -47,6 +47,23 @@ def test_kpow_rejects_negative() -> None:
         kernels.kpow({0: 1}, -1)
 
 
+def test_kpow_makes_no_product_by_the_identity(monkeypatch) -> None:
+    # square-and-multiply from the base: bit_length - 1 squares, popcount - 1 products
+    products = []
+    kmul = kernels.kmul
+
+    def logged(a, b):
+        products.append((a, b))
+        return kmul(a, b)
+
+    monkeypatch.setattr(kernels, "kmul", logged)
+    for n in range(1, 18):
+        products.clear()
+        assert kernels.kpow({0: 1, 1: 1}, n) == {k: comb(n, k) for k in range(n + 1)}
+        assert len(products) == n.bit_length() + n.bit_count() - 2
+        assert {0: 1} not in [m for pair in products for m in pair]
+
+
 @given(term_maps, term_maps)
 def test_inputs_not_mutated(a: dict, b: dict) -> None:
     snap_a, snap_b = dict(a), dict(b)

@@ -11,6 +11,7 @@ import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from hfib import pascal
 from hfib.algebra import H, HP, HPoly
 from hfib.pascal import (
     charlier,
@@ -24,14 +25,11 @@ from hfib.pascal import (
     verify_pascal,
     verify_pascal_recurrences,
 )
-from oracles import oracle_h_binomial
+from hfib.report import IdentityReport
+from oracles import golden_shape, oracle_h_binomial
 from test_fibonacci import _calls, _shift_calls
 
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def _shape(p: HPoly) -> list[list]:
-    return sorted([eh, ehp, str(Fraction(c))] for (eh, ehp, _), c in p.terms())
 
 
 def test_h_binomial_small_values() -> None:
@@ -58,7 +56,7 @@ def test_h_binomial_matches_golden() -> None:
     rows = json.loads((GOLDEN / "pascal_rows.json").read_text())
     for n_str, row in rows.items():
         for k_str, shape in row.items():
-            assert _shape(h_binomial(int(n_str), int(k_str))) == shape
+            assert golden_shape(h_binomial(int(n_str), int(k_str))) == shape
 
 
 def test_h_binomial_matches_sympy_oracle() -> None:
@@ -155,6 +153,24 @@ def test_verify_column_sum_pins_convention() -> None:
     assert report.passed
     assert len(report.pinned_conventions) == 1
     assert "i = j" in report.pinned_conventions[0].resolution
+
+
+def test_column_sum_with_no_reading_holding_reports_the_last_under_its_pin(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # a stray h on C_h(3, 2), the right side at (n, j) = (2, 1), breaks both lower bounds
+    binomial = pascal.h_binomial
+    monkeypatch.setattr(
+        pascal, "h_binomial", lambda n, k: binomial(n, k) + (H if (n, k) == (3, 2) else 0)
+    )
+    expected = IdentityReport("pascal-column-sum")
+    for case in pascal._column_sum_cases(6, from_j=True):
+        expected.check(*case)
+    report = verify_column_sum(6)
+    assert not expected.passed
+    assert (report.cases, report.failures) == (expected.cases, expected.failures)
+    (pin,) = report.pinned_conventions
+    assert "i = j" in pin.resolution
 
 
 def test_recurrences_shift_each_binomial_once(monkeypatch: pytest.MonkeyPatch) -> None:

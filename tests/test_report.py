@@ -4,7 +4,7 @@ import pytest
 
 from hfib.fibonacci import fib_table, hfib_negative, verify_fibonacci
 from hfib.genfun import build_gf, series_expand
-from hfib.operators import OpMatrix2, SqrtExt, neg_fib_op, verify_operators
+from hfib.operators import OpMatrix2, SqrtExt, verify_operators
 from hfib.pascal import pascal_row, verify_pascal
 from hfib.qh import ExperimentalCheck, ExperimentalReport, verify_qh
 from hfib.report import SCHEMA, Failure, IdentityReport, PinnedConvention, merge_reports
@@ -46,6 +46,39 @@ def test_merge_prefixes_params_with_sub_suite() -> None:
     assert not merged.passed
 
 
+def _reading_cases(sides):
+    """cases(reading) for check_first_reading over {reading: [(lhs, rhs), ...]}; each call is logged."""
+    calls = []
+
+    def cases(reading):
+        calls.append(reading)
+        for i, (lhs, rhs) in enumerate(sides[reading]):
+            yield {"reading": reading, "i": i}, lhs, rhs
+
+    return cases, calls
+
+
+def test_first_reading_that_holds_is_checked_and_pinned_once() -> None:
+    # the printed reading passes two cases, then fails: the trial records none of them
+    cases, calls = _reading_cases(
+        {"printed": [(1, 1), (2, 2), (3, 4), (5, 5)], "fixed": [(1, 1), (2, 2), (3, 3)], "spare": [(0, 1)]}
+    )
+    report = IdentityReport("demo")
+    report.check_first_reading(cases, {"printed": None, "fixed": ("amb", "fix"), "spare": ("amb", "spare")})
+    assert calls == ["printed", "fixed"]
+    assert report == IdentityReport("demo", cases=3, pinned_conventions=[PinnedConvention("amb", "fix")])
+
+
+def test_first_reading_falls_back_to_every_case_of_the_last_under_its_pin() -> None:
+    cases, calls = _reading_cases({"printed": [(1, 2)], "fixed": [(1, 1), (2, 3), (4, 5), (6, 6)]})
+    report = IdentityReport("demo")
+    report.check_first_reading(cases, {"printed": None, "fixed": ("amb", "fix")})
+    assert calls == ["printed", "fixed", "fixed"]
+    assert report.cases == 4
+    assert [f.params for f in report.failures] == [{"reading": "fixed", "i": 1}, {"reading": "fixed", "i": 2}]
+    assert report.pinned_conventions == [PinnedConvention("amb", "fix")]
+
+
 @pytest.mark.parametrize(
     "suite, n_max",
     [
@@ -70,7 +103,6 @@ RECORDS = {
     "PinnedConvention": (lambda: PinnedConvention("amb", "res"), "resolution"),
     "OpMatrix2": (OpMatrix2.identity, "a12"),
     "SqrtExt": (SqrtExt.one, "odd"),
-    "NegIndexOp": (lambda: neg_fib_op(5), "g"),
     "OpSeries": (lambda: series_expand(build_gf("fib"), 6), "coeffs"),
     "OpRatFun": (lambda: build_gf("square"), "denominator"),
     "NegHFib": (lambda: hfib_negative(5), "numerator"),
