@@ -5,8 +5,8 @@ and denominator are polynomials in x with OpPoly (that is, Q[D])
 coefficients.  Closed forms for sums of products of operator Fibonacci
 numbers come from the extension roots: every denominator below is a
 product of factors (1 - r*x) over the relevant root monomials, and is
-read from hfib.operators.annihilator, which multiplies those factors out
-in Z[D][s] and asserts that the result lies in Z[D].  One table states
+read from hfib.operators.annihilator, which builds its coefficients in
+Z[D] by the Fibonomial rule, with no extension.  One table states
 each closed form once: its numerator and the (k, step) of its
 denominator.
 

@@ -18,9 +18,9 @@ evaluated identity below goes through that rule.
 
 Three further structures live here: the 2x2 matrix [[1, 1], [D, 0]]
 whose powers tile the operator Fibonacci numbers, the quadratic
-extension Q[D][s]/(s^2 - (1+4D)) whose roots (1 +- s)/2 give an exact
-Binet formula, and the negative-index operators g_n = D^n F_-n defined
-by running the recurrence backwards.
+extension Q[D][s]/(s^2 - (1+4D)), which serves only the symmetric lemmas
+on its roots (1 +- s)/2, and the negative-index operators g_n = D^n F_-n
+defined by running the recurrence backwards.
 
 The suites ask the kernels for few and small products.  Each matrix
 power Q^n is built once per process: qh_power is a cache that squares
@@ -250,10 +250,6 @@ class SqrtExt(NamedTuple):
     odd: OpPoly
 
     @classmethod
-    def zero(cls) -> "SqrtExt":
-        return cls(OpPoly.zero(), OpPoly.zero())
-
-    @classmethod
     def one(cls) -> "SqrtExt":
         return cls(OpPoly.one(), OpPoly.zero())
 
@@ -303,7 +299,13 @@ def binet_fib(n: int) -> OpPoly:
     odd = OpPoly.zero()
     for i in range((n - 1) // 2, -1, -1):
         odd = odd * _DISCRIMINANT + comb(n, 2 * i + 1)
-    return _exact_quotient(2 * odd, 1 << n, "twice the odd part of (1 + s)^n")
+    divisor, terms = 1 << n, {}
+    for exp, coeff in odd._terms.items():
+        quotient, remainder = divmod(2 * coeff, divisor)
+        if remainder:
+            raise ArithmeticError(f"twice the odd part of (1 + s)^n is not divisible by {divisor}")
+        terms[exp] = quotient
+    return OpPoly(terms)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -316,37 +318,26 @@ def annihilator(k: int, step: int = 1) -> tuple[OpPoly, ...]:
     its order k + 1 bounds the initial values that fix such a sequence
     (Zeilberger, "The C-finite ansatz", Ramanujan J. 31, 2013).
 
-    Built in Z[D][s]: with lp, lm = (1 +- s)/2 each factor is scaled
-    to 2^(step k) x - (1 + s)^(step a) (1 - s)^(step (k-a)) in Z[D][s].
-    The s-parts of the product must cancel and its one division by
-    2^(step k (k+1)) must be exact; both are asserted.
+    Built in Z[D] by the Fibonomial rule (Lucas, Amer. J. Math. 1, 1878;
+    Hoggatt, Fibonacci Quart. 5, 1967).  With P = lp^step + lm^step =
+    F_(step+1) + D F_(step-1) and Q = (lp lm)^step = (-D)^step, let
+    U_0 = 0, U_1 = 1 and U_(m+1) = P U_m - Q U_(m-1).  The coefficient of
+    x^(k+1-j) is (-1)^j Q^(j(j-1)/2) [k+1, j], where the Fibonomials
+    follow [n, j] = U_(n-j+1) [n-1, j-1] - Q U_(j-1) [n-1, j] and
+    [n, 0] = [n, n] = 1.
     """
+    if not (isinstance(k, int) and isinstance(step, int)):
+        raise TypeError(f"annihilator needs integers, got ({k!r}, {step!r})")
     if k < 0 or step < 1:
         raise ValueError("annihilator needs k >= 0 and step >= 1")
-    one = OpPoly.one()
-    plus, minus = SqrtExt(one, one) ** step, SqrtExt(one, -one) ** step
-    scale = 1 << (step * k)
-    product = [SqrtExt.one()]
-    for a in range(k + 1):
-        root = plus**a * minus ** (k - a)
-        # product * (scale x - root): shift up one power of x, subtract root * product
-        raised = [SqrtExt.zero()] + [SqrtExt(scale * c.even, scale * c.odd) for c in product]
-        product = [r - root * c for r, c in zip(raised, product + [SqrtExt.zero()])]
-    if any(not c.odd.is_zero for c in product):
-        raise ArithmeticError("s-part of the annihilator did not cancel")
-    divisor = 1 << (step * k * (k + 1))
-    return tuple(_exact_quotient(c.even, divisor, "annihilator coefficient") for c in product)
-
-
-def _exact_quotient(x: OpPoly, divisor: int, what: str) -> OpPoly:
-    """x / divisor over Z[D], refused unless every coefficient divides exactly."""
-    terms: dict[int, int] = {}
-    for exp, coeff in x._terms.items():
-        quotient, remainder = divmod(coeff, divisor)
-        if remainder:
-            raise ArithmeticError(f"{what} is not divisible by {divisor}")
-        terms[exp] = quotient
-    return OpPoly(terms)
+    p, q, one = fib_op(step + 1) + D * fib_op(step - 1), (-D) ** step, OpPoly.one()
+    u = [OpPoly.zero(), one]  # U_0, ..., U_(k+1)
+    for _ in range(k):
+        u.append(p * u[-1] - q * u[-2])
+    row = [one]  # [n, j] for j = 0..n, from n = 0
+    for n in range(1, k + 2):
+        row = [one, *(u[n - j + 1] * row[j - 1] - q * u[j - 1] * row[j] for j in range(1, n)), one]
+    return tuple((-1) ** j * q ** (j * (j - 1) // 2) * row[j] for j in range(k + 1, -1, -1))
 
 
 # -- negative indices ---------------------------------------------------
@@ -611,7 +602,8 @@ def verify_symmetric_lemmas() -> IdentityReport:
     """Symmetric functions of the extension roots, reduced to Q[D].
 
     They are the coefficients of the generating-function denominators,
-    checked here one by one, apart from annihilator's product.
+    checked here one by one in Q[D][s]; annihilator builds those
+    denominators in Z[D] by the Fibonomial rule, with no extension.
     """
     report = IdentityReport("op-symmetric-lemmas")
     lp, lm = lambda_plus(), lambda_minus()

@@ -3,7 +3,8 @@
 Every verification suite returns an IdentityReport: how many instances
 were checked, which failed (with both sides rendered), and which
 notational ambiguities had to be pinned to a convention before the
-checks could run.  Reports serialize under the "hfib-report/1" schema.
+checks could run.  A report that checked no case does not pass.
+Reports serialize under the "hfib-report/1" schema.
 
 Every command is a fresh interpreter, so the package's result types are
 typing.NamedTuple classes (immutable) or plain classes (mutable), never
@@ -107,7 +108,7 @@ class IdentityReport(_Record):
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return self.cases > 0 and not self.failures
 
     def to_dict(self) -> dict:
         return {
@@ -124,6 +125,8 @@ def merge_reports(suite: str, reports: list[IdentityReport]) -> IdentityReport:
     merged = IdentityReport(suite)
     for r in reports:
         merged.cases += r.cases
+        if not r.cases:  # a sub-suite that checked nothing fails, by name
+            merged.failures.append(Failure({"suite": r.suite}, "0 cases checked", "at least 1"))
         for f in r.failures:
             merged.failures.append(
                 Failure(params={"suite": r.suite, **f.params}, lhs=f.lhs, rhs=f.rhs)

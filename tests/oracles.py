@@ -24,6 +24,59 @@ def oracle_term_product(a: dict, b: dict) -> dict:
     return {key: coeff for key, coeff in acc.items() if coeff}
 
 
+def _term_combination(*scaled: tuple[int, dict]) -> dict:
+    """sum of c * m over the (c, m) pairs, for term maps m; zero sums are dropped."""
+    acc: dict = {}
+    for c, m in scaled:
+        for key, coeff in m.items():
+            acc[key] = acc.get(key, 0) + c * coeff
+    return {key: coeff for key, coeff in acc.items() if coeff}
+
+
+def oracle_annihilator(k: int, step: int) -> list[dict[int, int]]:
+    """Ascending x-coefficients of prod_(a=0..k) (x - lp^(step a) lm^(step (k-a))), as D-term maps.
+
+    The product form in Z[D][s] / (s^2 - (1 + 4D)), each element a pair
+    (even, odd) of term maps: with lp, lm = (1 +- s)/2 each factor is
+    scaled to 2^(step k) x - (1 + s)^(step a) (1 - s)^(step (k-a)).  The
+    s-parts of the product must cancel and its one division by
+    2^(step k (k+1)) must be exact; both are asserted.
+    """
+    discriminant = {0: 1, 1: 4}
+
+    def times(x, y):
+        (xe, xo), (ye, yo) = x, y
+        odd_odd = oracle_term_product(oracle_term_product(xo, yo), discriminant)
+        return (
+            _term_combination((1, oracle_term_product(xe, ye)), (1, odd_odd)),
+            _term_combination((1, oracle_term_product(xe, yo)), (1, oracle_term_product(xo, ye))),
+        )
+
+    def ladder(x, top):
+        """x^0, x^1, ..., x^top."""
+        powers = [({0: 1}, {})]
+        for _ in range(top):
+            powers.append(times(powers[-1], x))
+        return powers
+
+    plus = ladder(({0: 1}, {0: 1}), step)[-1]
+    minus = ladder(({0: 1}, {0: -1}), step)[-1]
+    plus_powers, minus_powers = ladder(plus, k), ladder(minus, k)
+    scale, zero = 1 << (step * k), ({}, {})
+    product = [({0: 1}, {})]
+    for a in range(k + 1):
+        root = times(plus_powers[a], minus_powers[k - a])
+        # product * (scale x - root): shift up one power of x, subtract root * product
+        product = [
+            tuple(_term_combination((scale, r), (-1, t)) for r, t in zip(raised, times(root, c)))
+            for raised, c in zip([zero, *product], [*product, zero])
+        ]
+    assert not any(odd for _, odd in product), "s-part of the annihilator did not cancel"
+    divisor = 1 << (step * k * (k + 1))
+    assert not any(c % divisor for even, _ in product for c in even.values())
+    return [{exp: c // divisor for exp, c in even.items()} for even, _ in product]
+
+
 # Each sum below is one sympy.Add over all its terms: adding the terms one at a
 # time rebuilds the growing sum at every step, quadratic in the term count.
 

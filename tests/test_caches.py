@@ -73,7 +73,8 @@ def test_the_caches_are_the_only_state() -> None:
 
 # (cache, an argument tuple it refuses, the integer call that warms it); the
 # float arguments hash and compare equal to the integer ones.  The binomials
-# refuse a float index before the range test, so also above the row.
+# and annihilator refuse a float index before the range test, so also above
+# the row.
 _REFUSED = {
     "h_binomial": (pascal.h_binomial, (5.0, 2), (5, 2)),
     "h_binomial above the row": (pascal.h_binomial, (5.0, 7), (5, 7)),
@@ -81,6 +82,7 @@ _REFUSED = {
     "qh_binomial with a float k": (qh.qh_binomial, (5, 2.0), (5, 2)),
     "q_binomial": (qh.q_binomial, (5.0, 2), (5, 2)),
     "annihilator": (operators.annihilator, (2, 1.0), (2, 1)),
+    "annihilator with a float k": (operators.annihilator, (2.0, 1), (2, 1)),
     "_q_diagonal": (qh._q_diagonal, (7.0, 1), (7, 1)),
     "qh_power": (operators.qh_power, (5.0,), (5,)),
 }

@@ -666,6 +666,22 @@ def test_verify_failure_exit_code(monkeypatch, capsys) -> None:
     assert data["failures"]
 
 
+@pytest.mark.parametrize("fmt", ["json", "markdown"])
+def test_verify_fails_a_sub_suite_that_checks_no_case(fmt, monkeypatch, capsys) -> None:
+    # a vacuous sub-suite fails its group, by name, though nothing it checked failed
+    monkeypatch.setattr(fibonacci, "verify_partial_sum", lambda n_max: IdentityReport("fib-partial-sum"))
+    code, out = run_cli("verify", "fib", "--format", fmt, capsys=capsys)
+    assert code == 1
+    if fmt == "json":
+        assert json.loads(out)["failures"] == [
+            {"params": {"suite": "fib-partial-sum"}, "lhs": "0 cases checked", "rhs": "at least 1"}
+        ]
+    else:
+        lines = out.splitlines()
+        assert lines[0].startswith("fib: FAIL (1 failures) [")
+        assert lines[-1] == "  failure {'suite': 'fib-partial-sum'}: 0 cases checked != at least 1"
+
+
 @pytest.mark.parametrize(
     "argv, golden",
     [

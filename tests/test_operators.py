@@ -34,6 +34,7 @@ from hfib.operators import (
     verify_power_sums,
 )
 from hfib.report import IdentityReport
+from oracles import oracle_annihilator
 
 op_polys = st.dictionaries(
     st.integers(min_value=0, max_value=6),
@@ -279,6 +280,32 @@ def test_annihilator_reversed_is_the_printed_denominator() -> None:
 def test_annihilator_refuses_bad_arguments(k: int, step: int) -> None:
     with pytest.raises(ValueError):
         annihilator(k, step)
+
+
+def test_annihilator_refuses_a_non_integer() -> None:
+    # refused on purpose, before the range test, not from inside fib_op
+    for args in ((2.0, 1), (2, 1.0), (-1.0, 1)):
+        with pytest.raises(TypeError, match="integers"):
+            annihilator(*args)
+
+
+@pytest.mark.parametrize("step", range(1, 7))
+def test_annihilator_matches_the_product_form(step: int) -> None:
+    # the Fibonomial rule in Z[D] against the product in Z[D][s] on plain term maps
+    for k in range(11):
+        assert [dict(c.terms()) for c in annihilator(k, step)] == oracle_annihilator(k, step), k
+
+
+def test_annihilator_reads_no_quadratic_extension(monkeypatch) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("the annihilator computed in Z[D][s]")
+
+    hfib.clear_caches()
+    monkeypatch.setattr(SqrtExt, "__mul__", refuse)
+    monkeypatch.setattr(SqrtExt, "__pow__", refuse)
+    for k in range(5):
+        for step in range(1, 4):
+            assert [dict(c.terms()) for c in annihilator(k, step)] == oracle_annihilator(k, step)
 
 
 def test_neg_fib_op_values() -> None:

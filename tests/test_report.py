@@ -46,6 +46,14 @@ def test_merge_prefixes_params_with_sub_suite() -> None:
     assert not merged.passed
 
 
+def test_a_report_of_no_case_does_not_pass() -> None:
+    empty = IdentityReport("empty")
+    assert not empty.failures and not empty.passed
+    merged = merge_reports("outer", [IdentityReport("alpha", cases=2), empty])
+    assert merged.cases == 2
+    assert merged.failures == [Failure({"suite": "empty"}, "0 cases checked", "at least 1")]
+
+
 def _reading_cases(sides):
     """cases(reading) for check_first_reading over {reading: [(lhs, rhs), ...]}; each call is logged."""
     calls = []
