@@ -27,9 +27,12 @@ power Q^n is built once per process: qh_power is a cache that squares
 Q^(n // 2).  The grid suites (addition, d'Ocagne, Catalan, Cassini,
 power sums, inverse powers) build each product F_a F_b, each D-shift
 and each signed power of D once per call, into rows and ladders local
-to the call, and the checks read them from there.  The binomial power
-sums are taken by Horner's rule in their small factor, so no power of
-it is built.
+to the call, and the checks read them from there.  Each F_a F_b is
+computed once per call and read for both orders: the addition and
+d'Ocagne rows hold only b >= a, and F_b F_a is read there.  The binomial
+power sums are taken by Horner's rule in their small factor, so no
+power of it is built, and each weight is scaled by C(n, i) once for
+both of their forms.
 """
 
 from __future__ import annotations
@@ -393,9 +396,20 @@ def verify_cassini(n_max: int = 20) -> IdentityReport:
     return report
 
 
-def _product_row(a: int, top: int) -> list[OpPoly]:
-    """F_a * F_b for b = 0, 1, ..., top."""
-    return [fib_op(a) * fib_op(b) for b in range(top + 1)]
+def _upper_row(a: int, entries, above: dict[int, OpPoly] | None = None) -> dict[int, OpPoly]:
+    """Row a of a symmetric table T, keyed by b: the entries T[a][a], T[a][a+1], ...
+
+    Only the upper triangle is built.  Given the row above, T[a][a-1] is
+    read from it as T[a-1][a], so each unordered entry is computed once.
+    """
+    row = {} if above is None else {a - 1: above[a]}
+    row.update(enumerate(entries, a))
+    return row
+
+
+def _product_row(a: int, top: int, above: dict[int, OpPoly] | None = None) -> dict[int, OpPoly]:
+    """F_a F_b for b = a, ..., top, keyed by b, and F_a F_(a-1) read from the row above."""
+    return _upper_row(a, (fib_op(a) * fib_op(b) for b in range(a, top + 1)), above)
 
 
 def _power_ladder(x: OpPoly, top: int) -> list[OpPoly]:
@@ -410,36 +424,38 @@ def verify_addition(m_max: int = 12, n_max: int = 12) -> IdentityReport:
     """The four index-addition formulas on an m x n grid.
 
     Each product F_a F_b, and its shift D F_a F_b, is computed once per
-    call: a window of product rows for m and m + 1, and of shifted rows
-    for m - 1 and m, slides down the grid.
+    call and read for both index orders: a window of upper product rows
+    for m and m + 1, and of shifted rows for m - 1 and m, slides down the
+    grid, and each case (m, n) with m <= n is checked with its mirror
+    (n, m), which reads the same products with the two splits swapped.
+    Every case is still its own sum.
     """
     report = IdentityReport("op-addition")
-    top = n_max + 1
-    shifted_prev, row = [D * x for x in _product_row(0, top)], _product_row(1, top)
-    for m in range(1, m_max + 1):
-        nxt, shifted_row = _product_row(m + 1, top), [D * x for x in row]
-        for n in range(1, n_max + 1):
-            report.check(
-                {"m": m, "n": n, "form": "m+n+1"},
-                fib_op(m + n + 1),
-                nxt[n + 1] + shifted_row[n],
-            )
-            report.check(
-                {"m": m, "n": n, "form": "m+n, split right"},
-                fib_op(m + n),
-                nxt[n] + shifted_row[n - 1],
-            )
-            report.check(
-                {"m": m, "n": n, "form": "m+n, split left"},
-                fib_op(m + n),
-                row[n + 1] + shifted_prev[n],
-            )
-            report.check(
-                {"m": m, "n": n, "form": "m+n-1"},
-                fib_op(m + n - 1),
-                row[n] + shifted_prev[n - 1],
-            )
-        shifted_prev, row = shifted_row, nxt
+    side, top = min(m_max, n_max), max(m_max, n_max) + 1
+
+    def check(m: int, n: int, outer: tuple, right: tuple, left: tuple, inner: tuple) -> None:
+        for form, index, (product, shift) in (
+            ("m+n+1", m + n + 1, outer),
+            ("m+n, split right", m + n, right),
+            ("m+n, split left", m + n, left),
+            ("m+n-1", m + n - 1, inner),
+        ):
+            report.check({"m": m, "n": n, "form": form}, fib_op(index), product + shift)
+
+    row = _product_row(0, top)
+    shifted = _upper_row(0, (D * row[b] for b in range(top)))
+    row = _product_row(1, top, row)
+    for m in range(1, side + 1):
+        nxt = _product_row(m + 1, top, row)
+        shifted_prev, shifted = shifted, _upper_row(m, (D * row[b] for b in range(m, top)), shifted)
+        for n in range(m, top):
+            outer, inner = (nxt[n + 1], shifted[n]), (row[n], shifted_prev[n - 1])
+            right, left = (nxt[n], shifted[n - 1]), (row[n + 1], shifted_prev[n])
+            if n <= n_max:
+                check(m, n, outer, right, left, inner)
+            if m < n <= m_max:
+                check(n, m, outer, left, right, inner)
+        row = nxt
     return report
 
 
@@ -498,20 +514,20 @@ def verify_power_sums(n_max: int = 6, k_max: int = 6) -> IdentityReport:
     Both forms are sums sum_i C(n, i) x^(n-i) c_i w_i over the weights
     w_i = F_k^i F_i: x = D F_(k-1) with c_i = 1, and x = F_(k+1) with
     c_i = (-1)^(i+1).  Each sum is taken by Horner's rule in x (Knuth,
-    TAOCP vol. 2, 4.6.4), n products by the small x and no power of it;
-    the weights, which both forms share, are built once per k.
+    TAOCP vol. 2, 4.6.4), n products by the small x and no power of it.
+    The weights are built once per k and scaled by C(n, i) once per
+    (k, n), for both forms: since x^(n-i) (-1)^(i+1) = (-1)^(n+1) (-x)^(n-i),
+    the F_(k+1) form is (-1)^(n+1) times the sum in -F_(k+1) with c_i = 1.
     """
     report = IdentityReport("op-power-sums")
     for k in range(1, k_max + 1):
         weighted = [p * fib_op(i) for i, p in enumerate(_power_ladder(fib_op(k), n_max))]
-        shifted, following = D * fib_op(k - 1), fib_op(k + 1)
+        shifted, negated = D * fib_op(k - 1), -fib_op(k + 1)
         for n in range(1, n_max + 1):
             target = fib_op(k * n)
-            lhs = _horner(shifted, [comb(n, i) * weighted[i] for i in range(n + 1)])
-            report.check({"k": k, "n": n, "form": "F_(k-1) weights"}, lhs, target)
-            alt = _horner(
-                following, [comb(n, i) * (-1) ** (i + 1) * weighted[i] for i in range(n + 1)]
-            )
+            scaled = [comb(n, i) * weighted[i] for i in range(n + 1)]
+            report.check({"k": k, "n": n, "form": "F_(k-1) weights"}, _horner(shifted, scaled), target)
+            alt = (-1) ** (n + 1) * _horner(negated, scaled)
             report.check({"k": k, "n": n, "form": "F_(k+1) weights"}, alt, target)
     return report
 
@@ -539,26 +555,34 @@ def verify_docagne(bound: int = 15) -> IdentityReport:
     For m >= n the right side is (-1)^n D^n F_(m-n); for m < n the
     negative index appears and the denominator-cleared form is
     (-1)^n D^m g_(n-m) = (-D)^m (-1)^(n-m) g_(n-m).  Each product F_a F_b
-    is computed once per call: two product rows, for m and m + 1, slide
-    down the grid.  The (-D)^j and the signed (-1)^j g_j are built once
-    per call and read from there.
+    is computed once per call and read for both index orders: two upper
+    product rows, for m and m + 1, slide down the grid, and each case
+    (m, n) with m < n is checked with its mirror (n, m), whose left side
+    is the same two products subtracted the other way.  The (-D)^j and
+    the signed (-1)^j g_j are built once per call and read from there.
     """
     report = IdentityReport("op-docagne")
     top = bound + 1
     signed_d = _power_ladder(-D, bound)
     signed_g = [(-1) ** j * neg_fib_op(j) for j in range(bound)]
+
+    def check(m: int, n: int, lhs: OpPoly) -> None:
+        if m >= n:
+            rhs = signed_d[n] * fib_op(m - n)
+            branch = "m >= n"
+        else:
+            rhs = signed_d[m] * signed_g[n - m]
+            branch = "m < n"
+        report.check({"m": m, "n": n, "branch": branch}, lhs, rhs)
+
     row = _product_row(1, top)
     for m in range(1, bound + 1):
         nxt = _product_row(m + 1, top)
-        for n in range(1, bound + 1):
-            lhs = row[n + 1] - nxt[n]
-            if m >= n:
-                rhs = signed_d[n] * fib_op(m - n)
-                branch = "m >= n"
-            else:
-                rhs = signed_d[m] * signed_g[n - m]
-                branch = "m < n"
-            report.check({"m": m, "n": n, "branch": branch}, lhs, rhs)
+        check(m, m, row[m + 1] - row[m + 1])  # F_(m+1) F_m read as F_m F_(m+1)
+        for n in range(m + 1, bound + 1):
+            first, second = row[n + 1], nxt[n]  # F_m F_(n+1) and F_(m+1) F_n
+            check(m, n, first - second)
+            check(n, m, second - first)
         row = nxt
     return report
 

@@ -342,20 +342,26 @@ def _explicit_power_sum(k: int, n: int, form: str) -> OpPoly:
     return total
 
 
-def test_verify_power_sums_cases(monkeypatch) -> None:
-    # every left side, taken by Horner's rule, equals the explicit sum
+def _record_checks(monkeypatch) -> list:
+    """The (params, lhs, rhs) of every case checked from here on, in order."""
     seen = []
     check = IdentityReport.check
 
     def recording(self, params, lhs, rhs):
-        seen.append((params, lhs))
+        seen.append((params, lhs, rhs))
         return check(self, params, lhs, rhs)
 
     monkeypatch.setattr(IdentityReport, "check", recording)
+    return seen
+
+
+def test_verify_power_sums_cases(monkeypatch) -> None:
+    # every left side, taken by Horner's rule, equals the explicit sum
+    seen = _record_checks(monkeypatch)
     report = verify_power_sums(8, 8)
     assert report.cases == len(seen) == 2 * 8 * 8
     assert not report.failures
-    for params, lhs in seen:
+    for params, lhs, _ in seen:
         assert lhs == _explicit_power_sum(params["k"], params["n"], params["form"]), params
 
 
@@ -429,15 +435,18 @@ def test_grid_suites_detect_a_wrong_fib_op(suite, args, failures, cases, monkeyp
 @pytest.mark.parametrize(
     "suite, args, bound",
     [
-        (verify_addition, (12, 12), 14 * 14),
-        (verify_addition, (5, 9), 7 * 11),
-        (verify_docagne, (15,), 16 * 17),
-        (verify_docagne, (10,), 11 * 12),
+        (verify_addition, (12, 12), 66),
+        (verify_addition, (5, 9), 26),
+        (verify_addition, (9, 5), 26),
+        (verify_docagne, (15,), 105),
+        (verify_docagne, (10,), 45),
     ],
 )
 def test_grid_suites_compute_each_product_once(suite, args, bound, monkeypatch) -> None:
-    # one product per entry of the product rows: (m + 2)(n + 2) for addition,
-    # (bound + 1)(bound + 2) for d'Ocagne; single-term factors such as D are not counted
+    # one product F_a F_b per unordered pair 3 <= a <= b, read for both index orders:
+    # a <= min(m, n) + 1 and b <= max(m, n) + 1 for addition (32 at (5, 9) when each
+    # order was its own product), b <= bound + 1 for d'Ocagne; single-term factors
+    # such as D, F_1 and F_2 are not counted
     count = 0
     kmul = algebra.kmul
 
@@ -449,6 +458,60 @@ def test_grid_suites_compute_each_product_once(suite, args, bound, monkeypatch) 
     monkeypatch.setattr(algebra, "kmul", counting)
     assert suite(*args).passed
     assert 0 < count <= bound
+
+
+def _docagne_cases(m: int, n: int, fib) -> list[tuple[dict, OpPoly, OpPoly]]:
+    lhs = fib(m) * fib(n + 1) - fib(m + 1) * fib(n)
+    if m >= n:
+        return [({"branch": "m >= n"}, lhs, (-D) ** n * fib(m - n))]
+    return [({"branch": "m < n"}, lhs, (-D) ** m * (-1) ** (n - m) * neg_fib_op(n - m))]
+
+
+# form -> (a, b, c, d): the sum F_(m+a) F_(n+b) + D F_(m+c) F_(n+d)
+_ADDITION_FORMS = {
+    "m+n+1": (1, 1, 0, 0),
+    "m+n, split right": (1, 0, 0, -1),
+    "m+n, split left": (0, 1, -1, 0),
+    "m+n-1": (0, 0, -1, -1),
+}
+
+
+def _addition_cases(m: int, n: int, fib) -> list[tuple[dict, OpPoly, OpPoly]]:
+    return [
+        ({"form": form}, fib(m + n + a + b - 1), fib(m + a) * fib(n + b) + D * fib(m + c) * fib(n + d))
+        for form, (a, b, c, d) in _ADDITION_FORMS.items()
+    ]
+
+
+@pytest.mark.parametrize(
+    "suite, args, grid, cases",
+    [
+        (verify_docagne, (15,), (15, 15), _docagne_cases),
+        (verify_addition, (12, 12), (12, 12), _addition_cases),
+        (verify_addition, (5, 9), (5, 9), _addition_cases),
+        (verify_addition, (9, 5), (9, 5), _addition_cases),
+    ],
+)
+def test_grid_suites_check_each_case_once(suite, args, grid, cases, monkeypatch) -> None:
+    # a case read with its mirror is still checked once, under its own (m, n) and
+    # label, with its own two sides: F_7 is off by D, so a sum read for the wrong
+    # index order or split shows even where both splits give F_(m+n)
+    exact = operators.fib_op
+
+    def wrong(n: int) -> OpPoly:
+        return exact(n) + D if n == 7 else exact(n)
+
+    monkeypatch.setattr(operators, "fib_op", wrong)
+    seen = _record_checks(monkeypatch)
+    suite(*args)
+    expected = [
+        ({"m": m, "n": n, **label}, lhs, rhs)
+        for m in range(1, grid[0] + 1)
+        for n in range(1, grid[1] + 1)
+        for label, lhs, rhs in cases(m, n, wrong)
+    ]
+    key = lambda case: tuple(case[0].items())
+    assert sorted(seen, key=key) == sorted(expected, key=key)
 
 
 @pytest.mark.parametrize(
