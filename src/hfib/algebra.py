@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
 from math import lcm
-from operator import mul, or_
+from operator import add, mul, or_
 from typing import Iterable, Sequence, Union
 
 from hfib.kernels import kadd, kmul, kpow, kscale, ksub, taylor_shift
@@ -519,3 +519,15 @@ def rising_numerators(a: int, b: int, count: int) -> list[int]:
     """
     return list(accumulate(range(a, a + count * b, b), mul, initial=1))
 
+
+def rising_rows(count: int) -> list[list[int]]:
+    """[row_0, ..., row_count], row k the ascending hp-coefficients of (hp)_k = hp(hp+1)...(hp+k-1).
+
+    Since (hp)_(k+1) = (hp + k) * (hp)_k, row k+1 is row k moved up one place
+    plus k times row k: the unsigned Stirling numbers of the first kind.
+    """
+    rows = [[1]]
+    for k in range(count):
+        row = rows[-1]
+        rows.append([*map(add, (0, *row), (*(k * c for c in row), 0))])
+    return rows

@@ -51,8 +51,8 @@ _CAPS = {
     # 223-245 MB with --format json); at 1000, 2.8-3.8 s, 290-314 MB and 75 MB
     # (3.7-4.8 s and 397-436 MB with --format json).
     ("fib", "--n"): 800,
-    # --eval prints F_n itself, as `fib` does: 1.6 s and 163 MB RSS at 800 (2.5 s
-    # and 242 MB with --format json), 3.2 s and 309 MB at 1000 (4.6 s and 431 MB).
+    # --eval prints F_n itself, as `fib` does: 0.9 s and 152 MB RSS at 800 (1.3-1.4 s
+    # and 224 MB with --format json), 1.7 s and 290 MB at 1000 (2.4 s and 399 MB).
     # The Q[D] form alone takes 0.13 s at 800, 0.8 s at 5000, 4.1-4.6 s at 10000.
     ("op", "--n"): 800,
     # `gf --which cube`: 1.9 s and 51 MB RSS at 500, 5.8 s and 125 MB at 800.

@@ -3,18 +3,22 @@
 The deformed Fibonacci number F_n is the diagonal sum of the deformed
 Pascal triangle, a polynomial in h and hp that collapses to the ordinary
 Fibonacci number in the classical limit h*hp = 1, h -> 0.  Four
-independent computation routes are kept deliberately separate so they
-can be played against each other:
+computation routes are kept deliberately separate so they can be played
+against each other:
 
   * hfib_diagonal   - diagonal sums of deformed binomial coefficients
   * hfib_recurrence - the two-step recurrence, whose second term shifts
                       hp by one: F_(n+1) = F_n + h*hp*F_(n-1)[hp -> hp+1];
-                      it runs as F_(n+1) = F_n + D*F_(n-1) in Q[D] and
-                      expands F_n in the basis h^k (hp)_k (rising factorial
-                      powers: Graham, Knuth & Patashnik, Concrete
-                      Mathematics, 1994, secs. 2.6, 6.1)
-  * hfib_hypergeometric - a terminating 3F1-type series, expanded alike
-  * operators.binet_fib + op_eval - the exact Binet formula in Q[D]
+                      it runs as F_(n+1) = F_n + D*F_(n-1) in Q[D]
+  * hfib_hypergeometric - a terminating 3F1-type series in Q[D]
+  * operators.binet_fib - the exact Binet formula in Q[D]
+
+The last three are each op_eval of their Q[D] form, which expands D^k
+to h^k (hp)_k from dense rows of rising-factorial coefficients
+(algebra.rising_rows; Graham, Knuth & Patashnik, Concrete Mathematics,
+1994, secs. 2.6, 6.1).  The diagonal route takes its weights h^k (hp)_k
+from d_image instead, so route equivalence compares two independent
+expansions.
 
 Negative indices are rationally deformed: F_(-n) is a ratio whose
 denominator is h^n * (hp)(hp+1)...(hp+n-1); NegHFib carries the
@@ -32,11 +36,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from operator import add
 from typing import NamedTuple
 
 from hfib.algebra import H, HP, HPoly, d_image
-from hfib.operators import OpPoly, _horner, binet_fib, neg_fib_op, op_eval, two_step_op
+from hfib.operators import OpPoly, _horner, binet_fib, fib_op, neg_fib_op, op_eval, two_step_op
 from hfib.pascal import h_binomial
 from hfib.report import IdentityReport, suite_scale
 
@@ -64,22 +67,6 @@ def hfib_diagonal(n: int) -> HPoly:
     return total
 
 
-def _rising_expand(x: OpPoly) -> HPoly:
-    """The monomial form of sum c_k * h^k * (hp)_k over the terms c_k D^k of x.
-
-    Row k of the table holds the ascending hp-coefficients of the rising
-    factorial (hp)_k = hp(hp+1)...(hp+k-1), built by (hp)_(k+1) = (hp + k) * (hp)_k,
-    apart from d_image, so the routes stay independent of op_eval.
-    """
-    rows = [[1]]
-    for k in range(x.degree):
-        row = rows[-1]
-        rows.append([*map(add, (0, *row), (*(k * c for c in row), 0))])
-    terms = x._terms
-    assert all(type(c) is int for c in terms.values()), "F_n has integer D-coefficients"
-    return HPoly.from_hp_lanes((k, 0, [c * r for r in rows[k]]) for k, c in terms.items())
-
-
 def recurrence_op(n: int) -> OpPoly:
     """F_n in Q[D] by the two-step recurrence F_(k+1) = F_k + D * F_(k-1), from F_0 and F_1."""
     if n < 0:
@@ -91,9 +78,10 @@ def hfib_recurrence(n: int) -> HPoly:
     """Recurrence route: F_(n+1) = F_n + h*hp * F_(n-1) with hp shifted by one.
 
     Since hp * (hp+1)_j = (hp)_(j+1), the shifted term is the image of
-    D * F_(n-1) under D^k -> h^k (hp)_k, so only F_n is expanded.
+    D * F_(n-1) under D^k -> h^k (hp)_k, so the recurrence runs in Q[D] and
+    only F_n is expanded, by op_eval.
     """
-    return _rising_expand(recurrence_op(n))
+    return op_eval(recurrence_op(n))
 
 
 def hypergeometric_op(n: int) -> OpPoly:
@@ -124,8 +112,8 @@ def hypergeometric_op(n: int) -> OpPoly:
 
 
 def hfib_hypergeometric(n: int) -> HPoly:
-    """Terminating hypergeometric route: hypergeometric_op(n) under D^k -> h^k (hp)_k."""
-    return _rising_expand(hypergeometric_op(n))
+    """Terminating hypergeometric route: hypergeometric_op(n) under D^k -> h^k (hp)_k, by op_eval."""
+    return op_eval(hypergeometric_op(n))
 
 
 class NegHFib(NamedTuple):
@@ -326,14 +314,17 @@ def verify_alternating_sum(n_max: int = 12) -> IdentityReport:
 
 
 def verify_negative_reflection(n_max: int = 15) -> IdentityReport:
-    """NegHFib numerators against the operator-route negative indices."""
+    """NegHFib numerators against (-1)^(n-1) op_eval(fib_op(n)) and the operator negative indices.
+
+    The numerators are built from hfib_diagonal, so the reflection cases read F_n from op_eval.
+    """
     report = IdentityReport("fib-negative-reflection")
     for n in range(1, n_max + 1):
         value = hfib_negative(n)
         report.check(
             {"n": n, "route": "reflection"},
             value.numerator,
-            (-1) ** (n - 1) * hfib_diagonal(n),
+            (-1) ** (n - 1) * op_eval(fib_op(n)),
         )
         report.check(
             {"n": n, "route": "operator"},

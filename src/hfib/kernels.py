@@ -23,7 +23,8 @@ size) and the product is read back lane by lane (Kronecker, 1882;
 Harvey, "Faster polynomial multiplication via multipoint Kronecker
 substitution", J. Symbolic Comput. 44, 2009).  Lanes of 1, 2, 4 or 8
 bytes are machine words that `array` packs and reads in C; wider
-coefficients take byte lanes.  Everything else (small products,
+lanes are two's-complement words that int.to_bytes writes and
+int.from_bytes reads.  Everything else (small products,
 Fraction coefficients and the sparse packed keys of hfib.algebra) takes
 the schoolbook double loop.
 
@@ -109,15 +110,6 @@ def kscale(a: dict, c) -> dict:
     return {key: coeff * c for key, coeff in a.items()}
 
 
-def _pack(a: dict, top: int, width: int, half: int) -> int:
-    """The sum of coeff * 2**(8*width*key) over a's terms, packed from biased byte lanes."""
-    filler = half.to_bytes(width, "little")
-    lanes = [filler] * (top + 1)
-    for key, coeff in a.items():
-        lanes[key] = (coeff + half).to_bytes(width, "little")
-    return int.from_bytes(b"".join(lanes), "little") - int.from_bytes(filler * (top + 1), "little")
-
-
 def _kronecker(a: dict, b: dict) -> dict | None:
     """a * b by one big-integer product, or None when a map is sparse or has a Fraction.
 
@@ -128,11 +120,12 @@ def _kronecker(a: dict, b: dict) -> dict | None:
     `half` to every lane makes each one non-negative, so the lanes give the
     coefficients exactly, negative ones and cancellations included.
 
-    Lanes of 1, 2, 4 or 8 bytes are signed machine words, written and read
-    by `array` in C.  A two's-complement word w of a coefficient c is
-    (c + half) ^ half, so XOR with the packed halves turns a map of words
-    into its biased lanes and, after the product, biased lanes back into
-    words.  Wider coefficients take byte lanes, one slice per lane.
+    Each lane is a little-endian two's-complement word.  Lanes of 1, 2, 4
+    or 8 bytes are signed machine words, written and read by `array` in C;
+    wider ones are written by int.to_bytes and read by int.from_bytes, one
+    slice per lane.  A word w of a coefficient c is (c + half) ^ half, so
+    XOR with the packed halves turns a map of words into its biased lanes
+    and, after the product, biased lanes back into words.
     """
     top_a, top_b = max(a), max(b)
     if top_a >= _KRONECKER_SPAN * len(a) or top_b >= _KRONECKER_SPAN * len(b):
@@ -155,22 +148,25 @@ def _kronecker(a: dict, b: dict) -> dict | None:
     half = 1 << (8 * width - 1)
     from_bytes = int.from_bytes
     halves = from_bytes(half.to_bytes(width, "little") * lanes, "little")
-    if code is None:
-        product = _pack(a, top_a, width, half) * _pack(b, top_b, width, half)
-        raw = (product + halves).to_bytes(lanes * width, "little")
-        coeffs = [from_bytes(raw[i : i + width], "little") - half for i in range(0, len(raw), width)]
-        return {key: coeff for key, coeff in enumerate(coeffs) if coeff}
     product = 1
     for m, top in ((a, top_a), (b, top_b)):
-        words = array(code, map(m.get, range(top + 1), repeat(0)))
-        if _BIG_ENDIAN:
-            words.byteswap()
+        coeffs = map(m.get, range(top + 1), repeat(0))
+        if code is None:
+            words = b"".join([c.to_bytes(width, "little", signed=True) for c in coeffs])
+        else:
+            words = array(code, coeffs)
+            if _BIG_ENDIAN:
+                words.byteswap()
         # the halves above a map's top lane are added by the XOR and taken off again
         product *= (from_bytes(words, "little") ^ halves) - halves
-    words = array(code)
-    words.frombytes(((product + halves) ^ halves).to_bytes(lanes * width, "little"))
-    if _BIG_ENDIAN:
-        words.byteswap()
+    raw = ((product + halves) ^ halves).to_bytes(lanes * width, "little")
+    if code is None:
+        words = [from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
+    else:
+        words = array(code)
+        words.frombytes(raw)
+        if _BIG_ENDIAN:
+            words.byteswap()
     return {key: coeff for key, coeff in enumerate(words) if coeff}
 
 

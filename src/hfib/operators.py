@@ -44,7 +44,7 @@ from math import comb, lcm
 from operator import index, mul
 from typing import NamedTuple
 
-from hfib.algebra import HPoly, Scalar, TermRing, _coerce_scalar, d_image, rising_numerators
+from hfib.algebra import HPoly, Scalar, TermRing, _coerce_scalar, d_image, rising_numerators, rising_rows
 from hfib.kernels import binary_power
 from hfib.report import IdentityReport, suite_scale
 
@@ -119,11 +119,11 @@ def two_step_op(n: int, sign: int) -> OpPoly:
 
 
 def op_eval(x: OpPoly) -> HPoly:
-    """Substitute D^k -> h^k * (hp)(hp+1)...(hp+k-1), landing in Q[h, hp]."""
-    acc = HPoly.zero()
-    for exp, coeff in x._terms.items():
-        acc = acc + coeff * d_image(exp)
-    return acc
+    """Substitute D^k -> h^k * (hp)(hp+1)...(hp+k-1) into Q[h, hp], by rising_rows over one denominator."""
+    terms, rows = x._terms, rising_rows(x.degree)
+    m = lcm(*(c.denominator for c in terms.values() if type(c) is not int))
+    lanes = ((k, 0, [c.numerator * (m // c.denominator) * r for r in rows[k]]) for k, c in terms.items())
+    return HPoly.from_hp_lanes(lanes, m)
 
 
 def op_value(x: OpPoly, h, hp) -> Fraction:

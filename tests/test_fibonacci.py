@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import hfib
 from hfib.algebra import H, HP, HPoly, d_image, shifted_factorial
 from hfib import algebra, fibonacci, kernels, operators
-from hfib.operators import D, OpPoly
+from hfib.operators import D, OpPoly, op_eval
 from hfib.fibonacci import (
     classical_fib,
     fib_table,
@@ -101,8 +101,8 @@ def test_recurrence_lanes_layout() -> None:
     # F_5 = 1 + 3*h*hp + h^2*hp + h^2*hp^2 is 1 + 3*h*(hp)_1 + h^2*(hp)_2 in the
     # rising-factorial basis, the image of 1 + 3D + D^2 that the route keeps
     assert recurrence_op(5) == 1 + 3 * D + D**2
-    assert fibonacci._rising_expand(1 + 3 * D + D**2) == hfib_diagonal(5)
-    assert fibonacci._rising_expand(OpPoly.zero()) == 0
+    assert op_eval(1 + 3 * D + D**2) == hfib_diagonal(5)
+    assert op_eval(OpPoly.zero()) == 0
 
 
 def test_recurrence_route_satisfies_the_ring_recurrence() -> None:
@@ -114,7 +114,7 @@ def test_recurrence_route_satisfies_the_ring_recurrence() -> None:
 
 @given(st.integers(min_value=0, max_value=24))
 def test_rising_expand_matches_sympy_oracle(j: int) -> None:
-    assert_matches(fibonacci._rising_expand(D**j), SH**j * oracle_rising_hp(j))
+    assert_matches(op_eval(D**j), SH**j * oracle_rising_hp(j))
 
 
 @given(
@@ -123,19 +123,18 @@ def test_rising_expand_matches_sympy_oracle(j: int) -> None:
 def test_rising_key_move_matches_the_ring_shift(f: dict[int, int]) -> None:
     # multiplying by D is multiplying the image by h*hp after shifting hp by one
     x = OpPoly.from_coeffs(f)
-    expand = fibonacci._rising_expand
-    assert expand(D * x) == H * HP * expand(x).shift_hprime(1)
+    assert op_eval(D * x) == H * HP * op_eval(x).shift_hprime(1)
 
 
 def test_recurrence_route_is_independent_and_bounded(monkeypatch: pytest.MonkeyPatch) -> None:
-    # the recurrence and hypergeometric routes share only _rising_expand
+    # the recurrence and hypergeometric routes share only op_eval, which reads no d_image
     hfib.clear_caches()
     expected = {n: hfib_diagonal(n) for n in (30, 120)}
 
     def refuse(*args: object) -> None:
         raise AssertionError("a route read another route's code")
 
-    others = ("d_image", "h_binomial", "comb", "op_eval", "binet_fib", "fib_op")
+    others = ("d_image", "h_binomial", "comb", "binet_fib", "fib_op")
     for name in others:
         monkeypatch.setattr(fibonacci, name, refuse, raising=False)
         monkeypatch.setattr(operators, name, refuse, raising=False)
@@ -207,6 +206,17 @@ def test_negative_index_values() -> None:
     assert m3.denominator_count == 3
     with pytest.raises(ValueError):
         hfib_negative(0)
+
+
+def test_reflection_case_sees_a_wrong_diagonal(monkeypatch: pytest.MonkeyPatch) -> None:
+    # hfib_negative builds its numerator from hfib_diagonal, so the reflection side
+    # must read F_n from another route for the case to be able to fail
+    diagonal = fibonacci.hfib_diagonal
+    monkeypatch.setattr(fibonacci, "hfib_diagonal", lambda n: diagonal(n) + H if n == 7 else diagonal(n))
+    hfib.clear_caches()
+    failed = [failure.params for failure in fibonacci.verify_negative_reflection(15).failures]
+    hfib.clear_caches()
+    assert {"n": 7, "route": "reflection"} in failed
 
 
 @given(st.integers(min_value=1, max_value=15))

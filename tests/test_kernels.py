@@ -244,15 +244,15 @@ def _edge_pairs(bits: int):
 
 @pytest.mark.parametrize("bits", [8, 9, 16, 17, 32, 33, 64, 65])
 def test_word_lanes_at_each_width_edge(bits: int, monkeypatch) -> None:
-    byte_packs = 0
-    pack = kernels._pack
+    word_builds = 0
+    build = kernels.array
 
     def counting(*args):
-        nonlocal byte_packs
-        byte_packs += 1
-        return pack(*args)
+        nonlocal word_builds
+        word_builds += 1
+        return build(*args)
 
-    monkeypatch.setattr(kernels, "_pack", counting)
+    monkeypatch.setattr(kernels, "array", counting)
     for a, b in _edge_pairs(bits):
         assert _lane_bits(a, b) == bits
         expected = oracle_term_product(a, b)
@@ -263,8 +263,8 @@ def test_word_lanes_at_each_width_edge(bits: int, monkeypatch) -> None:
     # from 16 bits on, the peak 9 * ma * mb fills every bit of its lane but the sign
     peak = oracle_term_product(*next(_edge_pairs(bits)))[8]
     assert peak.bit_length() == bits - 1 or bits < 16
-    # 8-byte words hold lanes of up to 64 bits; wider ones take byte lanes
-    assert (byte_packs > 0) == (bits > 64)
+    # 8-byte `array` words hold lanes of up to 64 bits; wider ones go through int.to_bytes
+    assert (word_builds > 0) == (bits <= 64)
 
 
 def _shift_by_definition(a: list[int], delta: int) -> list[int]:

@@ -30,12 +30,12 @@ def _d_image_off_at_6(k):
     return algebra.d_image(k) + H**6 if k == 6 else algebra.d_image(k)
 
 
-_RISING_EXPAND = fibonacci._rising_expand
+_OP_EVAL = operators.op_eval
 
 
-def _rising_expand_off_from_5(x):
+def _op_eval_off_from_5(x):
     # one stray h on the expansion of any operator of degree 5 or more
-    return _RISING_EXPAND(x) + (H if x.degree >= 5 else 0)
+    return _OP_EVAL(x) + (H if x.degree >= 5 else 0)
 
 
 _KRONECKER = kernels._kronecker
@@ -188,7 +188,7 @@ _GF_TABLE_CUBE_OFF = {
 
 # fault -> ((module, attribute, replacement), ...), the suites that fail); d_image is
 # planted in one module namespace per row (in fibonacci, h_binomial and hfib_diagonal
-# stay sound), and fib_op and binet_fib wherever a suite reads them.
+# stay sound), and fib_op, op_eval and binet_fib wherever a suite reads them.
 MUTANTS = {
     "taylor_shift wrong for shifts of 3 or more": (
         ((algebra, "taylor_shift", _taylor_shift_off_from_3),),
@@ -217,9 +217,10 @@ MUTANTS = {
         ((qh, "d_image", _d_image_off_at_6),),
         ("qh-recurrences", "qh-q1-reduction"),
     ),
+    # every route but the diagonal one, and the reflection side, expand through op_eval
     "rising-factorial expansion off from (hp)_5": (
-        ((fibonacci, "_rising_expand", _rising_expand_off_from_5),),
-        ("fib-route-equivalence",),
+        ((operators, "op_eval", _op_eval_off_from_5), (fibonacci, "op_eval", _op_eval_off_from_5)),
+        ("fib-negative-reflection", "fib-route-equivalence", "op-matrix-powers"),
     ),
     # at default scales op-cassini is the only suite with a packed product this long
     "Kronecker product top coefficient + 1 from 20 terms": (
@@ -301,8 +302,13 @@ MUTANTS = {
     # every suite that reads fib_op but op-symmetric-lemmas, which checks the roots only;
     # the weighted series sees the stray D as h hp / 2^8 = 1/51200, far above its tolerance
     "fib_op(7) + D": (
-        ((operators, "fib_op", _fib_op_off_at_7), (genfun, "fib_op", _fib_op_off_at_7)),
         (
+            (operators, "fib_op", _fib_op_off_at_7),
+            (genfun, "fib_op", _fib_op_off_at_7),
+            (fibonacci, "fib_op", _fib_op_off_at_7),
+        ),
+        (
+            "fib-negative-reflection",
             "op-matrix-powers",
             "op-cassini",
             "op-addition",

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import hfib
 from hfib import algebra, fibonacci, genfun, operators
-from hfib.algebra import H, HP, HPoly, shifted_factorial
+from hfib.algebra import H, HP, HPoly, d_image, shifted_factorial
 from hfib.fibonacci import classical_fib, hfib_diagonal
 from hfib.operators import (
     D,
@@ -96,6 +96,22 @@ def test_op_eval_substitution() -> None:
     assert op_eval(D) == H * HP
     assert op_eval(D**2) == H**2 * HP * (HP + 1)
     assert op_eval(3 * D - 1) == 3 * H * HP - 1
+
+
+def _image_term_by_term(x: OpPoly) -> HPoly:
+    # the earlier definition of op_eval, kept as its reference: c_k * d_image(k), term by term
+    acc = HPoly.zero()
+    for exp, coeff in x.terms():
+        acc = acc + coeff * d_image(exp)
+    return acc
+
+
+@given(op_polys)
+@example(OpPoly.zero())
+@example(Fraction(1, 3) * D**4 - Fraction(5, 6) * D + 7)
+@example(Fraction(3, 7) * fib_op(40) - D**25)
+def test_op_eval_is_the_sum_of_d_images(x: OpPoly) -> None:
+    assert op_eval(x) == _image_term_by_term(x)
 
 
 @given(op_polys, st.integers(min_value=0, max_value=5))
