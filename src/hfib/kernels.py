@@ -26,7 +26,10 @@ bytes are machine words that `array` packs and reads in C; wider
 lanes are two's-complement words that int.to_bytes writes and
 int.from_bytes reads.  Everything else (small products,
 Fraction coefficients and the sparse packed keys of hfib.algebra) takes
-the schoolbook double loop.
+the schoolbook double loop.  The lane codec is one pair: kpack writes
+the image a(2^B) of a map, B = 8 * lane_width(bits), and kunpack reads a
+map back from an image.  The grid suites of hfib.operators use the same
+pair to check whole identities on images.
 
 The sixth kernel, taylor_shift, works on a dense list of int
 coefficients of one variable rather than on a term map: it returns the
@@ -62,6 +65,7 @@ _KRONECKER_SPAN = 2
 # (item size, signed typecode) of the machine words that carry Kronecker lanes,
 # narrowest first; sizes are read from `array`, not assumed.
 _WORD_CODES = sorted({array(code).itemsize: code for code in "bhilq"}.items())
+_WORD_CODE = dict(_WORD_CODES)
 # `array` words are in native byte order; lanes are little-endian words.
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -110,57 +114,60 @@ def kscale(a: dict, c) -> dict:
     return {key: coeff * c for key, coeff in a.items()}
 
 
-def _kronecker(a: dict, b: dict) -> dict | None:
-    """a * b by one big-integer product, or None when a map is sparse or has a Fraction.
-
-    `a` is the shorter map.  A lane of `width` bytes holds every product
-    coefficient: each is a sum of at most len(a) products, so its size is
-    below 2**(bits(max|a|) + bits(max|b|) + bits(len(a))), and one more bit
-    carries the sign.  Lanes are read back as balanced digits: adding
-    `half` to every lane makes each one non-negative, so the lanes give the
-    coefficients exactly, negative ones and cancellations included.
-
-    Each lane is a little-endian two's-complement word.  Lanes of 1, 2, 4
-    or 8 bytes are signed machine words, written and read by `array` in C;
-    wider ones are written by int.to_bytes and read by int.from_bytes, one
-    slice per lane.  A word w of a coefficient c is (c + half) ^ half, so
-    XOR with the packed halves turns a map of words into its biased lanes
-    and, after the product, biased lanes back into words.
-    """
-    top_a, top_b = max(a), max(b)
-    if top_a >= _KRONECKER_SPAN * len(a) or top_b >= _KRONECKER_SPAN * len(b):
-        return None
-    va, vb = a.values(), b.values()
-    if not (_INT_ONLY.issuperset(map(type, va)) and _INT_ONLY.issuperset(map(type, vb))):
-        return None
-    bits = (
-        max(map(abs, va)).bit_length()
-        + max(map(abs, vb)).bit_length()
-        + len(a).bit_length()
-        + 1
-    )
-    lanes = top_a + top_b + 1
-    for width, code in _WORD_CODES:
+def lane_width(bits: int) -> int:
+    """Bytes in the narrowest Kronecker lane of at least `bits` bits, a machine word if one is wide enough."""
+    for width, _ in _WORD_CODES:
         if bits <= 8 * width:
-            break
-    else:
-        width, code = (bits + 7) >> 3, None
-    half = 1 << (8 * width - 1)
-    from_bytes = int.from_bytes
-    halves = from_bytes(half.to_bytes(width, "little") * lanes, "little")
-    product = 1
-    for m, top in ((a, top_a), (b, top_b)):
-        coeffs = map(m.get, range(top + 1), repeat(0))
-        if code is None:
-            words = b"".join([c.to_bytes(width, "little", signed=True) for c in coeffs])
-        else:
-            words = array(code, coeffs)
-            if _BIG_ENDIAN:
-                words.byteswap()
-        # the halves above a map's top lane are added by the XOR and taken off again
-        product *= (from_bytes(words, "little") ^ halves) - halves
-    raw = ((product + halves) ^ halves).to_bytes(lanes * width, "little")
+            return width
+    return (bits + 7) >> 3
+
+
+def _halves(width: int, lanes: int) -> int:
+    """2**(8 width - 1) in each of `lanes` lanes: the bias that makes every signed lane non-negative."""
+    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * lanes, "little")
+
+
+def kpack(a: dict, width: int) -> int:
+    """The image a(2**(8 width)) of a dense map of int coefficients, one signed lane each.
+
+    Each coefficient is written as a little-endian two's-complement word
+    of `width` bytes: by `array` in C for 1, 2, 4 or 8 bytes, by
+    int.to_bytes past that.  A word w of a coefficient c is (c + half) ^ half,
+    so XOR with the packed halves turns the words into biased lanes, and
+    taking the halves off leaves sum_k c_k 2**(8 width k).  Only int
+    coefficients have an image: both writers raise TypeError on any other.
+    """
+    if not a:
+        return 0
+    lanes = max(a) + 1
+    coeffs = map(a.get, range(lanes), repeat(0))
+    code = _WORD_CODE.get(width)
     if code is None:
+        to_bytes = int.to_bytes
+        words = b"".join([to_bytes(c, width, "little", signed=True) for c in coeffs])
+    else:
+        words = array(code, coeffs)
+        if _BIG_ENDIAN:
+            words.byteswap()
+    halves = _halves(width, lanes)
+    return (int.from_bytes(words, "little") ^ halves) - halves
+
+
+def kunpack(image: int, width: int) -> dict:
+    """The term map whose image at 2**(8 width) is `image`, every coefficient below 2**(8 width - 1) in size.
+
+    The lanes are read back as balanced digits: adding `half` to every lane
+    makes each one non-negative, so the lanes give the coefficients exactly,
+    negative ones and cancellations included.  A nonzero top coefficient
+    puts the image at or above 2**(8 width k - 1) in size, so its bit length
+    says how many lanes to read.
+    """
+    lanes = image.bit_length() // (8 * width) + 1
+    halves = _halves(width, lanes)
+    raw = ((image + halves) ^ halves).to_bytes(lanes * width, "little")
+    code = _WORD_CODE.get(width)
+    if code is None:
+        from_bytes = int.from_bytes
         words = [from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
     else:
         words = array(code)
@@ -168,6 +175,25 @@ def _kronecker(a: dict, b: dict) -> dict | None:
         if _BIG_ENDIAN:
             words.byteswap()
     return {key: coeff for key, coeff in enumerate(words) if coeff}
+
+
+def _kronecker(a: dict, b: dict) -> dict | None:
+    """a * b by one big-integer product of images, or None when a map is sparse or has a Fraction.
+
+    `a` is the shorter map.  A lane holds every product coefficient: each
+    is a sum of at most len(a) products, so its size is below
+    2**(bits(max|a|) + bits(max|b|) + bits(len(a))), and one more bit
+    carries the sign.
+    """
+    if max(a) >= _KRONECKER_SPAN * len(a) or max(b) >= _KRONECKER_SPAN * len(b):
+        return None
+    va, vb = a.values(), b.values()
+    if not (_INT_ONLY.issuperset(map(type, va)) and _INT_ONLY.issuperset(map(type, vb))):
+        return None
+    width = lane_width(
+        max(map(abs, va)).bit_length() + max(map(abs, vb)).bit_length() + len(a).bit_length() + 1
+    )
+    return kunpack(kpack(a, width) * kpack(b, width), width)
 
 
 def kmul(a: dict, b: dict) -> dict:

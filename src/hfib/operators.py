@@ -22,17 +22,24 @@ extension Q[D][s]/(s^2 - (1+4D)), which serves only the symmetric lemmas
 on its roots (1 +- s)/2, and the negative-index operators g_n = D^n F_-n
 defined by running the recurrence backwards.
 
-The suites ask the kernels for few and small products.  Each matrix
-power Q^n is built once per process: qh_power is a cache that squares
-Q^(n // 2).  The grid suites (addition, d'Ocagne, Catalan, Cassini,
-power sums, inverse powers) build each product F_a F_b, each D-shift
-and each signed power of D once per call, into rows and ladders local
-to the call, and the checks read them from there.  Each F_a F_b is
-computed once per call and read for both orders: the addition and
-d'Ocagne rows hold only b >= a, and F_b F_a is read there.  The binomial
-power sums are taken by Horner's rule in their small factor, so no
-power of it is built, and each weight is scaled by C(n, i) once for
-both of their forms.
+Each matrix power Q^n is built once per process: qh_power is a cache
+that squares Q^(n // 2).  The grid suites (addition, d'Ocagne, Catalan,
+the product form of Cassini, power sums, inverse powers) check their
+polynomial identities on integer images, with no term map per case.
+Evaluation at D = 2^B is a ring map Z[D] -> Z, one-to-one on the
+polynomials whose coefficients are below 2^(B-1) in size, and
+||x y||_1 <= ||x||_1 ||y||_1.  Each call reads the l1 norms of the
+objects it checks, bounds ||lhs||_1 + ||rhs||_1 over its cases, picks
+one B above that bound, and images each input once through the Kronecker
+lane codec of hfib.kernels (kpack).  A case is then big-integer products
+and sums, a D^j is a shift by B j bits, and equal images prove
+lhs = rhs, since ||lhs - rhs||_inf <= ||lhs||_1 + ||rhs||_1 < 2^(B-1)
+(Kronecker, 1882; Harvey, J. Symbolic Comput. 44, 2009).  A failing case
+is decoded back to Q[D] (kunpack), so its witness shows both sides as
+polynomials.  Each product F_a F_b is still taken once per call and
+read for both index orders, from at most two rows of image products.
+The binomial power sums are taken by Horner's rule in their small
+factor, and each weight is scaled by C(n, i) once for both forms.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from operator import index, mul
 from typing import NamedTuple
 
 from hfib.algebra import HPoly, Scalar, TermRing, _coerce_scalar, d_image, rising_numerators, rising_rows
-from hfib.kernels import binary_power
+from hfib.kernels import binary_power, kpack, kunpack, lane_width
 from hfib.report import IdentityReport, suite_scale
 
 
@@ -364,6 +371,45 @@ def _ev_shift(x: OpPoly, weight: int) -> HPoly:
     return d_image(weight) * op_eval(x).shift_hprime(weight)
 
 
+def _l1(x: OpPoly) -> int:
+    """||x||_1, the sum of the absolute values of the coefficients of x."""
+    return sum(map(abs, x._terms.values()))
+
+
+def _image_width(bound: int) -> int:
+    """Lane bytes of a call's images at 2^B, B = 8 * width, with bound < 2^(B-1).
+
+    bound is at least ||lhs||_1 + ||rhs||_1 for every case of the call, so
+    equal images prove lhs = rhs and each side decodes from its image.
+    """
+    return lane_width(bound.bit_length() + 1)
+
+
+def _images(xs, width: int) -> list[int]:
+    """The image at 2^(8 width) of each operator; a Fraction coefficient raises TypeError."""
+    return [kpack(x._terms, width) for x in xs]
+
+
+def _signed_shift(image: int, j: int, width: int) -> int:
+    """The image of (-D)^j x, given that of x."""
+    return (-image if j & 1 else image) << (8 * width * j)
+
+
+def _decode(image, width: int):
+    """The operator, or for a tuple of four images the OpMatrix2, whose image this is."""
+    if type(image) is tuple:
+        return OpMatrix2(*(_decode(entry, width) for entry in image))
+    return OpPoly(kunpack(image, width))
+
+
+def _check_images(report: IdentityReport, params: dict, lhs, rhs, width: int) -> None:
+    """One case on images; a failing one is checked on its decoded sides, for the witness."""
+    if lhs == rhs:
+        report.check(params, lhs, rhs)
+    else:
+        report.check(params, _decode(lhs, width), _decode(rhs, width))
+
+
 def verify_matrix_powers(n_max: int = 10) -> IdentityReport:
     """Powers of [[1,1],[D,0]] tile operator Fibonacci numbers.
 
@@ -383,79 +429,69 @@ def verify_matrix_powers(n_max: int = 10) -> IdentityReport:
 
 
 def verify_cassini(n_max: int = 20) -> IdentityReport:
-    """Cassini identity and the determinant statement it comes from.
+    """Cassini identity F_(n+1) F_(n-1) - F_n^2 = -(-D)^(n-1) and det Q^n = (-D)^n.
 
-    Both right sides are read from one ladder of (-D)^j, built once per call.
+    The product form is checked on images.  With M the largest ||F_k||_1,
+    k <= n_max + 1, each case has ||lhs||_1 + ||rhs||_1 <= 2 M^2 + 1.  The
+    determinant form stays in Q[D], on qh_power and the kernels.
     """
     report = IdentityReport("op-cassini")
-    signed = _power_ladder(-D, n_max)  # (-1)^j D^j
+    fibs = [fib_op(k) for k in range(n_max + 2)]
+    most = max(map(_l1, fibs))
+    width = _image_width(2 * most * most + 1)
+    f = _images(fibs, width)
     for n in range(1, n_max + 1):
-        lhs = fib_op(n + 1) * fib_op(n - 1) - fib_op(n) ** 2
-        report.check({"n": n}, lhs, -signed[n - 1])
-        report.check({"n": n, "form": "det"}, qh_power(n).det(), signed[n])
+        rhs = -_signed_shift(1, n - 1, width)
+        _check_images(report, {"n": n}, f[n + 1] * f[n - 1] - f[n] * f[n], rhs, width)
+        report.check({"n": n, "form": "det"}, qh_power(n).det(), (-D) ** n)
     return report
 
 
-def _upper_row(a: int, entries, above: dict[int, OpPoly] | None = None) -> dict[int, OpPoly]:
-    """Row a of a symmetric table T, keyed by b: the entries T[a][a], T[a][a+1], ...
-
-    Only the upper triangle is built.  Given the row above, T[a][a-1] is
-    read from it as T[a-1][a], so each unordered entry is computed once.
-    """
-    row = {} if above is None else {a - 1: above[a]}
-    row.update(enumerate(entries, a))
-    return row
-
-
-def _product_row(a: int, top: int, above: dict[int, OpPoly] | None = None) -> dict[int, OpPoly]:
-    """F_a F_b for b = a, ..., top, keyed by b, and F_a F_(a-1) read from the row above."""
-    return _upper_row(a, (fib_op(a) * fib_op(b) for b in range(a, top + 1)), above)
-
-
-def _power_ladder(x: OpPoly, top: int) -> list[OpPoly]:
-    """x^0, x^1, ..., x^top by repeated multiplication."""
-    ladder = [OpPoly.one()]
-    for _ in range(top):
-        ladder.append(ladder[-1] * x)
-    return ladder
-
-
 def verify_addition(m_max: int = 12, n_max: int = 12) -> IdentityReport:
-    """The four index-addition formulas on an m x n grid.
+    """The four index-addition formulas on an m x n grid, on images.
 
-    Each product F_a F_b, and its shift D F_a F_b, is computed once per
-    call and read for both index orders: a window of upper product rows
-    for m and m + 1, and of shifted rows for m - 1 and m, slides down the
-    grid, and each case (m, n) with m <= n is checked with its mirror
-    (n, m), which reads the same products with the two splits swapped.
-    Every case is still its own sum.
+    Each right side is a sum S(a, b) = F_(a+1) F_(b+1) + D F_a F_b, which
+    is symmetric: at (m, n) the forms m+n+1, split right, split left and
+    m+n-1 read S(m, n), S(m, n-1), S(m-1, n) and S(m-1, n-1).  Rows of
+    S for m - 1 and m slide down the grid, each built from two rows of
+    image products F_a F_b, b >= a, so each product and each sum is taken
+    once per call; each case (m, n) with m <= n is checked with its
+    mirror (n, m), which reads the same sums with the two splits swapped.
+    With M the largest ||F_k||_1 read, each case has
+    ||lhs||_1 + ||rhs||_1 <= 2 M^2 + M.
     """
     report = IdentityReport("op-addition")
     side, top = min(m_max, n_max), max(m_max, n_max) + 1
+    fibs = [fib_op(k) for k in range(side + top + 1)]
+    most = max(map(_l1, fibs))
+    width = _image_width(2 * most * most + most)
+    f, lane_bits = _images(fibs, width), 8 * width
 
-    def check(m: int, n: int, outer: tuple, right: tuple, left: tuple, inner: tuple) -> None:
-        for form, index, (product, shift) in (
+    def check(m: int, n: int, outer: int, right: int, left: int, inner: int) -> None:
+        for form, index, rhs in (
             ("m+n+1", m + n + 1, outer),
             ("m+n, split right", m + n, right),
             ("m+n, split left", m + n, left),
             ("m+n-1", m + n - 1, inner),
         ):
-            report.check({"m": m, "n": n, "form": form}, fib_op(index), product + shift)
+            _check_images(report, {"m": m, "n": n, "form": form}, f[index], rhs, width)
 
-    row = _product_row(0, top)
-    shifted = _upper_row(0, (D * row[b] for b in range(top)))
-    row = _product_row(1, top, row)
+    def products(a: int) -> dict[int, int]:
+        return {b: f[a] * f[b] for b in range(a, top + 1)}
+
+    row, nxt = products(0), products(1)
+    above = {n: nxt[n + 1] + (row[n] << lane_bits) for n in range(top)}  # S(0, n)
     for m in range(1, side + 1):
-        nxt = _product_row(m + 1, top, row)
-        shifted_prev, shifted = shifted, _upper_row(m, (D * row[b] for b in range(m, top)), shifted)
+        row, nxt = nxt, products(m + 1)
+        sums = {m - 1: above[m]}  # S(m, m - 1) = S(m - 1, m)
+        sums.update((n, nxt[n + 1] + (row[n] << lane_bits)) for n in range(m, top))
         for n in range(m, top):
-            outer, inner = (nxt[n + 1], shifted[n]), (row[n], shifted_prev[n - 1])
-            right, left = (nxt[n], shifted[n - 1]), (row[n + 1], shifted_prev[n])
+            outer, right, left, inner = sums[n], sums[n - 1], above[n], above[n - 1]
             if n <= n_max:
                 check(m, n, outer, right, left, inner)
             if m < n <= m_max:
                 check(n, m, outer, left, right, inner)
-        row = nxt
+        above = sums
     return report
 
 
@@ -474,34 +510,48 @@ def verify_cayley_hamilton(k_max: int = 15) -> IdentityReport:
     return report
 
 
+def _matrix_product(x: tuple, y: tuple) -> tuple:
+    """The row-major product of two 2x2 matrices of images."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
 def verify_inverse_powers(n_max: int = 12) -> IdentityReport:
-    """Adjugate-style inverses, multiplicatively: Q^n * M = D^n * I.
+    """Adjugate-style inverses, multiplicatively: Q^n * M = D^n * I, on images.
 
     Inverses of Q^n live outside Q[D] (they need D^-n), so the checks
     clear denominators and stay polynomial.  Each Q^n is built once per
-    process, by qh_power, and shared by the three checks at n; each D^n is
-    read from a ladder built once per call.
+    process, by qh_power, and imaged once per call, entry by entry.  With
+    P the largest ||entry||_1 of Q^1..Q^n_max and M the largest ||F_k||_1,
+    the signed adjugate and the linear combination have entries of l1 norm
+    at most 2 M, so each entry of a case has ||lhs||_1 + ||rhs||_1 <= 4 P M + 1.
     """
     report = IdentityReport("op-inverse-powers")
-    identity = OpMatrix2.identity()
-    q, zero = qh_matrix(), OpPoly.zero()
-    d_powers = _power_ladder(D, n_max)
-    for n in range(1, n_max + 1):
-        power = qh_power(n)
-        adj = OpMatrix2(
-            D * fib_op(n - 1), -1 * fib_op(n), (-1 * D) * fib_op(n), fib_op(n + 1)
-        )
-        signed = (-1) ** n * adj
-        target = OpMatrix2(d_powers[n], zero, zero, d_powers[n])  # D^n I
-        report.check({"n": n, "side": "right"}, power * signed, target)
-        report.check({"n": n, "side": "left"}, signed * power, target)
-        combo = (-1) ** (n + 1) * (fib_op(n) * q - fib_op(n + 1) * identity)
-        report.check({"n": n, "form": "linear combination"}, combo * power, target)
+    fibs = [fib_op(k) for k in range(n_max + 2)]
+    powers = [qh_power(n) for n in range(1, n_max + 1)]
+    most = max(map(_l1, fibs))
+    entry = max(_l1(x) for power in powers for x in power)
+    width = _image_width(4 * entry * most + 1)
+    f, d = _images(fibs, width), 1 << 8 * width
+    for n, power in enumerate(powers, 1):
+        power = tuple(_images(power, width))
+        sign = (-1) ** n
+        # (-1)^n [[D F_(n-1), -F_n], [-D F_n, F_(n+1)]], and (-1)^(n+1) (F_n Q - F_(n+1) I)
+        signed = (sign * d * f[n - 1], -sign * f[n], -sign * d * f[n], sign * f[n + 1])
+        combo = (-sign * (f[n] - f[n + 1]), -sign * f[n], -sign * d * f[n], sign * f[n + 1])
+        target = (d**n, 0, 0, d**n)  # D^n I
+        for params, lhs in (
+            ({"n": n, "side": "right"}, _matrix_product(power, signed)),
+            ({"n": n, "side": "left"}, _matrix_product(signed, power)),
+            ({"n": n, "form": "linear combination"}, _matrix_product(combo, power)),
+        ):
+            _check_images(report, params, lhs, target, width)
     return report
 
 
-def _horner(x: TermRing | int, coeffs: list[TermRing]) -> TermRing:
-    """sum_i coeffs[i] x^(len(coeffs) - 1 - i), by Horner's rule in x."""
+def _horner(x, coeffs: list):
+    """sum_i coeffs[i] x^(len(coeffs) - 1 - i), by Horner's rule in x, on term maps or on images."""
     acc = coeffs[0]
     for c in coeffs[1:]:
         acc = acc * x + c
@@ -509,7 +559,7 @@ def _horner(x: TermRing | int, coeffs: list[TermRing]) -> TermRing:
 
 
 def verify_power_sums(n_max: int = 6, k_max: int = 6) -> IdentityReport:
-    """Binomial expansions of F_(kn) in terms of F_k, F_(k-1) and F_(k+1).
+    """Binomial expansions of F_(kn) in terms of F_k, F_(k-1) and F_(k+1), on images.
 
     Both forms are sums sum_i C(n, i) x^(n-i) c_i w_i over the weights
     w_i = F_k^i F_i: x = D F_(k-1) with c_i = 1, and x = F_(k+1) with
@@ -518,66 +568,92 @@ def verify_power_sums(n_max: int = 6, k_max: int = 6) -> IdentityReport:
     The weights are built once per k and scaled by C(n, i) once per
     (k, n), for both forms: since x^(n-i) (-1)^(i+1) = (-1)^(n+1) (-x)^(n-i),
     the F_(k+1) form is (-1)^(n+1) times the sum in -F_(k+1) with c_i = 1.
+    With W the largest ||F_i||_1, i <= n_max, a sum at (k, n) has l1 norm at
+    most W (max(||F_(k-1)||_1, ||F_(k+1)||_1) + ||F_k||_1)^n, and its
+    right side F_(kn) at most the largest ||F_(kn)||_1.
     """
     report = IdentityReport("op-power-sums")
-    for k in range(1, k_max + 1):
-        weighted = [p * fib_op(i) for i, p in enumerate(_power_ladder(fib_op(k), n_max))]
-        shifted, negated = D * fib_op(k - 1), -fib_op(k + 1)
-        for n in range(1, n_max + 1):
-            target = fib_op(k * n)
+    ks, ns = range(1, k_max + 1), range(1, n_max + 1)
+    indices = sorted({*range(max(k_max + 1, n_max) + 1), *(k * n for k in ks for n in ns)})
+    fibs = {j: fib_op(j) for j in indices}
+    norm = {j: _l1(x) for j, x in fibs.items()}
+    weight = max(norm[i] for i in range(n_max + 1))
+    sums = max(max(norm[k - 1], norm[k + 1]) + norm[k] for k in ks)
+    width = _image_width(weight * max(sums, 1) ** n_max + max(norm[k * n] for k in ks for n in ns))
+    f = dict(zip(indices, _images(fibs.values(), width)))
+    for k in ks:
+        weighted, power = [], 1
+        for i in range(n_max + 1):
+            weighted.append(power * f[i])
+            power *= f[k]
+        shifted, negated = f[k - 1] << 8 * width, -f[k + 1]
+        for n in ns:
+            target = f[k * n]
             scaled = [comb(n, i) * weighted[i] for i in range(n + 1)]
-            report.check({"k": k, "n": n, "form": "F_(k-1) weights"}, _horner(shifted, scaled), target)
+            lhs = _horner(shifted, scaled)
+            _check_images(report, {"k": k, "n": n, "form": "F_(k-1) weights"}, lhs, target, width)
             alt = (-1) ** (n + 1) * _horner(negated, scaled)
-            report.check({"k": k, "n": n, "form": "F_(k+1) weights"}, alt, target)
+            _check_images(report, {"k": k, "n": n, "form": "F_(k+1) weights"}, alt, target, width)
     return report
 
 
 def verify_catalan(n_max: int = 15) -> IdentityReport:
-    """Catalan identity F_(n-m) F_(n+m) - F_n^2 = (-1)^(n+1-m) D^(n-m) F_m^2.
+    """Catalan identity F_(n-m) F_(n+m) - F_n^2 = (-1)^(n+1-m) D^(n-m) F_m^2, on images.
 
     Each product is computed once per call: the squares F_0^2 ... F_N^2
-    are built once and read by both sides, and each signed shift
-    (-1)^(j+1) D^j once, into a ladder.
+    are built once and read by both sides.  With M the largest
+    ||F_k||_1, k <= 2 n_max, each case has ||lhs||_1 + ||rhs||_1 <= 3 M^2.
     """
     report = IdentityReport("op-catalan")
-    squares = [fib_op(j) ** 2 for j in range(n_max + 1)]
-    signed = [-p for p in _power_ladder(-D, n_max)]  # (-1)^(j+1) D^j
+    fibs = [fib_op(k) for k in range(2 * n_max + 1)]
+    most = max(map(_l1, fibs))
+    width = _image_width(3 * most * most)
+    f = _images(fibs, width)
+    squares = [x * x for x in f[: n_max + 1]]
     for n in range(1, n_max + 1):
         for m in range(1, n + 1):
-            lhs = fib_op(n - m) * fib_op(n + m) - squares[n]
-            report.check({"n": n, "m": m}, lhs, signed[n - m] * squares[m])
+            lhs = f[n - m] * f[n + m] - squares[n]
+            _check_images(report, {"n": n, "m": m}, lhs, -_signed_shift(squares[m], n - m, width), width)
     return report
 
 
 def verify_docagne(bound: int = 15) -> IdentityReport:
-    """d'Ocagne identity F_m F_(n+1) - F_(m+1) F_n, both index orders.
+    """d'Ocagne identity F_m F_(n+1) - F_(m+1) F_n, both index orders, on images.
 
     For m >= n the right side is (-1)^n D^n F_(m-n); for m < n the
     negative index appears and the denominator-cleared form is
     (-1)^n D^m g_(n-m) = (-D)^m (-1)^(n-m) g_(n-m).  Each product F_a F_b
     is computed once per call and read for both index orders: two upper
-    product rows, for m and m + 1, slide down the grid, and each case
-    (m, n) with m < n is checked with its mirror (n, m), whose left side
-    is the same two products subtracted the other way.  The (-D)^j and
-    the signed (-1)^j g_j are built once per call and read from there.
+    rows of image products, for m and m + 1, slide down the grid, and each
+    case (m, n) with m < n is checked with its mirror (n, m), whose left
+    side is the same two products subtracted the other way.  With M the
+    largest ||F_k||_1, k <= bound + 1, and G the largest ||g_j||_1, j < bound,
+    each case has ||lhs||_1 + ||rhs||_1 <= 2 M^2 + max(M, G).
     """
     report = IdentityReport("op-docagne")
     top = bound + 1
-    signed_d = _power_ladder(-D, bound)
-    signed_g = [(-1) ** j * neg_fib_op(j) for j in range(bound)]
+    fibs = [fib_op(k) for k in range(top + 1)]
+    negs = [neg_fib_op(j) for j in range(bound)]
+    most = max(map(_l1, fibs))
+    width = _image_width(2 * most * most + max((most, *map(_l1, negs))))
+    f = _images(fibs, width)
+    signed_g = [-g if j & 1 else g for j, g in enumerate(_images(negs, width))]  # (-1)^j g_j
 
-    def check(m: int, n: int, lhs: OpPoly) -> None:
+    def check(m: int, n: int, lhs: int) -> None:
         if m >= n:
-            rhs = signed_d[n] * fib_op(m - n)
+            rhs = _signed_shift(f[m - n], n, width)
             branch = "m >= n"
         else:
-            rhs = signed_d[m] * signed_g[n - m]
+            rhs = _signed_shift(signed_g[n - m], m, width)
             branch = "m < n"
-        report.check({"m": m, "n": n, "branch": branch}, lhs, rhs)
+        _check_images(report, {"m": m, "n": n, "branch": branch}, lhs, rhs, width)
 
-    row = _product_row(1, top)
+    def products(a: int) -> dict[int, int]:
+        return {b: f[a] * f[b] for b in range(a, top + 1)}
+
+    row = products(1)
     for m in range(1, bound + 1):
-        nxt = _product_row(m + 1, top)
+        nxt = products(m + 1)
         check(m, m, row[m + 1] - row[m + 1])  # F_(m+1) F_m read as F_m F_(m+1)
         for n in range(m + 1, bound + 1):
             first, second = row[n + 1], nxt[n]  # F_m F_(n+1) and F_(m+1) F_n

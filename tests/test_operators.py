@@ -358,15 +358,29 @@ def _explicit_power_sum(k: int, n: int, form: str) -> OpPoly:
     return total
 
 
-def _record_checks(monkeypatch) -> list:
-    """The (params, lhs, rhs) of every case checked from here on, in order."""
-    seen = []
+def _record_checks(monkeypatch, widths: list | None = None) -> list:
+    """The (params, lhs, rhs) of every case checked from here on, in order, each side in Q[D].
+
+    A grid suite hands a passing case to the report as two images at
+    2^(8 width); each is decoded at the width of its call, which is also
+    appended to `widths` when given.
+    """
+    seen, widths = [], [] if widths is None else widths
     check = IdentityReport.check
+    image_width = operators._image_width
+
+    def recording_width(bound: int) -> int:
+        widths.append(image_width(bound))
+        return widths[-1]
+
+    def decoded(side):
+        return side if isinstance(side, (OpPoly, OpMatrix2)) else operators._decode(side, widths[-1])
 
     def recording(self, params, lhs, rhs):
-        seen.append((params, lhs, rhs))
+        seen.append((params, decoded(lhs), decoded(rhs)))
         return check(self, params, lhs, rhs)
 
+    monkeypatch.setattr(operators, "_image_width", recording_width)
     monkeypatch.setattr(IdentityReport, "check", recording)
     return seen
 
@@ -449,31 +463,67 @@ def test_grid_suites_detect_a_wrong_fib_op(suite, args, failures, cases, monkeyp
 
 
 @pytest.mark.parametrize(
-    "suite, args, bound",
+    "suite, args, products",
     [
         (verify_addition, (12, 12), 66),
         (verify_addition, (5, 9), 26),
         (verify_addition, (9, 5), 26),
         (verify_docagne, (15,), 105),
         (verify_docagne, (10,), 45),
+        (verify_catalan, (15,), 91),
+        (operators.verify_cassini, (20,), 35),
+        (verify_power_sums, (6, 6), 0),
+        (verify_inverse_powers, (12,), 0),
     ],
 )
-def test_grid_suites_compute_each_product_once(suite, args, bound, monkeypatch) -> None:
-    # one product F_a F_b per unordered pair 3 <= a <= b, read for both index orders:
-    # a <= min(m, n) + 1 and b <= max(m, n) + 1 for addition (32 at (5, 9) when each
-    # order was its own product), b <= bound + 1 for d'Ocagne; single-term factors
-    # such as D, F_1 and F_2 are not counted
-    count = 0
-    kmul = algebra.kmul
+def test_grid_suites_compute_each_product_once(suite, args, products, monkeypatch) -> None:
+    # each input is imaged once per call, and no term map is multiplied but in
+    # Cassini's determinant form.  Of the image products, one F_a F_b per unordered
+    # pair 3 <= a <= b, read for both index orders: a <= min(m, n) + 1 and
+    # b <= max(m, n) + 1 for addition (32 at (5, 9) when each order was its own
+    # product), b <= bound + 1 for d'Ocagne; single-term factors such as F_1 and F_2
+    # are not counted.  The power sums multiply images by powers and sums of images,
+    # and the inverse powers by signed shifts of them, so they count none.
+    for n in range(1, 21):
+        qh_power(n)  # Q^n is built once per process, by the kernels, before any suite reads it
+    imaged, count, in_det = [], 0, False
+    images, kmul, det = operators._images, algebra.kmul, OpMatrix2.det
 
-    def counting(a: dict, b: dict) -> dict:
-        nonlocal count
-        count += len(a) >= 2 and len(b) >= 2
+    class Image(int):
+        def __mul__(self, other):
+            nonlocal count
+            count += self.terms >= 2 and getattr(other, "terms", 0) >= 2
+            return int(self) * int(other)
+
+        __rmul__ = __mul__
+
+    def counting_images(xs, width: int) -> list[int]:
+        xs = list(xs)
+        imaged.extend(xs)
+        out = []
+        for x, image in zip(xs, images(xs, width)):
+            out.append(Image(image))
+            out[-1].terms = len(x)
+        return out
+
+    def determinant(self) -> OpPoly:
+        nonlocal in_det
+        in_det = True
+        try:
+            return det(self)
+        finally:
+            in_det = False
+
+    def refusing(a: dict, b: dict) -> dict:
+        assert in_det, "a grid suite multiplied term maps"
         return kmul(a, b)
 
-    monkeypatch.setattr(algebra, "kmul", counting)
+    monkeypatch.setattr(operators, "_images", counting_images)
+    monkeypatch.setattr(OpMatrix2, "det", determinant)
+    monkeypatch.setattr(algebra, "kmul", refusing)
     assert suite(*args).passed
-    assert 0 < count <= bound
+    assert imaged and len({id(x) for x in imaged}) == len(imaged)
+    assert count == products
 
 
 def _docagne_cases(m: int, n: int, fib) -> list[tuple[dict, OpPoly, OpPoly]]:
@@ -519,7 +569,10 @@ def test_grid_suites_check_each_case_once(suite, args, grid, cases, monkeypatch)
 
     monkeypatch.setattr(operators, "fib_op", wrong)
     seen = _record_checks(monkeypatch)
-    suite(*args)
+    report = suite(*args)
+    # each witness prints both sides as polynomials, decoded from their images
+    witnesses = [(params, str(lhs), str(rhs)) for params, lhs, rhs in seen if lhs != rhs]
+    assert [(f.params, f.lhs, f.rhs) for f in report.failures] == witnesses
     expected = [
         ({"m": m, "n": n, **label}, lhs, rhs)
         for m in range(1, grid[0] + 1)
@@ -548,3 +601,91 @@ def test_grid_suites_at_small_and_non_square_sizes(suite, args, cases) -> None:
     report = suite(*args)
     assert report.cases == cases
     assert report.passed, report.to_dict()
+
+
+int_op_polys = st.dictionaries(
+    st.integers(min_value=0, max_value=12),
+    st.one_of(st.integers(min_value=-99, max_value=99), st.integers(min_value=-(2**70), max_value=2**70)),
+    max_size=10,
+).map(OpPoly.from_coeffs)
+
+
+def _l1(x: OpPoly) -> int:
+    return sum(abs(c) for _, c in x.terms())
+
+
+@given(int_op_polys, int_op_polys, st.integers(min_value=0, max_value=6), st.sampled_from((0, 1, 9)))
+@example(OpPoly.zero(), OpPoly.zero(), 0, 0)
+@example(-1 - D, 1 + D, 3, 0)  # 1-byte lanes, every lane of a + b cancels
+@example(-64 * D**5, OpPoly.zero(), 1, 0)  # a negative top lane, in 1-byte lanes
+@example(fib_op(40), fib_op(41) - D**12, 2, 0)
+def test_images_decode_to_the_ring_operations(a: OpPoly, b: OpPoly, j: int, extra: int) -> None:
+    # evaluation at 2^B is a ring map, one-to-one below 2^(B-1): with every result's
+    # coefficients that small, the images of a b, a + b, a - b and D^j a decode to them
+    width = operators._image_width(max(_l1(a) * _l1(b), _l1(a) + _l1(b))) + extra
+    x, y = operators._images((a, b), width)
+    for image, expected in ((x * y, a * b), (x + y, a + b), (x - y, a - b), (x << 8 * width * j, D**j * a)):
+        assert operators._decode(image, width) == expected
+    assert operators._decode((x, y, x * y, -x), width) == OpMatrix2(a, b, a * b, -a)
+
+
+def test_images_refuse_a_fraction(monkeypatch) -> None:
+    # the proof covers Z[D] only: a Fraction coefficient is refused, never taken on term maps
+    for width in (8, 9):  # a machine word, and a word that int.to_bytes writes
+        with pytest.raises(TypeError):
+            operators._images([D, Fraction(1, 2) * D], width)
+    exact = operators.fib_op
+    monkeypatch.setattr(operators, "fib_op", lambda n: Fraction(1, 3) * exact(n) if n == 7 else exact(n))
+    for suite, args in ((verify_catalan, (8,)), (verify_docagne, (8,)), (verify_addition, (4, 4))):
+        with pytest.raises(TypeError):
+            suite(*args)
+
+
+def _reference_sides(suite: str, params: dict) -> tuple:
+    """Both sides of one grid-suite case, built in Q[D] by the term-map kernels, with no image."""
+    fib = fib_op
+    if suite == "op-cassini":
+        n = params["n"]
+        if "form" in params:
+            return qh_power(n).det(), (-D) ** n
+        return fib(n + 1) * fib(n - 1) - fib(n) * fib(n), -((-D) ** (n - 1))
+    if suite == "op-catalan":
+        n, m = params["n"], params["m"]
+        return fib(n - m) * fib(n + m) - fib(n) * fib(n), (-1) ** (n + 1 - m) * D ** (n - m) * fib(m) ** 2
+    if suite == "op-power-sums":
+        k, n = params["k"], params["n"]
+        return _explicit_power_sum(k, n, params["form"]), fib(k * n)
+    if suite == "op-inverse-powers":
+        n = params["n"]
+        power, zero = qh_power(n), OpPoly.zero()
+        signed = (-1) ** n * OpMatrix2(D * fib(n - 1), -1 * fib(n), -1 * D * fib(n), fib(n + 1))
+        target = OpMatrix2(D**n, zero, zero, D**n)
+        if params.get("side") == "right":
+            return power * signed, target
+        if params.get("side") == "left":
+            return signed * power, target
+        combo = (-1) ** (n + 1) * (fib(n) * qh_matrix() - fib(n + 1) * OpMatrix2.identity())
+        return combo * power, target
+    cases = _docagne_cases if suite == "op-docagne" else _addition_cases
+    label = {key: value for key, value in params.items() if key not in ("m", "n")}
+    ((_, lhs, rhs),) = [case for case in cases(params["m"], params["n"], fib) if case[0] == label]
+    return lhs, rhs
+
+
+def _l1_sides(*sides) -> int:
+    return sum(_l1(x) for side in sides for x in (side if isinstance(side, OpMatrix2) else (side,)))
+
+
+@pytest.mark.parametrize("suite, args, cases", _OP_RING_CALLS[:6], ids=lambda x: getattr(x, "__name__", None))
+def test_image_width_bounds_every_case_at_op_ring_sizes(suite, args, cases, monkeypatch) -> None:
+    # ||lhs||_1 + ||rhs||_1 < 2^(B-1) for every case, with both sides built without images;
+    # so equal images prove each case, and each decoded side is that side
+    widths = []
+    seen = _record_checks(monkeypatch, widths)
+    report = suite(*args)
+    (width,) = widths
+    assert report.passed and len(seen) == sum(cases.values())
+    for params, lhs, rhs in seen:
+        expected = _reference_sides(report.suite, params)
+        assert (lhs, rhs) == expected, params
+        assert _l1_sides(*expected) < 2 ** (8 * width - 1), params
