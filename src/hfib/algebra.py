@@ -85,6 +85,11 @@ def _coerce_scalar(value) -> Scalar:
     raise TypeError(f"expected an exact rational (int or Fraction), got {type(value).__name__}")
 
 
+def common_denominator(coeffs: Iterable[Scalar]) -> int:
+    """The least common multiple of the denominators of exact coefficients, 1 for none."""
+    return lcm(*(c.denominator for c in coeffs if type(c) is not int))
+
+
 def _power_table(x: Scalar, exponents: set[int]) -> tuple[dict[int, int], int]:
     """x**e as t[e] / b**m for each e in exponents, with x = a/b and m the largest.
 
@@ -358,7 +363,7 @@ class HPoly(TermRing):
             raise TypeError("shift amount must be an integer")
         if delta == 0 or not self._terms:
             return self
-        den = lcm(*(c.denominator for c in self._terms.values() if type(c) is not int))
+        den = common_denominator(self._terms.values())
         groups: dict[int, list[int]] = {}
         for key, coeff in self._terms.items():
             ehp = (key >> _HP_SHIFT) & _LANE_MASK
@@ -385,7 +390,7 @@ class HPoly(TermRing):
         """
         v = _coerce_scalar(value)
         powers, den = _power_table(v, {key & _LANE_MASK for key in self._terms})
-        den_c = lcm(*(c.denominator for c in self._terms.values() if type(c) is not int))
+        den_c = common_denominator(self._terms.values())
         acc: dict[int, int] = {}
         for key, coeff in self._terms.items():
             eq = key & _LANE_MASK

@@ -36,10 +36,11 @@ and sums, a D^j is a shift by B j bits, and equal images prove
 lhs = rhs, since ||lhs - rhs||_inf <= ||lhs||_1 + ||rhs||_1 < 2^(B-1)
 (Kronecker, 1882; Harvey, J. Symbolic Comput. 44, 2009).  A failing case
 is decoded back to Q[D] (kunpack), so its witness shows both sides as
-polynomials.  Each product F_a F_b is still taken once per call and
-read for both index orders, from at most two rows of image products.
-The binomial power sums are taken by Horner's rule in their small
-factor, and each weight is scaled by C(n, i) once for both forms.
+polynomials.  The d'Ocagne and addition suites walk their grids in
+natural (m, n) order and take each ordered product F_a F_b once per
+call, from two sliding rows of image products.  The binomial power sums
+are taken by Horner's rule in their small factor, and each weight is
+scaled by C(n, i) once for both forms.
 """
 
 from __future__ import annotations
@@ -47,11 +48,13 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
-from math import comb, lcm
+from math import comb
 from operator import index, mul
 from typing import NamedTuple
 
-from hfib.algebra import HPoly, Scalar, TermRing, _coerce_scalar, d_image, rising_numerators, rising_rows
+from hfib.algebra import (
+    HPoly, Scalar, TermRing, _coerce_scalar, common_denominator, d_image, rising_numerators, rising_rows
+)
 from hfib.kernels import binary_power, kpack, kunpack, lane_width
 from hfib.report import IdentityReport, suite_scale
 
@@ -128,7 +131,7 @@ def two_step_op(n: int, sign: int) -> OpPoly:
 def op_eval(x: OpPoly) -> HPoly:
     """Substitute D^k -> h^k * (hp)(hp+1)...(hp+k-1) into Q[h, hp], by rising_rows over one denominator."""
     terms, rows = x._terms, rising_rows(x.degree)
-    m = lcm(*(c.denominator for c in terms.values() if type(c) is not int))
+    m = common_denominator(terms.values())
     lanes = ((k, 0, [c.numerator * (m // c.denominator) * r for r in rows[k]]) for k, c in terms.items())
     return HPoly.from_hp_lanes(lanes, m)
 
@@ -143,7 +146,7 @@ def op_value(x: OpPoly, h, hp) -> Fraction:
     """
     hv, hpv = _coerce_scalar(h), _coerce_scalar(hp)
     terms = x._terms
-    m = lcm(*(c.denominator for c in terms.values() if type(c) is not int))
+    m = common_denominator(terms.values())
     e, fd = hv.numerator, hv.denominator * hpv.denominator
     total, e_power = 0, 1
     for k, r in enumerate(rising_numerators(hpv.numerator, hpv.denominator, x.degree)):
@@ -450,48 +453,37 @@ def verify_cassini(n_max: int = 20) -> IdentityReport:
 def verify_addition(m_max: int = 12, n_max: int = 12) -> IdentityReport:
     """The four index-addition formulas on an m x n grid, on images.
 
-    Each right side is a sum S(a, b) = F_(a+1) F_(b+1) + D F_a F_b, which
-    is symmetric: at (m, n) the forms m+n+1, split right, split left and
-    m+n-1 read S(m, n), S(m, n-1), S(m-1, n) and S(m-1, n-1).  Rows of
-    S for m - 1 and m slide down the grid, each built from two rows of
-    image products F_a F_b, b >= a, so each product and each sum is taken
-    once per call; each case (m, n) with m <= n is checked with its
-    mirror (n, m), which reads the same sums with the two splits swapped.
-    With M the largest ||F_k||_1 read, each case has
-    ||lhs||_1 + ||rhs||_1 <= 2 M^2 + M.
+    Each right side is a sum S(a, b) = F_(a+1) F_(b+1) + D F_a F_b: at
+    (m, n) the forms m+n+1, split right, split left and m+n-1 read S(m, n),
+    S(m, n-1), S(m-1, n) and S(m-1, n-1).  The row of S for m is built from
+    the image products F_m F_b and F_(m+1) F_b, b <= n_max + 1, and kept
+    for m + 1, so each product is taken once per call.  With M the largest
+    ||F_k||_1 read, each case has ||lhs||_1 + ||rhs||_1 <= 2 M^2 + M.
     """
     report = IdentityReport("op-addition")
-    side, top = min(m_max, n_max), max(m_max, n_max) + 1
-    fibs = [fib_op(k) for k in range(side + top + 1)]
+    fibs = [fib_op(k) for k in range(m_max + n_max + 2)]
     most = max(map(_l1, fibs))
     width = _image_width(2 * most * most + most)
     f, lane_bits = _images(fibs, width), 8 * width
+    columns = f[: n_max + 2]
 
-    def check(m: int, n: int, outer: int, right: int, left: int, inner: int) -> None:
-        for form, index, rhs in (
-            ("m+n+1", m + n + 1, outer),
-            ("m+n, split right", m + n, right),
-            ("m+n, split left", m + n, left),
-            ("m+n-1", m + n - 1, inner),
-        ):
-            _check_images(report, {"m": m, "n": n, "form": form}, f[index], rhs, width)
+    def sums(row: list[int], nxt: list[int]) -> list[int]:
+        return [nxt[b + 1] + (row[b] << lane_bits) for b in range(n_max + 1)]
 
-    def products(a: int) -> dict[int, int]:
-        return {b: f[a] * f[b] for b in range(a, top + 1)}
-
-    row, nxt = products(0), products(1)
-    above = {n: nxt[n + 1] + (row[n] << lane_bits) for n in range(top)}  # S(0, n)
-    for m in range(1, side + 1):
-        row, nxt = nxt, products(m + 1)
-        sums = {m - 1: above[m]}  # S(m, m - 1) = S(m - 1, m)
-        sums.update((n, nxt[n + 1] + (row[n] << lane_bits)) for n in range(m, top))
-        for n in range(m, top):
-            outer, right, left, inner = sums[n], sums[n - 1], above[n], above[n - 1]
-            if n <= n_max:
-                check(m, n, outer, right, left, inner)
-            if m < n <= m_max:
-                check(n, m, outer, left, right, inner)
-        above = sums
+    row = [f[1] * y for y in columns]
+    above = sums([f[0] * y for y in columns], row)  # S(0, b)
+    for m in range(1, m_max + 1):
+        nxt = [f[m + 1] * y for y in columns]
+        here = sums(row, nxt)  # S(m, b)
+        for n in range(1, n_max + 1):
+            for form, index, rhs in (
+                ("m+n+1", m + n + 1, here[n]),
+                ("m+n, split right", m + n, here[n - 1]),
+                ("m+n, split left", m + n, above[n]),
+                ("m+n-1", m + n - 1, above[n - 1]),
+            ):
+                _check_images(report, {"m": m, "n": n, "form": form}, f[index], rhs, width)
+        row, above = nxt, here
     return report
 
 
@@ -622,43 +614,29 @@ def verify_docagne(bound: int = 15) -> IdentityReport:
 
     For m >= n the right side is (-1)^n D^n F_(m-n); for m < n the
     negative index appears and the denominator-cleared form is
-    (-1)^n D^m g_(n-m) = (-D)^m (-1)^(n-m) g_(n-m).  Each product F_a F_b
-    is computed once per call and read for both index orders: two upper
-    rows of image products, for m and m + 1, slide down the grid, and each
-    case (m, n) with m < n is checked with its mirror (n, m), whose left
-    side is the same two products subtracted the other way.  With M the
-    largest ||F_k||_1, k <= bound + 1, and G the largest ||g_j||_1, j < bound,
-    each case has ||lhs||_1 + ||rhs||_1 <= 2 M^2 + max(M, G).
+    (-1)^n D^m g_(n-m) = (-D)^m (-1)^(n-m) g_(n-m).  Two rows of image
+    products, F_m F_b and F_(m+1) F_b, slide down the grid, so each product
+    is taken once per call.  With M the largest ||F_k||_1, k <= bound + 1,
+    and G the largest ||g_j||_1, j < bound, each case has
+    ||lhs||_1 + ||rhs||_1 <= 2 M^2 + max(M, G).
     """
     report = IdentityReport("op-docagne")
-    top = bound + 1
-    fibs = [fib_op(k) for k in range(top + 1)]
+    fibs = [fib_op(k) for k in range(bound + 2)]
     negs = [neg_fib_op(j) for j in range(bound)]
     most = max(map(_l1, fibs))
     width = _image_width(2 * most * most + max((most, *map(_l1, negs))))
     f = _images(fibs, width)
     signed_g = [-g if j & 1 else g for j, g in enumerate(_images(negs, width))]  # (-1)^j g_j
-
-    def check(m: int, n: int, lhs: int) -> None:
-        if m >= n:
-            rhs = _signed_shift(f[m - n], n, width)
-            branch = "m >= n"
-        else:
-            rhs = _signed_shift(signed_g[n - m], m, width)
-            branch = "m < n"
-        _check_images(report, {"m": m, "n": n, "branch": branch}, lhs, rhs, width)
-
-    def products(a: int) -> dict[int, int]:
-        return {b: f[a] * f[b] for b in range(a, top + 1)}
-
-    row = products(1)
+    row = [f[1] * y for y in f]
     for m in range(1, bound + 1):
-        nxt = products(m + 1)
-        check(m, m, row[m + 1] - row[m + 1])  # F_(m+1) F_m read as F_m F_(m+1)
-        for n in range(m + 1, bound + 1):
-            first, second = row[n + 1], nxt[n]  # F_m F_(n+1) and F_(m+1) F_n
-            check(m, n, first - second)
-            check(n, m, second - first)
+        nxt = [f[m + 1] * y for y in f]
+        for n in range(1, bound + 1):
+            if m >= n:
+                rhs, branch = _signed_shift(f[m - n], n, width), "m >= n"
+            else:
+                rhs, branch = _signed_shift(signed_g[n - m], m, width), "m < n"
+            lhs = row[n + 1] - nxt[n]  # F_m F_(n+1) - F_(m+1) F_n
+            _check_images(report, {"m": m, "n": n, "branch": branch}, lhs, rhs, width)
         row = nxt
     return report
 

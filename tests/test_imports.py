@@ -4,6 +4,7 @@ import ast
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,63 @@ def test_no_unused_top_level_import(path: Path) -> None:
 def test_an_unused_import_is_found() -> None:
     tree = ast.parse("from __future__ import annotations\nimport os\nfrom functools import lru_cache\nos.sep\n")
     assert _unused_imports(tree) == ["lru_cache (line 3)"]
+
+
+def _reads(node: ast.AST) -> Counter:
+    """How often each name is read under node: loaded, taken as an attribute or imported."""
+    reads = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            reads[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            reads[child.attr] += 1
+        elif isinstance(child, ast.ImportFrom):
+            reads.update(alias.name for alias in child.names)
+    return reads
+
+
+def _private_definitions(tree: ast.Module):
+    """Each top-level function, class or constant whose name starts with one underscore, with its node."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Private top-level names of the modules that no module reads, outside their own definition."""
+    reads = sum(map(_reads, trees.values()), Counter())
+    return [
+        f"{module}.{name} (line {node.lineno})"
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree)
+        if reads[name] <= _reads(node)[name]
+    ]
+
+
+def test_no_unread_private_top_level_name() -> None:
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _unread_private_names(trees) == []
+
+
+def test_an_unread_private_name_is_found() -> None:
+    source = (
+        "_USED = 1\n_UNUSED = 2\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else _USED\n"
+        "def _helper():\n    pass\n"
+        "class _Kept:\n    pass\n"
+        "__all__ = []\n"
+    )
+    other = "from m import _helper\nx = y._Kept\n"
+    trees = {"m": ast.parse(source), "n": ast.parse(other)}
+    assert _unread_private_names(trees) == ["m._UNUSED (line 2)", "m._recursive (line 3)"]
 
 
 def test_cli_import_loads_no_dataclasses_or_inspect() -> None:

@@ -465,11 +465,11 @@ def test_grid_suites_detect_a_wrong_fib_op(suite, args, failures, cases, monkeyp
 @pytest.mark.parametrize(
     "suite, args, products",
     [
-        (verify_addition, (12, 12), 66),
-        (verify_addition, (5, 9), 26),
-        (verify_addition, (9, 5), 26),
-        (verify_docagne, (15,), 105),
-        (verify_docagne, (10,), 45),
+        (verify_addition, (12, 12), 121),
+        (verify_addition, (5, 9), 32),
+        (verify_addition, (9, 5), 32),
+        (verify_docagne, (15,), 196),
+        (verify_docagne, (10,), 81),
         (verify_catalan, (15,), 91),
         (operators.verify_cassini, (20,), 35),
         (verify_power_sums, (6, 6), 0),
@@ -478,11 +478,10 @@ def test_grid_suites_detect_a_wrong_fib_op(suite, args, failures, cases, monkeyp
 )
 def test_grid_suites_compute_each_product_once(suite, args, products, monkeypatch) -> None:
     # each input is imaged once per call, and no term map is multiplied but in
-    # Cassini's determinant form.  Of the image products, one F_a F_b per unordered
-    # pair 3 <= a <= b, read for both index orders: a <= min(m, n) + 1 and
-    # b <= max(m, n) + 1 for addition (32 at (5, 9) when each order was its own
-    # product), b <= bound + 1 for d'Ocagne; single-term factors such as F_1 and F_2
-    # are not counted.  The power sums multiply images by powers and sums of images,
+    # Cassini's determinant form.  Of the image products, one F_a F_b per ordered
+    # pair with 3 <= a and 3 <= b: a <= m_max + 1 and b <= n_max + 1 for addition,
+    # a, b <= bound + 1 for d'Ocagne; single-term factors such as F_1 and F_2 are
+    # not counted.  The power sums multiply images by powers and sums of images,
     # and the inverse powers by signed shifts of them, so they count none.
     for n in range(1, 21):
         qh_power(n)  # Q^n is built once per process, by the kernels, before any suite reads it
@@ -559,9 +558,9 @@ def _addition_cases(m: int, n: int, fib) -> list[tuple[dict, OpPoly, OpPoly]]:
     ],
 )
 def test_grid_suites_check_each_case_once(suite, args, grid, cases, monkeypatch) -> None:
-    # a case read with its mirror is still checked once, under its own (m, n) and
-    # label, with its own two sides: F_7 is off by D, so a sum read for the wrong
-    # index order or split shows even where both splits give F_(m+n)
+    # each case is checked once, in (m, n, form) order, under its own label and
+    # with its own two sides: F_7 is off by D, so a sum read for the wrong index
+    # order or split shows even where both splits give F_(m+n)
     exact = operators.fib_op
 
     def wrong(n: int) -> OpPoly:
@@ -579,8 +578,7 @@ def test_grid_suites_check_each_case_once(suite, args, grid, cases, monkeypatch)
         for n in range(1, grid[1] + 1)
         for label, lhs, rhs in cases(m, n, wrong)
     ]
-    key = lambda case: tuple(case[0].items())
-    assert sorted(seen, key=key) == sorted(expected, key=key)
+    assert seen == expected
 
 
 @pytest.mark.parametrize(
