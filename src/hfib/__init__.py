@@ -48,7 +48,7 @@ from hfib.operators import (
     op_eval,
     op_value,
     qh_matrix,
-    qh_power,
+    qh_powers,
 )
 from hfib.pascal import h_binomial, pascal_row, pascal_triangle, row_sum
 from hfib.qh import q_binomial, q_fibonacci, q_int, qh_binomial
@@ -62,7 +62,6 @@ _CACHES = (
     fibonacci.hfib_diagonal,
     operators.annihilator,
     operators.fib_op,
-    operators.qh_power,
     pascal.h_binomial,
     qh.qh_binomial,
     qh._q_diagonal,

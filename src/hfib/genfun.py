@@ -13,7 +13,9 @@ denominator.
 series_expand performs exact long division (the denominator must have
 constant term 1).  Each coefficient is solved from the numerator, so
 re-multiplying by the denominator would only restate the division;
-verify_genfun checks the expansions against direct fib_op products.
+verify_genfun checks the expansions against products of fib_op, each
+coefficient and its target taken as integer images at D = 2^B, as the
+grid suites of hfib.operators check theirs.
 
 The weighted series at the end is the one numeric statement in the
 library: summing F_i(h, hp) / p^(i+1) against the transformed side
@@ -30,7 +32,9 @@ from typing import NamedTuple
 
 from hfib.algebra import _coerce_scalar
 from hfib.fibonacci import classical_fib
-from hfib.operators import D, OpPoly, annihilator, fib_op, op_value, verify_symmetric_lemmas
+from hfib.operators import (
+    D, OpPoly, _check_images, _image_width, _images, _l1, annihilator, fib_op, op_value, verify_symmetric_lemmas
+)
 from hfib.report import Failure, IdentityReport, suite_scale
 
 
@@ -81,18 +85,19 @@ def series_expand(f: OpRatFun, order: int) -> OpSeries:
 _ONE = OpPoly.one()
 _ZERO = OpPoly.zero()
 
-# The closed forms, name -> (numerator, (k, step), target): sum_n target(n) x^n
+# The closed forms, name -> (numerator, (k, step), target): sum_n target(F, n) x^n
 # is the numerator over annihilator(k, step) reversed, whose roots are the k+1
-# products lp^(step a) lm^(step (k-a)).  The numerators are the stated closed
-# forms, written out rather than fitted to the first terms of the target.
+# products lp^(step a) lm^(step (k-a)), for F the sequence of the F_j.  The
+# numerators are the stated closed forms, written out rather than fitted to the
+# first terms of the target.
 _GF_TABLE = {
-    "fib": ((_ZERO, _ONE), (1, 1), fib_op),
-    "even": ((_ZERO, _ONE), (1, 2), lambda n: fib_op(2 * n)),
-    "odd": ((_ONE, -1 * D), (1, 2), lambda n: fib_op(2 * n + 1)),
-    "square": ((_ZERO, _ONE, -1 * D), (2, 1), lambda n: fib_op(n) ** 2),
-    "product": ((_ZERO, _ONE), (2, 1), lambda n: fib_op(n) * fib_op(n + 1)),
-    "product-shift": ((_ONE,), (2, 1), lambda n: fib_op(n + 1) * fib_op(n + 2)),
-    "cube": ((_ZERO, _ONE, -2 * D, -1 * D**3), (3, 1), lambda n: fib_op(n) ** 3),
+    "fib": ((_ZERO, _ONE), (1, 1), lambda f, n: f[n]),
+    "even": ((_ZERO, _ONE), (1, 2), lambda f, n: f[2 * n]),
+    "odd": ((_ONE, -1 * D), (1, 2), lambda f, n: f[2 * n + 1]),
+    "square": ((_ZERO, _ONE, -1 * D), (2, 1), lambda f, n: f[n] ** 2),
+    "product": ((_ZERO, _ONE), (2, 1), lambda f, n: f[n] * f[n + 1]),
+    "product-shift": ((_ONE,), (2, 1), lambda f, n: f[n + 1] * f[n + 2]),
+    "cube": ((_ZERO, _ONE, -2 * D, -1 * D**3), (3, 1), lambda f, n: f[n] ** 3),
 }
 
 GF_NAMES = tuple(_GF_TABLE) + ("shifted",)
@@ -117,17 +122,35 @@ def build_gf(name: str, m: int = 1) -> OpRatFun:
 
 
 def verify_genfun(order: int | None = None, shift_max: int = 5) -> list[IdentityReport]:
-    """Expansions against direct fib_op products, plus the root lemmas; order defaults to 16."""
+    """Expansions against products of fib_op, on images, plus the root lemmas; order defaults to 16.
+
+    Each coefficient is imaged and checked against its target taken on the
+    images of the F_j.  Every F_j has non-negative coefficients, so a target
+    applied to the norms ||F_j||_1 is that target's own l1 norm, and one
+    width above every ||coefficient||_1 + ||target||_1 serves the call.
+    """
     order = suite_scale(order)(16)
     expansions = IdentityReport("gf-expansions")
-    for name, (_, _, target) in _GF_TABLE.items():
-        series = series_expand(build_gf(name), order)
-        for k in range(order):
-            expansions.check({"gf": name, "k": k}, series.coefficient(k), target(k))
-    for m in range(1, shift_max + 1):
-        series = series_expand(gf_shifted(m), order)
-        for k in range(order):
-            expansions.check({"gf": "shifted", "m": m, "k": k}, series.coefficient(k), fib_op(m + k))
+    families = [
+        ({"gf": name}, series_expand(build_gf(name), order).coeffs, target)
+        for name, (_, _, target) in _GF_TABLE.items()
+    ]
+    families += [
+        ({"gf": "shifted", "m": m}, series_expand(gf_shifted(m), order).coeffs, lambda f, k, m=m: f[m + k])
+        for m in range(1, shift_max + 1)
+    ]
+    # F_j for j below this count covers F_(2k+1) of "odd", F_(k+2) of
+    # "product-shift" and F_(m+k) of "shifted", for every k < order
+    fibs = [fib_op(j) for j in range(order + max(order, shift_max, 2))]
+    norms = [_l1(x) for x in fibs]
+    bound = max(
+        (_l1(c) + target(norms, k) for _, coeffs, target in families for k, c in enumerate(coeffs)), default=0
+    )
+    width = _image_width(bound)
+    f = _images(fibs, width)
+    for params, coeffs, target in families:
+        for k, image in enumerate(_images(coeffs, width)):
+            _check_images(expansions, {**params, "k": k}, image, target(f, k), width)
     return [verify_symmetric_lemmas(), expansions]
 
 

@@ -12,24 +12,20 @@ coefficients is never zero and only sums need a zero check.  Kernels
 never mutate their arguments and never store a zero coefficient.
 ksub is a - b in one pass, with no negated copy of b.
 
-kmul has three product paths, chosen from its operands.  A one-term
+kmul has two product paths, chosen from its operands.  A one-term
 operand c x^k moves every key of the other by k and scales its
-coefficients by c, and kpow raises a one-term map to {k*n: c**n}.  Dense
-maps with int coefficients and at least _KRONECKER_MIN_TERMS terms on
-the shorter side are multiplied by Kronecker substitution: each is
-packed into one big integer, with one coefficient per fixed-width lane,
-the two integers are multiplied once (CPython uses Karatsuba at this
-size) and the product is read back lane by lane (Kronecker, 1882;
-Harvey, "Faster polynomial multiplication via multipoint Kronecker
-substitution", J. Symbolic Comput. 44, 2009).  Lanes of 1, 2, 4 or 8
-bytes are machine words that `array` packs and reads in C; wider
-lanes are two's-complement words that int.to_bytes writes and
-int.from_bytes reads.  Everything else (small products,
-Fraction coefficients and the sparse packed keys of hfib.algebra) takes
-the schoolbook double loop.  The lane codec is one pair: kpack writes
-the image a(2^B) of a map, B = 8 * lane_width(bits), and kunpack reads a
-map back from an image.  The grid suites of hfib.operators use the same
-pair to check whole identities on images.
+coefficients by c, and kpow raises a one-term map to {k*n: c**n}.
+Everything else takes the schoolbook double loop.  The Kronecker lane
+codec is one pair: kpack writes the image a(2^B) of a dense map of int
+coefficients, one signed lane each, B = 8 * lane_width(bits), and kunpack
+reads a map back from an image (Kronecker, 1882; Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution",
+J. Symbolic Comput. 44, 2009).  Lanes of 1, 2, 4 or 8 bytes are machine
+words that `array` packs and reads in C; wider lanes are two's-complement
+words that int.to_bytes writes and int.from_bytes reads.  The grid
+suites of hfib.operators and the expansions of hfib.genfun check whole
+identities on these images, where a product of polynomials is one
+big-integer product.
 
 The sixth kernel, taylor_shift, works on a dense list of int
 coefficients of one variable rather than on a term map: it returns the
@@ -47,29 +43,12 @@ from array import array
 from itertools import accumulate, repeat
 from typing import Sequence
 
-# Shorter-operand term count from which kmul tries the Kronecker path.
-# Packing costs a fixed few microseconds, so below about 8 x 8 terms the
-# schoolbook loop wins.  Replaying the 5,911 dense int products of op-ring's
-# suites with at least 4 terms on the shorter side (21 interleaved rounds,
-# word lanes) took, as a median share of the schoolbook time in the same
-# round, 0.568 / 0.589 / 0.593 / 0.594 / 0.620 / 0.618 / 0.643 with this at
-# 6 / 7 / ... / 12; the 502 such products of `hfib verify all` took
-# 1.096 / 1.009 / 1.006 / 0.992 / 0.998 / 1.002 / 0.986.  6 is best on the
-# first and worst on the second, and no value beats 9 on both by more than
-# the quartile spread of its rounds (0.57-0.70 on op-ring).
-_KRONECKER_MIN_TERMS = 9
-# A map is dense enough to pack when its largest key is below this many
-# times its term count; every lane up to the largest key is packed.
-_KRONECKER_SPAN = 2
-
 # (item size, signed typecode) of the machine words that carry Kronecker lanes,
 # narrowest first; sizes are read from `array`, not assumed.
 _WORD_CODES = sorted({array(code).itemsize: code for code in "bhilq"}.items())
 _WORD_CODE = dict(_WORD_CODES)
 # `array` words are in native byte order; lanes are little-endian words.
 _BIG_ENDIAN = sys.byteorder == "big"
-
-_INT_ONLY = frozenset((int,))
 
 
 def kadd(a: dict, b: dict) -> dict:
@@ -177,25 +156,6 @@ def kunpack(image: int, width: int) -> dict:
     return {key: coeff for key, coeff in enumerate(words) if coeff}
 
 
-def _kronecker(a: dict, b: dict) -> dict | None:
-    """a * b by one big-integer product of images, or None when a map is sparse or has a Fraction.
-
-    `a` is the shorter map.  A lane holds every product coefficient: each
-    is a sum of at most len(a) products, so its size is below
-    2**(bits(max|a|) + bits(max|b|) + bits(len(a))), and one more bit
-    carries the sign.
-    """
-    if max(a) >= _KRONECKER_SPAN * len(a) or max(b) >= _KRONECKER_SPAN * len(b):
-        return None
-    va, vb = a.values(), b.values()
-    if not (_INT_ONLY.issuperset(map(type, va)) and _INT_ONLY.issuperset(map(type, vb))):
-        return None
-    width = lane_width(
-        max(map(abs, va)).bit_length() + max(map(abs, vb)).bit_length() + len(a).bit_length() + 1
-    )
-    return kunpack(kpack(a, width) * kpack(b, width), width)
-
-
 def kmul(a: dict, b: dict) -> dict:
     if not a or not b:
         return {}
@@ -204,10 +164,6 @@ def kmul(a: dict, b: dict) -> dict:
     if len(a) == 1:
         ((ka, ca),) = a.items()
         return {ka + kb: ca * cb for kb, cb in b.items()}
-    if len(a) >= _KRONECKER_MIN_TERMS:
-        out = _kronecker(a, b)
-        if out is not None:
-            return out
     out = {}
     for ka, ca in a.items():
         for kb, cb in b.items():

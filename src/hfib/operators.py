@@ -22,10 +22,11 @@ extension Q[D][s]/(s^2 - (1+4D)), which serves only the symmetric lemmas
 on its roots (1 +- s)/2, and the negative-index operators g_n = D^n F_-n
 defined by running the recurrence backwards.
 
-Each matrix power Q^n is built once per process: qh_power is a cache
-that squares Q^(n // 2).  The grid suites (addition, d'Ocagne, Catalan,
-the product form of Cassini, power sums, inverse powers) check their
-polynomial identities on integer images, with no term map per case.
+qh_powers(n) builds Q^1 ... Q^n, each from the one before by moving
+entries and shifting a column by D, so it takes no product.  The grid
+suites (addition, d'Ocagne, Catalan, both forms of Cassini, power sums,
+inverse powers) check their polynomial identities on integer images,
+with no term map per case.
 Evaluation at D = 2^B is a ring map Z[D] -> Z, one-to-one on the
 polynomials whose coefficients are below 2^(B-1) in size, and
 ||x y||_1 <= ||x||_1 ||y||_1.  Each call reads the l1 norms of the
@@ -192,11 +193,6 @@ class OpMatrix2(NamedTuple):
         )
 
     def __mul__(self, other) -> "OpMatrix2":
-        if other is self:
-            # Q[D] is commutative, so a square takes five products, not eight
-            a, b, c, d = self
-            bc, trace = b * c, a + d
-            return OpMatrix2(a * a + bc, b * trace, c * trace, d * d + bc)
         if isinstance(other, OpMatrix2):
             return OpMatrix2(
                 self.a11 * other.a11 + self.a12 * other.a21,
@@ -232,23 +228,19 @@ def qh_matrix() -> OpMatrix2:
     return OpMatrix2(OpPoly.one(), OpPoly.one(), D, OpPoly.zero())
 
 
-@lru_cache(maxsize=None)
-def qh_power(n: int) -> OpMatrix2:
-    """Q^n for Q = [[1, 1], [D, 0]] and n >= 1, from the cached Q^(n // 2).
+def qh_powers(n_max: int) -> list[OpMatrix2]:
+    """[Q^1, ..., Q^n_max] for Q = [[1, 1], [D, 0]], each from the one before, in a loop.
 
-    One five-product square of Q^(n // 2), then, for odd n, one product by
-    Q, which only moves entries and shifts a column by D: binary powering
-    through the cache (Knuth, TAOCP vol. 2, 4.6.3), so each power is built
-    once until hfib.clear_caches and the powers 1..N take O(N) products.
+    [[a, b], [c, d]] * Q = [[a + D b, a], [c + D d, c]] only moves entries
+    and shifts a column by D, so the walk takes no product of term maps.
     """
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("matrix power is defined for n >= 1")
-    if n == 1:
-        return qh_matrix()
-    half = qh_power(n >> 1)
-    a, b, c, d = square = half * half
-    # [[a, b], [c, d]] * [[1, 1], [D, 0]] = [[a + D b, a], [c + D d, c]]
-    return OpMatrix2(a + D * b, a, c + D * d, c) if n & 1 else square
+    if not isinstance(n_max, int) or n_max < 0:
+        raise ValueError("matrix powers are counted by an integer n_max >= 0")
+    powers = [qh_matrix()] if n_max else []
+    while len(powers) < n_max:
+        a, b, c, d = powers[-1]
+        powers.append(OpMatrix2(a + D * b, a, c + D * d, c))
+    return powers
 
 
 # -- quadratic extension and the Binet route ---------------------------
@@ -420,8 +412,7 @@ def verify_matrix_powers(n_max: int = 10) -> IdentityReport:
     evaluated form of each entry via the composition rule.
     """
     report = IdentityReport("op-matrix-powers")
-    for n in range(1, n_max + 1):
-        p = qh_power(n)
+    for n, p in enumerate(qh_powers(n_max), 1):
         expected = OpMatrix2(fib_op(n + 1), fib_op(n), D * fib_op(n), D * fib_op(n - 1))
         report.check({"n": n, "entries": "structural"}, p, expected)
         report.check({"n": n, "entry": "11"}, op_eval(p.a11), op_eval(fib_op(n + 1)))
@@ -432,21 +423,24 @@ def verify_matrix_powers(n_max: int = 10) -> IdentityReport:
 
 
 def verify_cassini(n_max: int = 20) -> IdentityReport:
-    """Cassini identity F_(n+1) F_(n-1) - F_n^2 = -(-D)^(n-1) and det Q^n = (-D)^n.
+    """Cassini identity F_(n+1) F_(n-1) - F_n^2 = -(-D)^(n-1) and det Q^n = (-D)^n, on images.
 
-    The product form is checked on images.  With M the largest ||F_k||_1,
-    k <= n_max + 1, each case has ||lhs||_1 + ||rhs||_1 <= 2 M^2 + 1.  The
-    determinant form stays in Q[D], on qh_power and the kernels.
+    The determinant form images the four entries a, b, c, d of each Q^n
+    from qh_powers and checks a d - b c.  With M the largest ||F_k||_1,
+    k <= n_max + 1, and P the largest ||entry||_1 of Q^1..Q^n_max, each case
+    has ||lhs||_1 + ||rhs||_1 <= 2 max(M, P)^2 + 1.
     """
     report = IdentityReport("op-cassini")
     fibs = [fib_op(k) for k in range(n_max + 2)]
-    most = max(map(_l1, fibs))
+    powers = qh_powers(n_max)
+    most = max(map(_l1, (*fibs, *(x for power in powers for x in power))))
     width = _image_width(2 * most * most + 1)
     f = _images(fibs, width)
-    for n in range(1, n_max + 1):
+    for n, power in enumerate(powers, 1):
         rhs = -_signed_shift(1, n - 1, width)
         _check_images(report, {"n": n}, f[n + 1] * f[n - 1] - f[n] * f[n], rhs, width)
-        report.check({"n": n, "form": "det"}, qh_power(n).det(), (-D) ** n)
+        a, b, c, d = _images(power, width)
+        _check_images(report, {"n": n, "form": "det"}, a * d - b * c, _signed_shift(1, n, width), width)
     return report
 
 
@@ -493,10 +487,10 @@ def verify_cayley_hamilton(k_max: int = 15) -> IdentityReport:
     q = qh_matrix()
     identity = OpMatrix2.identity()
     report.check({"form": "characteristic"}, q * q, q + D * identity)
-    for k in range(1, k_max + 1):
+    for k, power in enumerate(qh_powers(k_max), 1):
         report.check(
             {"k": k, "form": "collapsed power"},
-            qh_power(k),
+            power,
             fib_op(k) * q + (D * fib_op(k - 1)) * identity,
         )
     return report
@@ -513,15 +507,15 @@ def verify_inverse_powers(n_max: int = 12) -> IdentityReport:
     """Adjugate-style inverses, multiplicatively: Q^n * M = D^n * I, on images.
 
     Inverses of Q^n live outside Q[D] (they need D^-n), so the checks
-    clear denominators and stay polynomial.  Each Q^n is built once per
-    process, by qh_power, and imaged once per call, entry by entry.  With
+    clear denominators and stay polynomial.  Each Q^n comes from
+    qh_powers and is imaged once per call, entry by entry.  With
     P the largest ||entry||_1 of Q^1..Q^n_max and M the largest ||F_k||_1,
     the signed adjugate and the linear combination have entries of l1 norm
     at most 2 M, so each entry of a case has ||lhs||_1 + ||rhs||_1 <= 4 P M + 1.
     """
     report = IdentityReport("op-inverse-powers")
     fibs = [fib_op(k) for k in range(n_max + 2)]
-    powers = [qh_power(n) for n in range(1, n_max + 1)]
+    powers = qh_powers(n_max)
     most = max(map(_l1, fibs))
     entry = max(_l1(x) for power in powers for x in power)
     width = _image_width(4 * entry * most + 1)

@@ -29,7 +29,6 @@ def _compute() -> list:
         genfun.build_gf("fib"),
         operators.fib_op(9),
         operators.neg_fib_op(5),
-        operators.qh_power(5),
         pascal.h_binomial(6, 3),
         qh.q_binomial(6, 3),
         qh.qh_binomial(5, 2),
@@ -84,7 +83,6 @@ _REFUSED = {
     "annihilator": (operators.annihilator, (2, 1.0), (2, 1)),
     "annihilator with a float k": (operators.annihilator, (2.0, 1), (2, 1)),
     "_q_diagonal": (qh._q_diagonal, (7.0, 1), (7, 1)),
-    "qh_power": (operators.qh_power, (5.0,), (5,)),
 }
 
 

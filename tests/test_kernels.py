@@ -93,9 +93,8 @@ def test_ksub_is_one_pass_kadd_of_the_negation(a: dict, b: dict) -> None:
     assert a == snap_a and b == snap_b
 
 
-# Kronecker-path coverage: dense int maps of 1-80 terms reach both sides of
-# kmul's size threshold, with coefficients up to 2**200 of either sign; zero
-# draws leave gaps but keep the map dense.
+# Dense int maps of 1-80 terms, with coefficients up to 2**200 of either sign;
+# zero draws leave gaps but keep the map dense.
 big_ints = st.integers(min_value=-(2**200), max_value=2**200)
 
 
@@ -121,8 +120,6 @@ packed_maps = _sized(
     ),
 )
 
-_T = kernels._KRONECKER_MIN_TERMS
-
 
 def _check_product(a: dict, b: dict) -> dict:
     snap_a, snap_b = dict(a), dict(b)
@@ -133,10 +130,9 @@ def _check_product(a: dict, b: dict) -> dict:
     return got
 
 
-@example({k: 1 for k in range(_T - 1)}, {k: -(2**200) for k in range(80)})
-# 9 * 63 * 63 = 35721 has 16 bits, so its lane needs a 17th for the sign.
+# every coefficient of the product sums up to 9 products of one sign, the
+# largest -9 * 63 * 63
 @example({k: 63 for k in range(9)}, {k: -63 for k in range(9)})
-@example({k: 3 - k for k in range(_T)}, {k: (-1) ** k * 2**199 for k in range(_T)})
 @given(dense_int_maps, dense_int_maps)
 def test_kmul_dense_int_matches_oracle(a: dict, b: dict) -> None:
     got = _check_product(a, b)
@@ -156,23 +152,11 @@ def test_kmul_cancelling_products() -> None:
     for k in range(1, 61):
         got = _check_product(kernels.kpow({0: 1, 1: 1}, k), kernels.kpow({0: 1, 1: -1}, k))
         assert got == {2 * j: (-1) ** j * comb(k, j) for j in range(k + 1)}
-    # The same with coefficients near 2**400 in the product, on the Kronecker path.
+    # The same with coefficients near 2**400 in the product.
     plus = kernels.kscale(kernels.kpow({0: 1, 1: 1}, 12), 2**200)
     minus = kernels.kscale(kernels.kpow({0: 1, 1: -1}, 12), -(3**126))
     got = _check_product(plus, minus)
     assert got == {2 * j: (-1) ** (j + 1) * 2**200 * 3**126 * comb(12, j) for j in range(13)}
-
-
-def test_kronecker_path_gate() -> None:
-    dense = {key: key + 1 for key in range(_T)}
-    assert kernels._kronecker(dense, dense) == oracle_term_product(dense, dense)
-    with_fraction = {**dense, 0: Fraction(1, 2)}
-    assert kernels._kronecker(with_fraction, dense) is None
-    assert kernels._kronecker(dense, with_fraction) is None
-    sparse = {2 * key * _T: 1 for key in range(_T)}
-    assert kernels._kronecker(sparse, dense) is None
-    packed = {(key << 21) | key: 1 for key in range(_T)}
-    assert kernels._kronecker(packed, dense) is None
 
 
 one_term_maps = st.dictionaries(
@@ -219,7 +203,8 @@ def test_word_lanes_are_chosen_by_item_size() -> None:
 
 
 def _lane_bits(a: dict, b: dict) -> int:
-    # the lane size _kronecker derives, sign bit included; `a` is the shorter map
+    # bits that hold every coefficient of a b with its sign: each is a sum of at
+    # most len(a) products, so below 2**(bits(max|a|) + bits(max|b|) + bits(len(a)))
     return (
         max(map(abs, a.values())).bit_length()
         + max(map(abs, b.values())).bit_length()
@@ -253,13 +238,29 @@ def test_word_lanes_at_each_width_edge(bits: int, monkeypatch) -> None:
         return build(*args)
 
     monkeypatch.setattr(kernels, "array", counting)
+    width = kernels.lane_width(bits)
+    assert width == {8: 1, 9: 2, 16: 2, 17: 4, 32: 4, 33: 8, 64: 8, 65: 9}[bits]
+    # the largest size a lane of `bits` bits holds, sign bit included
+    top = 2 ** (bits - 1) - 1
+    keys = range(9)
+    for a in (
+        {k: -top for k in keys},  # all negative
+        {k: (-1) ** k * top for k in keys},  # alternating signs
+        {k: top - k for k in keys},  # one sign, a different value in each lane
+        {0: -1, 8: top},  # zero lanes between
+    ):
+        assert kernels.kunpack(kernels.kpack(a, width), width) == a
+    # cancelling lanes: the sum of two images cancels every odd lane and the top lane
+    a = {k: (-1) ** k * top for k in keys}
+    b = {k: -c for k, c in a.items() if k % 2 or k == 8}
+    got = kernels.kunpack(kernels.kpack(a, width) + kernels.kpack(b, width), width)
+    assert got == kernels.kadd(a, b) == {k: top for k in range(0, 8, 2)}
+    # an image product decodes to the product at the lane size it needs
     for a, b in _edge_pairs(bits):
         assert _lane_bits(a, b) == bits
-        expected = oracle_term_product(a, b)
-        got = kernels._kronecker(a, b)
-        assert got == expected
+        got = kernels.kunpack(kernels.kpack(a, width) * kernels.kpack(b, width), width)
+        assert got == oracle_term_product(a, b)
         assert all(type(c) is int for c in got.values())
-        assert kernels.kmul(a, b) == expected == kernels.kmul(b, a)
     # from 16 bits on, the peak 9 * ma * mb fills every bit of its lane but the sign
     peak = oracle_term_product(*next(_edge_pairs(bits)))[8]
     assert peak.bit_length() == bits - 1 or bits < 16

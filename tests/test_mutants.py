@@ -38,18 +38,6 @@ def _op_eval_off_from_5(x):
     return _OP_EVAL(x) + (H if x.degree >= 5 else 0)
 
 
-_KRONECKER = kernels._kronecker
-
-
-def _kronecker_off_from_20_terms(a, b):
-    # top coefficient one too large on every packed product of 20 or more terms
-    out = _KRONECKER(a, b)
-    if out is not None and len(out) >= 20:
-        top = max(out)
-        out = {**out, top: out[top] + 1}
-    return out
-
-
 _KPACK = kernels.kpack
 
 
@@ -142,13 +130,16 @@ def _lambda_plus_odd_part_off():
     return operators.SqrtExt(half, half + D)
 
 
-_QH_POWER = operators.qh_power
+_QH_POWERS = operators.qh_powers
 
 
-def _qh_power_off_at_7(n):
-    # one stray D in the top-right entry; op-matrix-powers sees it through matrix equality
-    power = _QH_POWER(n)
-    return operators.OpMatrix2(power.a11, power.a12 + D, power.a21, power.a22) if n == 7 else power
+def _qh_powers_off_at_7(n_max):
+    # one stray D in the top-right entry of Q^7; op-matrix-powers sees it through matrix equality
+    powers = _QH_POWERS(n_max)
+    if n_max >= 7:
+        a11, a12, a21, a22 = powers[6]
+        powers[6] = operators.OpMatrix2(a11, a12 + D, a21, a22)
+    return powers
 
 
 _BINET_FIB = operators.binet_fib
@@ -231,20 +222,23 @@ MUTANTS = {
         ((operators, "op_eval", _op_eval_off_from_5), (fibonacci, "op_eval", _op_eval_off_from_5)),
         ("fib-negative-reflection", "fib-route-equivalence", "op-matrix-powers"),
     ),
-    # at default scales the determinant form of op-cassini is the only check with a
-    # packed product this long
-    "Kronecker product top coefficient + 1 from 20 terms": (
-        ((kernels, "_kronecker", _kronecker_off_from_20_terms),),
-        ("op-cassini",),
-    ),
-    # planted where the grid suites image their inputs, not where kmul packs
+    # planted where the grid suites and gf-expansions image their inputs; both
+    # forms of op-cassini see it
     "image top lane + 1 from 7 lanes": (
         ((operators, "kpack", _image_top_lane_off_from_7_lanes),),
-        ("op-cassini", "op-addition", "op-inverse-powers", "op-power-sums", "op-catalan", "op-docagne"),
+        (
+            "op-cassini",
+            "op-addition",
+            "op-inverse-powers",
+            "op-power-sums",
+            "op-catalan",
+            "op-docagne",
+            "gf-expansions",
+        ),
     ),
     # kmul is planted in kernels too, where kpow squares through it.  The grid suites
-    # are out of reach: they multiply images, not term maps, and the one-term
-    # products of Cassini's determinant form, the one they leave to kmul, are short
+    # multiply images, not term maps; op-cassini is reached through the D-shift steps
+    # of qh_powers, whose entries reach 10 terms only at its scale of 20
     "one-term product top coefficient + 1 from 10 terms": (
         (
             (algebra, "kmul", _one_term_product_off_from_10_terms),
@@ -260,12 +254,13 @@ MUTANTS = {
             "gf-expansions",
             "op-matrix-powers",
             "op-doubling",
+            "op-cassini",
         ),
     ),
-    # of the grid suites, only Cassini's determinant form still subtracts term maps
+    # no grid suite subtracts term maps; the long division of series_expand does
     "ksub keeps a sign from 10 terms": (
         ((algebra, "ksub", _ksub_sign_kept_from_10_terms),),
-        ("gf-expansions", "op-cassini"),
+        ("gf-expansions",),
     ),
     # h vanishes in the classical limit h -> 0 with h hp = 1
     "hfib_diagonal(7) + h": (
@@ -343,8 +338,8 @@ MUTANTS = {
         ((operators, "lambda_plus", _lambda_plus_odd_part_off),),
         ("op-symmetric-lemmas",),
     ),
-    "qh_power(7) with a12 + D": (
-        ((operators, "qh_power", _qh_power_off_at_7),),
+    "qh_powers with a12 + D in Q^7": (
+        ((operators, "qh_powers", _qh_powers_off_at_7),),
         ("op-matrix-powers", "op-cassini", "op-cayley-hamilton", "op-inverse-powers"),
     ),
     "binet_fib(7) + D": (

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -25,7 +26,7 @@ from hfib.operators import (
     op_eval,
     op_value,
     qh_matrix,
-    qh_power,
+    qh_powers,
     verify_addition,
     verify_catalan,
     verify_docagne,
@@ -153,30 +154,44 @@ def test_op_eval_multiplicativity_fails_in_general() -> None:
 def test_matrix_generator_and_powers() -> None:
     q = qh_matrix()
     assert q.det() == -D
-    q2 = qh_power(2)
+    q1, q2 = qh_powers(2)
+    assert q1 == q
     assert (q2.a11, q2.a12, q2.a21, q2.a22) == (1 + D, OpPoly.one(), D, D)
-    with pytest.raises(ValueError):
-        qh_power(0)
 
 
-@pytest.mark.parametrize("order", [range(1, 131), range(130, 0, -1)], ids=["ascending", "descending"])
-def test_qh_power_equals_the_binary_power(order) -> None:
-    # the cached halving powers against OpMatrix2.__pow__, from cold caches
-    hfib.clear_caches()
+def test_qh_powers_equal_the_binary_powers() -> None:
+    # the walk Q^(n+1) = Q^n Q against OpMatrix2.__pow__
     q = qh_matrix()
-    for n in order:
-        assert qh_power(n) == q**n
+    assert qh_powers(130) == [q**n for n in range(1, 131)]
 
 
-def test_qh_power_builds_only_the_halving_chain() -> None:
-    hfib.clear_caches()
-    qh_power(9)
-    assert qh_power.cache_info().currsize == 4  # Q^9 from Q^4, Q^2 and Q
+def test_qh_powers_of_none_is_empty() -> None:
+    assert qh_powers(0) == []
+
+
+@pytest.mark.parametrize("n_max", [-1, 5.0, "5", None])
+def test_qh_powers_refuses_a_non_integer_or_negative_count(n_max) -> None:
+    with pytest.raises(ValueError, match="n_max"):
+        qh_powers(n_max)
+
+
+def test_qh_powers_runs_without_recursion() -> None:
+    # a recursion of one frame per power would need 300 frames more than this allows
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        powers = qh_powers(300)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(powers) == 300 and powers[-1].a12 == fib_op(300)
 
 
 @given(st.integers(min_value=1, max_value=15))
 def test_matrix_power_entries_are_fib_ops(n: int) -> None:
-    m = qh_power(n)
+    m = qh_powers(n)[-1]
     assert m.a11 == fib_op(n + 1)
     assert m.a12 == fib_op(n)
     assert m.a21 == D * fib_op(n)
@@ -185,7 +200,7 @@ def test_matrix_power_entries_are_fib_ops(n: int) -> None:
 
 @given(st.integers(min_value=1, max_value=12))
 def test_matrix_determinant_power(n: int) -> None:
-    assert qh_power(n).det() == (-D) ** n
+    assert qh_powers(n)[-1].det() == (-D) ** n
 
 
 @given(op_polys, op_polys, op_polys, op_polys)
@@ -361,9 +376,9 @@ def _explicit_power_sum(k: int, n: int, form: str) -> OpPoly:
 def _record_checks(monkeypatch, widths: list | None = None) -> list:
     """The (params, lhs, rhs) of every case checked from here on, in order, each side in Q[D].
 
-    A grid suite hands a passing case to the report as two images at
-    2^(8 width); each is decoded at the width of its call, which is also
-    appended to `widths` when given.
+    A grid suite, or gf-expansions, hands a passing case to the report as
+    two images at 2^(8 width); each is decoded at the width of its call,
+    which is also appended to `widths` when given.
     """
     seen, widths = [], [] if widths is None else widths
     check = IdentityReport.check
@@ -381,6 +396,7 @@ def _record_checks(monkeypatch, widths: list | None = None) -> list:
         return check(self, params, lhs, rhs)
 
     monkeypatch.setattr(operators, "_image_width", recording_width)
+    monkeypatch.setattr(genfun, "_image_width", recording_width)
     monkeypatch.setattr(IdentityReport, "check", recording)
     return seen
 
@@ -471,22 +487,25 @@ def test_grid_suites_detect_a_wrong_fib_op(suite, args, failures, cases, monkeyp
         (verify_docagne, (15,), 196),
         (verify_docagne, (10,), 81),
         (verify_catalan, (15,), 91),
-        (operators.verify_cassini, (20,), 35),
+        (operators.verify_cassini, (20,), 35 + 17 + 18),
         (verify_power_sums, (6, 6), 0),
         (verify_inverse_powers, (12,), 0),
     ],
 )
 def test_grid_suites_compute_each_product_once(suite, args, products, monkeypatch) -> None:
-    # each input is imaged once per call, and no term map is multiplied but in
-    # Cassini's determinant form.  Of the image products, one F_a F_b per ordered
-    # pair with 3 <= a and 3 <= b: a <= m_max + 1 and b <= n_max + 1 for addition,
-    # a, b <= bound + 1 for d'Ocagne; single-term factors such as F_1 and F_2 are
-    # not counted.  The power sums multiply images by powers and sums of images,
-    # and the inverse powers by signed shifts of them, so they count none.
-    for n in range(1, 21):
-        qh_power(n)  # Q^n is built once per process, by the kernels, before any suite reads it
-    imaged, count, in_det = [], 0, False
-    images, kmul, det = operators._images, algebra.kmul, OpMatrix2.det
+    # each input is imaged once per call, and no term map is multiplied but by a
+    # one-term D-shift.  Two consecutive powers share two entries (a12 of Q^(n+1)
+    # is a11 of Q^n, a22 of Q^(n+1) is a21 of Q^n), so the suites that read
+    # Q^1..Q^N image 2 (N - 1) entries once for each power that holds them.
+    # Of the image products, one F_a F_b per ordered pair with 3 <= a and 3 <= b:
+    # a <= m_max + 1 and b <= n_max + 1 for addition, a, b <= bound + 1 for
+    # d'Ocagne; single-term factors such as F_1 and F_2 are not counted.  Cassini's
+    # determinant form adds a d for 4 <= n and b c for 3 <= n, where both factors
+    # of F_(n+1) D F_(n-1) and of F_n D F_n have two or more terms.  The power sums
+    # multiply images by powers and sums of images, and the inverse powers by
+    # signed shifts of them, so they count none.
+    imaged, count = [], 0
+    images, kmul = operators._images, algebra.kmul
 
     class Image(int):
         def __mul__(self, other):
@@ -505,23 +524,15 @@ def test_grid_suites_compute_each_product_once(suite, args, products, monkeypatc
             out[-1].terms = len(x)
         return out
 
-    def determinant(self) -> OpPoly:
-        nonlocal in_det
-        in_det = True
-        try:
-            return det(self)
-        finally:
-            in_det = False
-
     def refusing(a: dict, b: dict) -> dict:
-        assert in_det, "a grid suite multiplied term maps"
+        assert min(len(a), len(b)) <= 1, "a grid suite multiplied term maps"
         return kmul(a, b)
 
     monkeypatch.setattr(operators, "_images", counting_images)
-    monkeypatch.setattr(OpMatrix2, "det", determinant)
     monkeypatch.setattr(algebra, "kmul", refusing)
     assert suite(*args).passed
-    assert imaged and len({id(x) for x in imaged}) == len(imaged)
+    shared = 2 * (args[0] - 1) if suite in (operators.verify_cassini, verify_inverse_powers) else 0
+    assert imaged and len(imaged) - len({id(x) for x in imaged}) == shared
     assert count == products
 
 
@@ -639,13 +650,30 @@ def test_images_refuse_a_fraction(monkeypatch) -> None:
             suite(*args)
 
 
+# gf name -> the target of its k-th coefficient, on term maps; "shifted" reads m too
+_GF_TARGETS = {
+    "fib": lambda k, m: fib_op(k),
+    "even": lambda k, m: fib_op(2 * k),
+    "odd": lambda k, m: fib_op(2 * k + 1),
+    "square": lambda k, m: fib_op(k) ** 2,
+    "product": lambda k, m: fib_op(k) * fib_op(k + 1),
+    "product-shift": lambda k, m: fib_op(k + 1) * fib_op(k + 2),
+    "cube": lambda k, m: fib_op(k) ** 3,
+    "shifted": lambda k, m: fib_op(m + k),
+}
+
+
 def _reference_sides(suite: str, params: dict) -> tuple:
-    """Both sides of one grid-suite case, built in Q[D] by the term-map kernels, with no image."""
+    """Both sides of one image-checked case, built in Q[D] by the term-map kernels, with no image."""
     fib = fib_op
+    if suite == "gf-expansions":
+        name, k, m = params["gf"], params["k"], params.get("m")
+        ratfun = genfun.gf_shifted(m) if name == "shifted" else genfun.build_gf(name)
+        return genfun.series_expand(ratfun, k + 1).coefficient(k), _GF_TARGETS[name](k, m)
     if suite == "op-cassini":
         n = params["n"]
         if "form" in params:
-            return qh_power(n).det(), (-D) ** n
+            return (qh_matrix() ** n).det(), (-D) ** n
         return fib(n + 1) * fib(n - 1) - fib(n) * fib(n), -((-D) ** (n - 1))
     if suite == "op-catalan":
         n, m = params["n"], params["m"]
@@ -655,7 +683,7 @@ def _reference_sides(suite: str, params: dict) -> tuple:
         return _explicit_power_sum(k, n, params["form"]), fib(k * n)
     if suite == "op-inverse-powers":
         n = params["n"]
-        power, zero = qh_power(n), OpPoly.zero()
+        power, zero = qh_matrix() ** n, OpPoly.zero()
         signed = (-1) ** n * OpMatrix2(D * fib(n - 1), -1 * fib(n), -1 * D * fib(n), fib(n + 1))
         target = OpMatrix2(D**n, zero, zero, D**n)
         if params.get("side") == "right":
@@ -674,16 +702,23 @@ def _l1_sides(*sides) -> int:
     return sum(_l1(x) for side in sides for x in (side if isinstance(side, OpMatrix2) else (side,)))
 
 
-@pytest.mark.parametrize("suite, args, cases", _OP_RING_CALLS[:6], ids=lambda x: getattr(x, "__name__", None))
+@pytest.mark.parametrize(
+    "suite, args, cases", (*_OP_RING_CALLS[:6], _OP_RING_CALLS[7]), ids=lambda x: getattr(x, "__name__", None)
+)
 def test_image_width_bounds_every_case_at_op_ring_sizes(suite, args, cases, monkeypatch) -> None:
     # ||lhs||_1 + ||rhs||_1 < 2^(B-1) for every case, with both sides built without images;
     # so equal images prove each case, and each decoded side is that side
     widths = []
     seen = _record_checks(monkeypatch, widths)
-    report = suite(*args)
+    result = suite(*args)
+    reports = result if isinstance(result, list) else [result]
     (width,) = widths
-    assert report.passed and len(seen) == sum(cases.values())
+    assert all(r.passed for r in reports) and len(seen) == sum(cases.values())
+    # gf's root lemmas take no image; its expansions are the last report
+    imaged = reports[-1].suite
     for params, lhs, rhs in seen:
-        expected = _reference_sides(report.suite, params)
+        if "lemma" in params:
+            continue
+        expected = _reference_sides(imaged, params)
         assert (lhs, rhs) == expected, params
         assert _l1_sides(*expected) < 2 ** (8 * width - 1), params
