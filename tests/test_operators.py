@@ -165,6 +165,16 @@ def test_qh_powers_equal_the_binary_powers() -> None:
     assert qh_powers(130) == [q**n for n in range(1, 131)]
 
 
+@pytest.mark.parametrize("order", [range(1, 131), range(130, 0, -1)], ids=["ascending", "descending"])
+def test_qh_power_equals_the_binary_power(order) -> None:
+    # the last power of each walk against OpMatrix2.__pow__, from cold caches,
+    # so no call leans on what an earlier, longer or shorter, call left behind
+    hfib.clear_caches()
+    q = qh_matrix()
+    for n in order:
+        assert qh_powers(n)[-1] == q**n
+
+
 def test_qh_powers_of_none_is_empty() -> None:
     assert qh_powers(0) == []
 
