@@ -16,15 +16,13 @@ kmul has two product paths, chosen from its operands.  A one-term
 operand c x^k moves every key of the other by k and scales its
 coefficients by c, and kpow raises a one-term map to {k*n: c**n}.
 Everything else takes the schoolbook double loop.  The Kronecker lane
-codec is one pair: kpack writes the image a(2^B) of a dense map of int
-coefficients, one signed lane each, B = 8 * lane_width(bits), and kunpack
-reads a map back from an image (Kronecker, 1882; Harvey, "Faster
-polynomial multiplication via multipoint Kronecker substitution",
-J. Symbolic Comput. 44, 2009).  Lanes of 1, 2, 4 or 8 bytes are machine
-words that `array` packs and reads in C; wider lanes are two's-complement
-words that int.to_bytes writes and int.from_bytes reads.  The grid
-suites of hfib.operators and the expansions of hfib.genfun check whole
-identities on these images, where a product of polynomials is one
+codec is one pair in plain integer arithmetic: kpack writes the image
+a(2^B) of a map of int coefficients, one signed lane of B bits each,
+and kunpack reads the map back from an image as balanced base-2^B digits
+(Kronecker, 1882; Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", J. Symbolic Comput. 44, 2009).  The
+grid suites of hfib.operators and the expansions of hfib.genfun check
+whole identities on these images, where a product of polynomials is one
 big-integer product.
 
 The sixth kernel, taylor_shift, works on a dense list of int
@@ -38,17 +36,8 @@ Q[D], where its shift is a move of the coefficient list by one place.
 
 from __future__ import annotations
 
-import sys
-from array import array
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Sequence
-
-# (item size, signed typecode) of the machine words that carry Kronecker lanes,
-# narrowest first; sizes are read from `array`, not assumed.
-_WORD_CODES = sorted({array(code).itemsize: code for code in "bhilq"}.items())
-_WORD_CODE = dict(_WORD_CODES)
-# `array` words are in native byte order; lanes are little-endian words.
-_BIG_ENDIAN = sys.byteorder == "big"
 
 
 def kadd(a: dict, b: dict) -> dict:
@@ -93,67 +82,33 @@ def kscale(a: dict, c) -> dict:
     return {key: coeff * c for key, coeff in a.items()}
 
 
-def lane_width(bits: int) -> int:
-    """Bytes in the narrowest Kronecker lane of at least `bits` bits, a machine word if one is wide enough."""
-    for width, _ in _WORD_CODES:
-        if bits <= 8 * width:
-            return width
-    return (bits + 7) >> 3
+def kpack(a: dict, bits: int) -> int:
+    """The image a(2**bits) of a map of int coefficients, one signed lane of `bits` bits each.
 
-
-def _halves(width: int, lanes: int) -> int:
-    """2**(8 width - 1) in each of `lanes` lanes: the bias that makes every signed lane non-negative."""
-    return int.from_bytes((1 << (8 * width - 1)).to_bytes(width, "little") * lanes, "little")
-
-
-def kpack(a: dict, width: int) -> int:
-    """The image a(2**(8 width)) of a dense map of int coefficients, one signed lane each.
-
-    Each coefficient is written as a little-endian two's-complement word
-    of `width` bytes: by `array` in C for 1, 2, 4 or 8 bytes, by
-    int.to_bytes past that.  A word w of a coefficient c is (c + half) ^ half,
-    so XOR with the packed halves turns the words into biased lanes, and
-    taking the halves off leaves sum_k c_k 2**(8 width k).  Only int
-    coefficients have an image: both writers raise TypeError on any other.
+    Only int coefficients have an image: shifting any other raises TypeError.
     """
-    if not a:
-        return 0
-    lanes = max(a) + 1
-    coeffs = map(a.get, range(lanes), repeat(0))
-    code = _WORD_CODE.get(width)
-    if code is None:
-        to_bytes = int.to_bytes
-        words = b"".join([to_bytes(c, width, "little", signed=True) for c in coeffs])
-    else:
-        words = array(code, coeffs)
-        if _BIG_ENDIAN:
-            words.byteswap()
-    halves = _halves(width, lanes)
-    return (int.from_bytes(words, "little") ^ halves) - halves
+    return sum(c << (bits * k) for k, c in a.items())
 
 
-def kunpack(image: int, width: int) -> dict:
-    """The term map whose image at 2**(8 width) is `image`, every coefficient below 2**(8 width - 1) in size.
+def kunpack(image: int, bits: int) -> dict:
+    """The term map whose image at 2**bits is `image`, every coefficient in [-2**(bits - 1), 2**(bits - 1)).
 
-    The lanes are read back as balanced digits: adding `half` to every lane
-    makes each one non-negative, so the lanes give the coefficients exactly,
-    negative ones and cancellations included.  A nonzero top coefficient
-    puts the image at or above 2**(8 width k - 1) in size, so its bit length
-    says how many lanes to read.
+    The lanes are read from the bottom up as balanced digits: the lowest
+    lane, taken in that range, is the lowest coefficient, and taking it
+    off leaves the image of the rest times 2**bits, negative coefficients
+    and cancelled lanes included.
     """
-    lanes = image.bit_length() // (8 * width) + 1
-    halves = _halves(width, lanes)
-    raw = ((image + halves) ^ halves).to_bytes(lanes * width, "little")
-    code = _WORD_CODE.get(width)
-    if code is None:
-        from_bytes = int.from_bytes
-        words = [from_bytes(raw[i : i + width], "little", signed=True) for i in range(0, len(raw), width)]
-    else:
-        words = array(code)
-        words.frombytes(raw)
-        if _BIG_ENDIAN:
-            words.byteswap()
-    return {key: coeff for key, coeff in enumerate(words) if coeff}
+    half = 1 << (bits - 1)
+    mask = (1 << bits) - 1
+    out = {}
+    key = 0
+    while image:
+        c = ((image + half) & mask) - half
+        if c:
+            out[key] = c
+        image = (image - c) >> bits
+        key += 1
+    return out
 
 
 def kmul(a: dict, b: dict) -> dict:

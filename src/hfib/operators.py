@@ -31,17 +31,18 @@ Evaluation at D = 2^B is a ring map Z[D] -> Z, one-to-one on the
 polynomials whose coefficients are below 2^(B-1) in size, and
 ||x y||_1 <= ||x||_1 ||y||_1.  Each call reads the l1 norms of the
 objects it checks, bounds ||lhs||_1 + ||rhs||_1 over its cases, picks
-one B above that bound, and images each input once through the Kronecker
-lane codec of hfib.kernels (kpack).  A case is then big-integer products
-and sums, a D^j is a shift by B j bits, and equal images prove
-lhs = rhs, since ||lhs - rhs||_inf <= ||lhs||_1 + ||rhs||_1 < 2^(B-1)
-(Kronecker, 1882; Harvey, J. Symbolic Comput. 44, 2009).  A failing case
-is decoded back to Q[D] (kunpack), so its witness shows both sides as
-polynomials.  The d'Ocagne and addition suites walk their grids in
-natural (m, n) order and take each ordered product F_a F_b once per
-call, from two sliding rows of image products.  The binomial power sums
-are taken by Horner's rule in their small factor, and each weight is
-scaled by C(n, i) once for both forms.
+the fewest lane bits B that put that bound below 2^(B-1), and images each
+input once through the Kronecker lane codec of hfib.kernels (kpack).  A
+case is then big-integer products and sums, a D^j is a shift by B j
+bits, and equal images prove lhs = rhs, since
+||lhs - rhs||_inf <= ||lhs||_1 + ||rhs||_1 < 2^(B-1) (Kronecker, 1882;
+Harvey, J. Symbolic Comput. 44, 2009).  A failing case is decoded back
+to Q[D] (kunpack), so its witness shows both sides as polynomials.  The
+d'Ocagne and addition suites walk their grids in natural (m, n) order
+and take each ordered product F_a F_b once per call, from two sliding
+rows of image products.  The binomial power sums are taken by Horner's
+rule in their small factor, and each weight is scaled by C(n, i) once
+for both forms.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from typing import NamedTuple
 from hfib.algebra import (
     HPoly, Scalar, TermRing, _coerce_scalar, common_denominator, d_image, rising_numerators, rising_rows
 )
-from hfib.kernels import binary_power, kpack, kunpack, lane_width
+from hfib.kernels import binary_power, kpack, kunpack
 from hfib.report import IdentityReport, suite_scale
 
 
@@ -372,22 +373,22 @@ def _l1(x: OpPoly) -> int:
 
 
 def _image_width(bound: int) -> int:
-    """Lane bytes of a call's images at 2^B, B = 8 * width, with bound < 2^(B-1).
+    """Lane bits B of a call's images at 2^B, the fewest with bound < 2^(B-1).
 
     bound is at least ||lhs||_1 + ||rhs||_1 for every case of the call, so
     equal images prove lhs = rhs and each side decodes from its image.
     """
-    return lane_width(bound.bit_length() + 1)
+    return bound.bit_length() + 1
 
 
 def _images(xs, width: int) -> list[int]:
-    """The image at 2^(8 width) of each operator; a Fraction coefficient raises TypeError."""
+    """The image at 2^width of each operator; a Fraction coefficient raises TypeError."""
     return [kpack(x._terms, width) for x in xs]
 
 
 def _signed_shift(image: int, j: int, width: int) -> int:
     """The image of (-D)^j x, given that of x."""
-    return (-image if j & 1 else image) << (8 * width * j)
+    return (-image if j & 1 else image) << (width * j)
 
 
 def _decode(image, width: int):
@@ -458,11 +459,11 @@ def verify_addition(m_max: int = 12, n_max: int = 12) -> IdentityReport:
     fibs = [fib_op(k) for k in range(m_max + n_max + 2)]
     most = max(map(_l1, fibs))
     width = _image_width(2 * most * most + most)
-    f, lane_bits = _images(fibs, width), 8 * width
+    f = _images(fibs, width)
     columns = f[: n_max + 2]
 
     def sums(row: list[int], nxt: list[int]) -> list[int]:
-        return [nxt[b + 1] + (row[b] << lane_bits) for b in range(n_max + 1)]
+        return [nxt[b + 1] + (row[b] << width) for b in range(n_max + 1)]
 
     row = [f[1] * y for y in columns]
     above = sums([f[0] * y for y in columns], row)  # S(0, b)
@@ -519,7 +520,7 @@ def verify_inverse_powers(n_max: int = 12) -> IdentityReport:
     most = max(map(_l1, fibs))
     entry = max(_l1(x) for power in powers for x in power)
     width = _image_width(4 * entry * most + 1)
-    f, d = _images(fibs, width), 1 << 8 * width
+    f, d = _images(fibs, width), 1 << width
     for n, power in enumerate(powers, 1):
         power = tuple(_images(power, width))
         sign = (-1) ** n
@@ -572,7 +573,7 @@ def verify_power_sums(n_max: int = 6, k_max: int = 6) -> IdentityReport:
         for i in range(n_max + 1):
             weighted.append(power * f[i])
             power *= f[k]
-        shifted, negated = f[k - 1] << 8 * width, -f[k + 1]
+        shifted, negated = f[k - 1] << width, -f[k + 1]
         for n in ns:
             target = f[k * n]
             scaled = [comb(n, i) * weighted[i] for i in range(n + 1)]

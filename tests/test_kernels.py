@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-from array import array
 from fractions import Fraction
 from math import comb
 
@@ -196,12 +195,6 @@ def test_one_term_power_is_a_key_move(a: dict, n: int) -> None:
     assert a == snap
 
 
-def test_word_lanes_are_chosen_by_item_size() -> None:
-    assert [size for size, _ in kernels._WORD_CODES] == [1, 2, 4, 8]
-    for size, code in kernels._WORD_CODES:
-        assert array(code).itemsize == size and code.islower()
-
-
 def _lane_bits(a: dict, b: dict) -> int:
     # bits that hold every coefficient of a b with its sign: each is a sum of at
     # most len(a) products, so below 2**(bits(max|a|) + bits(max|b|) + bits(len(a)))
@@ -227,45 +220,62 @@ def _edge_pairs(bits: int):
     yield {k: ma for k in keys}, {k: (-1) ** k * mb for k in range(8)}
 
 
-@pytest.mark.parametrize("bits", [8, 9, 16, 17, 32, 33, 64, 65])
-def test_word_lanes_at_each_width_edge(bits: int, monkeypatch) -> None:
-    word_builds = 0
-    build = kernels.array
-
-    def counting(*args):
-        nonlocal word_builds
-        word_builds += 1
-        return build(*args)
-
-    monkeypatch.setattr(kernels, "array", counting)
-    width = kernels.lane_width(bits)
-    assert width == {8: 1, 9: 2, 16: 2, 17: 4, 32: 4, 33: 8, 64: 8, 65: 9}[bits]
-    # the largest size a lane of `bits` bits holds, sign bit included
-    top = 2 ** (bits - 1) - 1
+@pytest.mark.parametrize("bits", [1, 2, 8, 9, 64, 65, 496])
+def test_word_lanes_at_each_width_edge(bits: int) -> None:
+    # the two ends of a signed lane of `bits` bits: a 1-bit lane holds only 0 and -1
+    low, top = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
     keys = range(9)
     for a in (
-        {k: -top for k in keys},  # all negative
-        {k: (-1) ** k * top for k in keys},  # alternating signs
-        {k: top - k for k in keys},  # one sign, a different value in each lane
-        {0: -1, 8: top},  # zero lanes between
+        {k: low for k in keys},  # all negative
+        {k: low if k % 2 else top for k in keys},  # alternating ends
+        {k: max(low, top - k) for k in keys},  # a different value in each lane, down to low
+        {0: low, 8: low},  # zero lanes between, and a negative top lane
     ):
-        assert kernels.kunpack(kernels.kpack(a, width), width) == a
+        a = {k: c for k, c in a.items() if c}
+        assert kernels.kunpack(kernels.kpack(a, bits), bits) == a
     # cancelling lanes: the sum of two images cancels every odd lane and the top lane
-    a = {k: (-1) ** k * top for k in keys}
+    a = {k: c for k in keys if (c := low if k % 2 else top)}
     b = {k: -c for k, c in a.items() if k % 2 or k == 8}
-    got = kernels.kunpack(kernels.kpack(a, width) + kernels.kpack(b, width), width)
-    assert got == kernels.kadd(a, b) == {k: top for k in range(0, 8, 2)}
+    got = kernels.kunpack(kernels.kpack(a, bits) + kernels.kpack(b, bits), bits)
+    assert got == kernels.kadd(a, b) == {k: top for k in range(0, 8, 2) if top}
+    if bits < 8:
+        return
     # an image product decodes to the product at the lane size it needs
     for a, b in _edge_pairs(bits):
         assert _lane_bits(a, b) == bits
-        got = kernels.kunpack(kernels.kpack(a, width) * kernels.kpack(b, width), width)
+        got = kernels.kunpack(kernels.kpack(a, bits) * kernels.kpack(b, bits), bits)
         assert got == oracle_term_product(a, b)
         assert all(type(c) is int for c in got.values())
     # from 16 bits on, the peak 9 * ma * mb fills every bit of its lane but the sign
     peak = oracle_term_product(*next(_edge_pairs(bits)))[8]
     assert peak.bit_length() == bits - 1 or bits < 16
-    # 8-byte `array` words hold lanes of up to 64 bits; wider ones go through int.to_bytes
-    assert (word_builds > 0) == (bits <= 64)
+
+
+def _lane_maps(bits: int):
+    """Term maps of int coefficients below 2**(bits - 1) in size, with the lane size."""
+    most = 2 ** (bits - 1) - 1
+    coeffs = st.integers(min_value=-most, max_value=most).filter(bool) if most else st.nothing()
+    return st.tuples(st.just(bits), st.dictionaries(st.integers(min_value=0, max_value=40), coeffs, max_size=12))
+
+
+@example((1, {}))
+@example((600, {}))
+@example((3, {0: 3, 5: -3}))  # a negative top lane
+@example((64, {0: -1, 1: 2**62, 2: -(2**63) + 1}))
+@given(st.integers(min_value=1, max_value=600).flatmap(_lane_maps))
+def test_lanes_round_trip(case: tuple) -> None:
+    bits, a = case
+    assert kernels.kunpack(kernels.kpack(a, bits), bits) == a
+
+
+def test_an_image_is_the_map_at_two_to_the_bits() -> None:
+    # lanes of any bit count, not whole bytes; only int coefficients have an image
+    a = {0: -3, 2: 5, 7: 1}
+    for bits in (1, 3, 8, 13):
+        x = 2**bits
+        assert kernels.kpack(a, bits) == -3 + 5 * x**2 + x**7
+    with pytest.raises(TypeError):
+        kernels.kpack({0: 1, 1: Fraction(1, 2)}, 8)
 
 
 def _shift_by_definition(a: list[int], delta: int) -> list[int]:

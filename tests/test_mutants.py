@@ -41,10 +41,10 @@ def _op_eval_off_from_5(x):
 _KPACK = kernels.kpack
 
 
-def _image_top_lane_off_from_7_lanes(a, width):
-    # the image at 2^(8 width) one too large in its top lane, for every map of 7 or more lanes
-    image = _KPACK(a, width)
-    return image + (1 << 8 * width * max(a)) if a and max(a) >= 6 else image
+def _image_top_lane_off_from_7_lanes(a, bits):
+    # the image at 2^bits one too large in its top lane, for every map of 7 or more lanes
+    image = _KPACK(a, bits)
+    return image + (1 << bits * max(a)) if a and max(a) >= 6 else image
 
 
 _KMUL = kernels.kmul

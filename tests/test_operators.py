@@ -387,7 +387,7 @@ def _record_checks(monkeypatch, widths: list | None = None) -> list:
     """The (params, lhs, rhs) of every case checked from here on, in order, each side in Q[D].
 
     A grid suite, or gf-expansions, hands a passing case to the report as
-    two images at 2^(8 width); each is decoded at the width of its call,
+    two images at 2^B; each is decoded at the lane bits B of its call,
     which is also appended to `widths` when given.
     """
     seen, widths = [], [] if widths is None else widths
@@ -633,24 +633,25 @@ def _l1(x: OpPoly) -> int:
     return sum(abs(c) for _, c in x.terms())
 
 
-@given(int_op_polys, int_op_polys, st.integers(min_value=0, max_value=6), st.sampled_from((0, 1, 9)))
+@given(int_op_polys, int_op_polys, st.integers(min_value=0, max_value=6), st.sampled_from((0, 1, 72)))
 @example(OpPoly.zero(), OpPoly.zero(), 0, 0)
-@example(-1 - D, 1 + D, 3, 0)  # 1-byte lanes, every lane of a + b cancels
-@example(-64 * D**5, OpPoly.zero(), 1, 0)  # a negative top lane, in 1-byte lanes
+@example(-1 - D, 1 + D, 3, 0)  # 4-bit lanes, every lane of a + b cancels
+@example(-64 * D**5, OpPoly.zero(), 1, 0)  # a negative top lane, in 8-bit lanes
 @example(fib_op(40), fib_op(41) - D**12, 2, 0)
 def test_images_decode_to_the_ring_operations(a: OpPoly, b: OpPoly, j: int, extra: int) -> None:
     # evaluation at 2^B is a ring map, one-to-one below 2^(B-1): with every result's
-    # coefficients that small, the images of a b, a + b, a - b and D^j a decode to them
+    # coefficients that small, the images of a b, a + b, a - b and D^j a decode to them,
+    # at the fewest lane bits and at `extra` bits more
     width = operators._image_width(max(_l1(a) * _l1(b), _l1(a) + _l1(b))) + extra
     x, y = operators._images((a, b), width)
-    for image, expected in ((x * y, a * b), (x + y, a + b), (x - y, a - b), (x << 8 * width * j, D**j * a)):
+    for image, expected in ((x * y, a * b), (x + y, a + b), (x - y, a - b), (x << width * j, D**j * a)):
         assert operators._decode(image, width) == expected
     assert operators._decode((x, y, x * y, -x), width) == OpMatrix2(a, b, a * b, -a)
 
 
 def test_images_refuse_a_fraction(monkeypatch) -> None:
     # the proof covers Z[D] only: a Fraction coefficient is refused, never taken on term maps
-    for width in (8, 9):  # a machine word, and a word that int.to_bytes writes
+    for width in (1, 64, 65):  # the narrowest lane, and lanes on either side of 64 bits
         with pytest.raises(TypeError):
             operators._images([D, Fraction(1, 2) * D], width)
     exact = operators.fib_op
@@ -731,4 +732,4 @@ def test_image_width_bounds_every_case_at_op_ring_sizes(suite, args, cases, monk
             continue
         expected = _reference_sides(imaged, params)
         assert (lhs, rhs) == expected, params
-        assert _l1_sides(*expected) < 2 ** (8 * width - 1), params
+        assert _l1_sides(*expected) < 2 ** (width - 1), params
