@@ -101,6 +101,7 @@ _GF_TABLE = {
 }
 
 GF_NAMES = tuple(_GF_TABLE) + ("shifted",)
+_SHIFT_MAX = 5  # verify_genfun checks gf_shifted(m) for m = 1 .. _SHIFT_MAX
 
 
 def gf_shifted(m: int) -> OpRatFun:
@@ -121,7 +122,7 @@ def build_gf(name: str, m: int = 1) -> OpRatFun:
     return OpRatFun(numerator, annihilator(k, step)[::-1])
 
 
-def verify_genfun(order: int | None = None, shift_max: int = 5) -> list[IdentityReport]:
+def verify_genfun(order: int | None = None) -> list[IdentityReport]:
     """Expansions against products of fib_op, on images, plus the root lemmas; order defaults to 16.
 
     Each coefficient is imaged and checked against its target taken on the
@@ -137,11 +138,11 @@ def verify_genfun(order: int | None = None, shift_max: int = 5) -> list[Identity
     ]
     families += [
         ({"gf": "shifted", "m": m}, series_expand(gf_shifted(m), order).coeffs, lambda f, k, m=m: f[m + k])
-        for m in range(1, shift_max + 1)
+        for m in range(1, _SHIFT_MAX + 1)
     ]
     # F_j for j below this count covers F_(2k+1) of "odd", F_(k+2) of
     # "product-shift" and F_(m+k) of "shifted", for every k < order
-    fibs = [fib_op(j) for j in range(order + max(order, shift_max, 2))]
+    fibs = [fib_op(j) for j in range(order + max(order, _SHIFT_MAX, 2))]
     norms = [_l1(x) for x in fibs]
     bound = max(
         (_l1(c) + target(norms, k) for _, coeffs, target in families for k, c in enumerate(coeffs)), default=0

@@ -22,8 +22,9 @@ extension Q[D][s]/(s^2 - (1+4D)), which serves only the symmetric lemmas
 on its roots (1 +- s)/2, and the negative-index operators g_n = D^n F_-n
 defined by running the recurrence backwards.
 
-qh_powers(n) builds Q^1 ... Q^n, each from the one before by moving
-entries and shifting a column by D, so it takes no product.  The grid
+qh_powers(n) walks Q^1 ... Q^n holding one power, each from the one
+before by moving entries and shifting a column by D, so it takes no
+product; OpMatrix2 also holds the integer images of a power.  The grid
 suites (addition, d'Ocagne, Catalan, both forms of Cassini, power sums,
 inverse powers) check their polynomial identities on integer images,
 with no term map per case.
@@ -49,10 +50,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import accumulate, islice, repeat, zip_longest
 from math import comb
 from operator import index, mul
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from hfib.algebra import (
     HPoly, Scalar, TermRing, _coerce_scalar, common_denominator, d_image, rising_numerators, rising_rows
@@ -162,9 +163,10 @@ def op_value(x: OpPoly, h, hp) -> Fraction:
 
 
 class OpMatrix2(NamedTuple):
-    """2x2 matrix over Q[D]; entries row-major a11, a12, a21, a22.
+    """2x2 matrix over Q[D], or of the images of its entries; row-major a11, a12, a21, a22.
 
-    A tuple underneath: __mul__ and __rmul__ scale by a number, where a
+    Its product, det, scalar * and - use only +, - and * on entries.  A
+    tuple underneath: __mul__ and __rmul__ scale by any non-tuple, where a
     tuple would repeat.
     """
 
@@ -195,22 +197,14 @@ class OpMatrix2(NamedTuple):
 
     def __mul__(self, other) -> "OpMatrix2":
         if isinstance(other, OpMatrix2):
-            return OpMatrix2(
-                self.a11 * other.a11 + self.a12 * other.a21,
-                self.a11 * other.a12 + self.a12 * other.a22,
-                self.a21 * other.a11 + self.a22 * other.a21,
-                self.a21 * other.a12 + self.a22 * other.a22,
-            )
-        if isinstance(other, (OpPoly, int, Fraction)):
-            return OpMatrix2(
-                self.a11 * other, self.a12 * other, self.a21 * other, self.a22 * other
-            )
-        return NotImplemented
+            a, b, c, d = self
+            e, f, g, h = other
+            return OpMatrix2(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+        if isinstance(other, tuple):
+            return NotImplemented
+        return OpMatrix2(*(x * other for x in self))
 
-    def __rmul__(self, other) -> "OpMatrix2":
-        if isinstance(other, (OpPoly, int, Fraction)):
-            return self * other
-        return NotImplemented
+    __rmul__ = __mul__  # only a scalar reaches it, and entries commute with scalars
 
     def __pow__(self, exponent: int) -> "OpMatrix2":
         if not isinstance(exponent, int) or exponent < 0:
@@ -229,19 +223,21 @@ def qh_matrix() -> OpMatrix2:
     return OpMatrix2(OpPoly.one(), OpPoly.one(), D, OpPoly.zero())
 
 
-def qh_powers(n_max: int) -> list[OpMatrix2]:
-    """[Q^1, ..., Q^n_max] for Q = [[1, 1], [D, 0]], each from the one before, in a loop.
+def qh_powers(n_max: int) -> Iterator[OpMatrix2]:
+    """Q^1, ..., Q^n_max for Q = [[1, 1], [D, 0]], walked one power at a time.
 
     [[a, b], [c, d]] * Q = [[a + D b, a], [c + D d, c]] only moves entries
-    and shifts a column by D, so the walk takes no product of term maps.
+    and shifts a column by D, so the walk takes no product of term maps and
+    holds only the current power.  A bad n_max is refused at the call.
     """
     if not isinstance(n_max, int) or n_max < 0:
         raise ValueError("matrix powers are counted by an integer n_max >= 0")
-    powers = [qh_matrix()] if n_max else []
-    while len(powers) < n_max:
-        a, b, c, d = powers[-1]
-        powers.append(OpMatrix2(a + D * b, a, c + D * d, c))
-    return powers
+
+    def times_q(power: OpMatrix2, _) -> OpMatrix2:
+        a, b, c, d = power
+        return OpMatrix2(a + D * b, a, c + D * d, c)
+
+    return islice(accumulate(repeat(None), times_q, initial=qh_matrix()), n_max)
 
 
 # -- quadratic extension and the Binet route ---------------------------
@@ -392,8 +388,8 @@ def _signed_shift(image: int, j: int, width: int) -> int:
 
 
 def _decode(image, width: int):
-    """The operator, or for a tuple of four images the OpMatrix2, whose image this is."""
-    if type(image) is tuple:
+    """The operator, or for an OpMatrix2 of images the OpMatrix2, whose image this is."""
+    if isinstance(image, OpMatrix2):
         return OpMatrix2(*(_decode(entry, width) for entry in image))
     return OpPoly(kunpack(image, width))
 
@@ -426,22 +422,22 @@ def verify_matrix_powers(n_max: int = 10) -> IdentityReport:
 def verify_cassini(n_max: int = 20) -> IdentityReport:
     """Cassini identity F_(n+1) F_(n-1) - F_n^2 = -(-D)^(n-1) and det Q^n = (-D)^n, on images.
 
-    The determinant form images the four entries a, b, c, d of each Q^n
-    from qh_powers and checks a d - b c.  With M the largest ||F_k||_1,
-    k <= n_max + 1, and P the largest ||entry||_1 of Q^1..Q^n_max, each case
-    has ||lhs||_1 + ||rhs||_1 <= 2 max(M, P)^2 + 1.
+    The determinant form images the four entries of each Q^n from
+    qh_powers and takes the det of that OpMatrix2 of images.  With M the
+    largest ||F_k||_1, k <= n_max + 1, and P the largest ||entry||_1 of
+    Q^1..Q^n_max, each case has ||lhs||_1 + ||rhs||_1 <= 2 max(M, P)^2 + 1.
     """
     report = IdentityReport("op-cassini")
     fibs = [fib_op(k) for k in range(n_max + 2)]
-    powers = qh_powers(n_max)
+    powers = list(qh_powers(n_max))
     most = max(map(_l1, (*fibs, *(x for power in powers for x in power))))
     width = _image_width(2 * most * most + 1)
     f = _images(fibs, width)
     for n, power in enumerate(powers, 1):
         rhs = -_signed_shift(1, n - 1, width)
         _check_images(report, {"n": n}, f[n + 1] * f[n - 1] - f[n] * f[n], rhs, width)
-        a, b, c, d = _images(power, width)
-        _check_images(report, {"n": n, "form": "det"}, a * d - b * c, _signed_shift(1, n, width), width)
+        det = OpMatrix2(*_images(power, width)).det()
+        _check_images(report, {"n": n, "form": "det"}, det, _signed_shift(1, n, width), width)
     return report
 
 
@@ -497,41 +493,35 @@ def verify_cayley_hamilton(k_max: int = 15) -> IdentityReport:
     return report
 
 
-def _matrix_product(x: tuple, y: tuple) -> tuple:
-    """The row-major product of two 2x2 matrices of images."""
-    a, b, c, d = x
-    e, f, g, h = y
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
 def verify_inverse_powers(n_max: int = 12) -> IdentityReport:
     """Adjugate-style inverses, multiplicatively: Q^n * M = D^n * I, on images.
 
     Inverses of Q^n live outside Q[D] (they need D^-n), so the checks
-    clear denominators and stay polynomial.  Each Q^n comes from
-    qh_powers and is imaged once per call, entry by entry.  With
+    clear denominators and stay polynomial.  Each Q^n from qh_powers is
+    imaged once per call into an OpMatrix2 of images; the signed adjugate,
+    (-1)^(n+1) (F_n Q - F_(n+1) I) and the target D^n I are OpMatrix2s
+    built from the images of the F_k and of D.  With
     P the largest ||entry||_1 of Q^1..Q^n_max and M the largest ||F_k||_1,
     the signed adjugate and the linear combination have entries of l1 norm
     at most 2 M, so each entry of a case has ||lhs||_1 + ||rhs||_1 <= 4 P M + 1.
     """
     report = IdentityReport("op-inverse-powers")
     fibs = [fib_op(k) for k in range(n_max + 2)]
-    powers = qh_powers(n_max)
+    powers = list(qh_powers(n_max))
     most = max(map(_l1, fibs))
     entry = max(_l1(x) for power in powers for x in power)
     width = _image_width(4 * entry * most + 1)
-    f, d = _images(fibs, width), 1 << width
+    f, d = _images(fibs, width), 1 << width  # d is the image of D
+    q, identity = OpMatrix2(1, 1, d, 0), OpMatrix2(1, 0, 0, 1)
     for n, power in enumerate(powers, 1):
-        power = tuple(_images(power, width))
-        sign = (-1) ** n
-        # (-1)^n [[D F_(n-1), -F_n], [-D F_n, F_(n+1)]], and (-1)^(n+1) (F_n Q - F_(n+1) I)
-        signed = (sign * d * f[n - 1], -sign * f[n], -sign * d * f[n], sign * f[n + 1])
-        combo = (-sign * (f[n] - f[n + 1]), -sign * f[n], -sign * d * f[n], sign * f[n + 1])
-        target = (d**n, 0, 0, d**n)  # D^n I
+        power, sign = OpMatrix2(*_images(power, width)), (-1) ** n
+        signed = sign * OpMatrix2(d * f[n - 1], -f[n], -d * f[n], f[n + 1])
+        combo = -sign * (f[n] * q - f[n + 1] * identity)
+        target = d**n * identity
         for params, lhs in (
-            ({"n": n, "side": "right"}, _matrix_product(power, signed)),
-            ({"n": n, "side": "left"}, _matrix_product(signed, power)),
-            ({"n": n, "form": "linear combination"}, _matrix_product(combo, power)),
+            ({"n": n, "side": "right"}, power * signed),
+            ({"n": n, "side": "left"}, signed * power),
+            ({"n": n, "form": "linear combination"}, combo * power),
         ):
             _check_images(report, params, lhs, target, width)
     return report

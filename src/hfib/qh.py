@@ -110,6 +110,9 @@ def _q_diagonal(n: int, linear: int) -> HPoly:
     return total
 
 
+_STEPPED_ROWS = 20  # rows searched for the stepped reading's first failure, (2, 3), at any n_max
+
+
 def verify_qh_recurrences(n_max: int = 10) -> IdentityReport:
     """Both q-Pascal recurrences on the (q, h) triangle, exactly."""
     report = IdentityReport("qh-recurrences")
@@ -118,7 +121,7 @@ def verify_qh_recurrences(n_max: int = 10) -> IdentityReport:
         "plain length-k factorial (hp)(hp+1)...(hp+k-1); the reading "
         "stepped by q-integers breaks the additive recurrence",
     )
-    stepped = pascal_rule_cases(_qh_binomial_stepped, Q, q_int, n_max)
+    stepped = pascal_rule_cases(_qh_binomial_stepped, Q, q_int, _STEPPED_ROWS)
     additive_failures = (
         (p["n"], p["k"]) for p, lhs, rhs in stepped if p["rule"] == "additive" and lhs != rhs
     )

@@ -61,7 +61,7 @@ def test_build_gf_names() -> None:
 
 
 def test_all_expansions_match_targets() -> None:
-    for report in verify_genfun(order=12, shift_max=3):
+    for report in verify_genfun(order=12):
         assert report.passed, report.to_dict()
 
 

@@ -116,3 +116,28 @@ def test_cli_import_loads_no_dataclasses_or_inspect() -> None:
     added = set(json.loads(out.stdout))
     assert "hfib.cli" in added
     assert not added & {"array", "dataclasses", "inspect"}
+
+
+def test_readme_library_example_returns_what_its_comments_state() -> None:
+    # the README's "Library use" block runs as written, and its commented values are what it returns
+    readme = (SRC.parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use\n\n```python\n", 1)[1].split("```", 1)[0]
+    namespace, values = {}, {}
+    for node in ast.parse(block).body:
+        code = ast.get_source_segment(block, node)
+        if isinstance(node, ast.Expr):
+            values[code] = eval(code, namespace)
+        else:
+            exec(code, namespace)
+    exact = values["f9.eval_point(Fraction(1, 10), Fraction(1, 2))"]
+    assert type(exact).__name__ == "Fraction"
+    assert values["op_value(fib_op(9), Fraction(1, 10), Fraction(1, 2))"] == exact
+    comments = dict(line.split("#", 1) for line in block.splitlines() if "#" in line)
+    comments = {code.strip(): comment for code, comment in comments.items()}
+    for code, stated in (
+        ("f9.classical_limit()", "34"),
+        ("fib_op(5)", "1 + 3*D + D^2"),
+        ("op_eval(fib_op(5))", "1 + 3*h*hp + h^2*hp + h^2*hp^2"),
+        ("neg_fib_op(4)", "-1 - 2*D"),
+    ):
+        assert stated in comments[code] and str(values[code]) == stated, code

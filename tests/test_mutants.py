@@ -135,11 +135,8 @@ _QH_POWERS = operators.qh_powers
 
 def _qh_powers_off_at_7(n_max):
     # one stray D in the top-right entry of Q^7; op-matrix-powers sees it through matrix equality
-    powers = _QH_POWERS(n_max)
-    if n_max >= 7:
-        a11, a12, a21, a22 = powers[6]
-        powers[6] = operators.OpMatrix2(a11, a12 + D, a21, a22)
-    return powers
+    for n, (a11, a12, a21, a22) in enumerate(_QH_POWERS(n_max), 1):
+        yield operators.OpMatrix2(a11, a12 + D if n == 7 else a12, a21, a22)
 
 
 _BINET_FIB = operators.binet_fib

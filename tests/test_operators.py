@@ -162,7 +162,7 @@ def test_matrix_generator_and_powers() -> None:
 def test_qh_powers_equal_the_binary_powers() -> None:
     # the walk Q^(n+1) = Q^n Q against OpMatrix2.__pow__
     q = qh_matrix()
-    assert qh_powers(130) == [q**n for n in range(1, 131)]
+    assert list(qh_powers(130)) == [q**n for n in range(1, 131)]
 
 
 @pytest.mark.parametrize("order", [range(1, 131), range(130, 0, -1)], ids=["ascending", "descending"])
@@ -172,15 +172,21 @@ def test_qh_power_equals_the_binary_power(order) -> None:
     hfib.clear_caches()
     q = qh_matrix()
     for n in order:
-        assert qh_powers(n)[-1] == q**n
+        assert list(qh_powers(n))[-1] == q**n
 
 
 def test_qh_powers_of_none_is_empty() -> None:
-    assert qh_powers(0) == []
+    assert list(qh_powers(0)) == []
+
+
+def test_qh_powers_is_a_lazy_walk() -> None:
+    # the first power comes at once, however many the walk is asked for
+    assert next(qh_powers(10**9)) == qh_matrix()
 
 
 @pytest.mark.parametrize("n_max", [-1, 5.0, "5", None])
 def test_qh_powers_refuses_a_non_integer_or_negative_count(n_max) -> None:
+    # at the call, before any power is asked for
     with pytest.raises(ValueError, match="n_max"):
         qh_powers(n_max)
 
@@ -193,7 +199,7 @@ def test_qh_powers_runs_without_recursion() -> None:
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 60)
     try:
-        powers = qh_powers(300)
+        powers = list(qh_powers(300))
     finally:
         sys.setrecursionlimit(limit)
     assert len(powers) == 300 and powers[-1].a12 == fib_op(300)
@@ -201,7 +207,7 @@ def test_qh_powers_runs_without_recursion() -> None:
 
 @given(st.integers(min_value=1, max_value=15))
 def test_matrix_power_entries_are_fib_ops(n: int) -> None:
-    m = qh_powers(n)[-1]
+    m = list(qh_powers(n))[-1]
     assert m.a11 == fib_op(n + 1)
     assert m.a12 == fib_op(n)
     assert m.a21 == D * fib_op(n)
@@ -210,7 +216,7 @@ def test_matrix_power_entries_are_fib_ops(n: int) -> None:
 
 @given(st.integers(min_value=1, max_value=12))
 def test_matrix_determinant_power(n: int) -> None:
-    assert qh_powers(n)[-1].det() == (-D) ** n
+    assert list(qh_powers(n))[-1].det() == (-D) ** n
 
 
 @given(op_polys, op_polys, op_polys, op_polys)
@@ -387,8 +393,8 @@ def _record_checks(monkeypatch, widths: list | None = None) -> list:
     """The (params, lhs, rhs) of every case checked from here on, in order, each side in Q[D].
 
     A grid suite, or gf-expansions, hands a passing case to the report as
-    two images at 2^B; each is decoded at the lane bits B of its call,
-    which is also appended to `widths` when given.
+    two images at 2^B, or two OpMatrix2s of images; each is decoded at the
+    lane bits B of its call, which is also appended to `widths` when given.
     """
     seen, widths = [], [] if widths is None else widths
     check = IdentityReport.check
@@ -399,7 +405,8 @@ def _record_checks(monkeypatch, widths: list | None = None) -> list:
         return widths[-1]
 
     def decoded(side):
-        return side if isinstance(side, (OpPoly, OpMatrix2)) else operators._decode(side, widths[-1])
+        operator = isinstance(side, OpPoly) or isinstance(side, OpMatrix2) and isinstance(side.a11, OpPoly)
+        return side if operator else operators._decode(side, widths[-1])
 
     def recording(self, params, lhs, rhs):
         seen.append((params, decoded(lhs), decoded(rhs)))
@@ -506,7 +513,8 @@ def test_grid_suites_compute_each_product_once(suite, args, products, monkeypatc
     # each input is imaged once per call, and no term map is multiplied but by a
     # one-term D-shift.  Two consecutive powers share two entries (a12 of Q^(n+1)
     # is a11 of Q^n, a22 of Q^(n+1) is a21 of Q^n), so the suites that read
-    # Q^1..Q^N image 2 (N - 1) entries once for each power that holds them.
+    # Q^1..Q^N image 2 (N - 1) entries once for each power that holds them, so
+    # that a fault in one power's shared entry is not hidden by the power before.
     # Of the image products, one F_a F_b per ordered pair with 3 <= a and 3 <= b:
     # a <= m_max + 1 and b <= n_max + 1 for addition, a, b <= bound + 1 for
     # d'Ocagne; single-term factors such as F_1 and F_2 are not counted.  Cassini's
@@ -520,6 +528,8 @@ def test_grid_suites_compute_each_product_once(suite, args, products, monkeypatc
     class Image(int):
         def __mul__(self, other):
             nonlocal count
+            if isinstance(other, OpMatrix2):
+                return NotImplemented  # the matrix scales its entries by this image
             count += self.terms >= 2 and getattr(other, "terms", 0) >= 2
             return int(self) * int(other)
 
@@ -646,7 +656,25 @@ def test_images_decode_to_the_ring_operations(a: OpPoly, b: OpPoly, j: int, extr
     x, y = operators._images((a, b), width)
     for image, expected in ((x * y, a * b), (x + y, a + b), (x - y, a - b), (x << width * j, D**j * a)):
         assert operators._decode(image, width) == expected
-    assert operators._decode((x, y, x * y, -x), width) == OpMatrix2(a, b, a * b, -a)
+
+
+@given(st.lists(int_op_polys, min_size=8, max_size=8), st.sampled_from((0, 1, 72)))
+@example([OpPoly.zero()] * 8, 0)
+@example([*qh_matrix() ** 9, *qh_matrix() ** 4], 0)
+@example([-(2**70) * D**3, *[OpPoly.one()] * 6, 2**70 * D], 0)  # a negative top lane
+def test_image_matrices_decode_to_the_matrix_operations(entries: list, extra: int) -> None:
+    # OpMatrix2's product, det, scalar * and - take only +, - and * on entries, so on
+    # matrices of images they are the images of the term-map results: each decodes,
+    # entry by entry, at the fewest lane bits that bound them and at `extra` bits more
+    x, y = OpMatrix2(*entries[:4]), OpMatrix2(*entries[4:])
+    most = max(map(_l1, entries))
+    width = operators._image_width(2 * most * most) + extra
+    u, v = (OpMatrix2(*operators._images(m, width)) for m in (x, y))
+    assert operators._decode(u * v, width) == x * y
+    assert operators._decode(u.det(), width) == x.det()
+    assert operators._decode(u - v, width) == x - y
+    assert operators._decode((1 << width) * u, width) == D * x
+    assert operators._decode(v * -1, width) == -1 * y
 
 
 def test_images_refuse_a_fraction(monkeypatch) -> None:

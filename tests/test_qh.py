@@ -124,6 +124,13 @@ def test_recurrence_suite_pins_reading() -> None:
     assert any("(2, 3)" in text for text in resolutions)
 
 
+def test_recurrence_suite_pins_the_evidence_at_any_scale() -> None:
+    # the stepped reading is searched past row 1, so its first failure is pinned here too
+    report = verify_qh_recurrences(1)
+    assert report.passed
+    assert any("(2, 3)" in pin.resolution for pin in report.pinned_conventions)
+
+
 def test_experimental_summary_frozen() -> None:
     report = experimental_report(n_max=10)
     assert report.summary() == EXPECTED_EXPERIMENTAL
