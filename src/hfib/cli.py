@@ -286,9 +286,9 @@ def _run_qh(args, experimental: list) -> list[IdentityReport]:
 # process to a few seconds on 2 vCPUs; at the cap and one step above it: pascal
 # 0.8 s at 80, 1.4 s at 100; fib 0.6 s at 40, 1.2 s at 50; operators 0.28 s at
 # 20, 1.0 s at 24 (most of it the power sums, on images of 422 bits per lane);
-# gf 1.5 s at 240, 4.1 s at 320 (the cube's images set one width of 497 bits
-# per lane at 240, and imaging is quadratic in the lanes); weighted 0.17 s and
-# 17 MB RSS at 200, 0.26 s and 17 MB at 400; qh 2.7 s at 20, 7.2 s at 24.
+# gf 1.2 s at 240, 3.1 s at 320 (the cube's images set one width of 497 bits
+# per lane at 240); weighted 0.17 s and
+# 17 MB RSS at 200, 0.26 s and 17 MB at 400; qh 0.33 s at 20 (2.1 s on term maps).
 VERIFY_SUITES = {
     "pascal": _Suite(
         "--max", 80, ("--seed",), lambda a, _: pascal.verify_pascal(a.max, seed=a.seed)

@@ -82,12 +82,27 @@ def kscale(a: dict, c) -> dict:
     return {key: coeff * c for key, coeff in a.items()}
 
 
+# An image above this many bits is packed and read in halves of its lanes: L lanes
+# of B bits then cost O(L B log L) bit operations, where one running sum costs O(L^2 B).
+_LEAF_BITS = 16384
+
+
 def kpack(a: dict, bits: int) -> int:
     """The image a(2**bits) of a map of int coefficients, one signed lane of `bits` bits each.
 
     Only int coefficients have an image: shifting any other raises TypeError.
     """
-    return sum(c << (bits * k) for k, c in a.items())
+    if len(a) * bits <= _LEAF_BITS:
+        return sum(c << (bits * k) for k, c in a.items())
+    return _pack_sorted(sorted(a.items()), bits, 0)
+
+
+def _pack_sorted(terms: list, bits: int, base: int) -> int:
+    """sum c 2**(bits (k - base)) over terms sorted by key k, the upper half shifted once."""
+    if len(terms) * bits <= max(_LEAF_BITS, bits):
+        return sum(c << (bits * (k - base)) for k, c in terms)
+    mid, split = len(terms) // 2, terms[len(terms) // 2][0]
+    return _pack_sorted(terms[:mid], bits, base) + (_pack_sorted(terms[mid:], bits, split) << bits * (split - base))
 
 
 def kunpack(image: int, bits: int) -> dict:
@@ -96,12 +111,18 @@ def kunpack(image: int, bits: int) -> dict:
     The lanes are read from the bottom up as balanced digits: the lowest
     lane, taken in that range, is the lowest coefficient, and taking it
     off leaves the image of the rest times 2**bits, negative coefficients
-    and cancelled lanes included.
+    and cancelled lanes included.  A large image in lanes of 2 bits or more is
+    read as the lower half of its lanes, taken unsigned, and the upper half
+    plus the carry (0 or 1); a 1-bit lane has no digit 1 to carry with.
     """
-    half = 1 << (bits - 1)
-    mask = (1 << bits) - 1
-    out = {}
-    key = 0
+    size = image.bit_length()
+    if size > max(_LEAF_BITS, bits) and bits > 1:
+        low = -(-size // bits) // 2
+        out = kunpack(image & ((1 << bits * low) - 1), bits)
+        high = kunpack((image >> bits * low) + out.pop(low, 0), bits)
+        return {**out, **{k + low: c for k, c in high.items()}}
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    out, key = {}, 0
     while image:
         c = ((image + half) & mask) - half
         if c:

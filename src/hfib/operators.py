@@ -52,7 +52,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, islice, repeat, zip_longest
 from math import comb
-from operator import index, mul
+from operator import add, index, mul, sub
 from typing import Iterator, NamedTuple
 
 from hfib.algebra import (
@@ -180,20 +180,10 @@ class OpMatrix2(NamedTuple):
         return cls(OpPoly.one(), OpPoly.zero(), OpPoly.zero(), OpPoly.one())
 
     def __add__(self, other: "OpMatrix2") -> "OpMatrix2":
-        return OpMatrix2(
-            self.a11 + other.a11,
-            self.a12 + other.a12,
-            self.a21 + other.a21,
-            self.a22 + other.a22,
-        )
+        return OpMatrix2(*map(add, self, other))
 
     def __sub__(self, other: "OpMatrix2") -> "OpMatrix2":
-        return OpMatrix2(
-            self.a11 - other.a11,
-            self.a12 - other.a12,
-            self.a21 - other.a21,
-            self.a22 - other.a22,
-        )
+        return OpMatrix2(*map(sub, self, other))
 
     def __mul__(self, other) -> "OpMatrix2":
         if isinstance(other, OpMatrix2):

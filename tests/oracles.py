@@ -12,6 +12,8 @@ from itertools import combinations
 
 import sympy
 
+from hfib import algebra, qh
+
 H, HP, Q = sympy.symbols("h hp q")
 
 
@@ -140,3 +142,23 @@ def assert_matches(value, expr: sympy.Expr) -> None:
     got = hpoly_to_sympy(value)
     want = sympy.expand(expr)
     assert sympy.simplify(got - want) == 0, f"{got} != {want}"
+
+
+def oracle_qh_pascal_cases(n_max: int):
+    """(params, lhs, rhs) of both q-Pascal rules on rows 0..n_max, built as products in Q[h, hp, q].
+
+    The construction qh.verify_qh_recurrences checked before it moved to
+    Z[q][D] images: with C = qh.qh_binomial, additive
+    C(n+1, k) = q^k C(n, k) + h*hp C(n, k-1)[hp -> hp+1] and absorption
+    [k+1] C(n+1, k+1) = [n+1] h*hp C(n, k)[hp -> hp+1].  It shares the
+    package's HPoly arithmetic, not its lane codec.
+    """
+    weight = algebra.H * algebra.HP
+    for n in range(n_max + 1):
+        shifted = [qh.qh_binomial(n, k).shift_hprime(1) for k in range(n + 1)]
+        for k in range(n + 2):
+            rhs = algebra.Q**k * qh.qh_binomial(n, k) + (weight * shifted[k - 1] if k else 0)
+            yield {"rule": "additive", "n": n, "k": k}, qh.qh_binomial(n + 1, k), rhs
+        for k in range(n + 1):
+            lhs = qh.q_int(k + 1) * qh.qh_binomial(n + 1, k + 1)
+            yield {"rule": "absorption", "n": n, "k": k}, lhs, qh.q_int(n + 1) * weight * shifted[k]

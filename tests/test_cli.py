@@ -702,6 +702,7 @@ def test_verify_fails_a_sub_suite_that_checks_no_case(fmt, monkeypatch, capsys) 
         (("op", "--n", "20", "--eval"), "op_n20_eval.txt"),
         (("op", "--n", "20", "--eval", "--format", "json"), "op_n20_eval.json"),
         (("gf", "--which", "cube", "--order", "8", "--format", "json"), "gf_cube_order8.json"),
+        (("verify", "qh", "--experimental", "--format", "json"), "verify_qh_experimental.json"),
     ],
 )
 def test_stdout_matches_golden(argv, golden, capsys) -> None:

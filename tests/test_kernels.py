@@ -268,6 +268,45 @@ def test_lanes_round_trip(case: tuple) -> None:
     assert kernels.kunpack(kernels.kpack(a, bits), bits) == a
 
 
+def _pack_lane_by_lane(a: dict, bits: int) -> int:
+    return sum(c << (bits * k) for k, c in a.items())
+
+
+def _unpack_lane_by_lane(image: int, bits: int) -> dict:
+    # balanced digits read from the bottom, one lane per step
+    half, out, key = 1 << (bits - 1), {}, 0
+    while image:
+        c = ((image + half) & ((1 << bits) - 1)) - half
+        if c:
+            out[key] = c
+        image, key = (image - c) >> bits, key + 1
+    return out
+
+
+def _wide_lane_maps(bits: int):
+    """Maps of up to 300 lanes below 2**(bits - 1) in size: large enough to be split in halves."""
+    most = 2 ** (bits - 1) - 1
+    coeffs = st.integers(min_value=-most, max_value=most).filter(bool) if most else st.nothing()
+    keys = st.integers(min_value=0, max_value=600)
+    return st.tuples(st.just(bits), st.dictionaries(keys, coeffs, min_size=1, max_size=300))
+
+
+@example((20000, {0: -5, 3: 7}))  # lanes wider than a leaf: split by lane, never inside one
+@example((1, {k: -1 for k in range(0, 40000, 2)}))
+@example((497, {k: -(2**496) for k in range(358)}))  # every lane at its negative end
+@given(st.integers(min_value=1, max_value=400).flatmap(_wide_lane_maps))
+def test_split_images_match_the_lane_by_lane_codec(case: tuple) -> None:
+    bits, a = case
+    image = kernels.kpack(a, bits)
+    assert image == _pack_lane_by_lane(a, bits)
+    assert kernels.kunpack(image, bits) == a
+    # any integer decodes as the lane-by-lane reader decodes it, carries and all; a
+    # 1-bit lane holds only 0 and -1, so only images of at most 0 have digits there
+    for other in (image * 3 - 1, -image, image + (1 << bits * (max(a) + 5))):
+        if bits > 1 or other <= 0:
+            assert kernels.kunpack(other, bits) == _unpack_lane_by_lane(other, bits)
+
+
 def test_an_image_is_the_map_at_two_to_the_bits() -> None:
     # lanes of any bit count, not whole bytes; only int coefficients have an image
     a = {0: -3, 2: 5, 7: 1}

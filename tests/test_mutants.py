@@ -210,19 +210,20 @@ MUTANTS = {
             "qh-q1-reduction",
         ),
     ),
+    # qh-recurrences checks Z[q][D] images and reads d_image only to decode a failure
     "d_image(6) + h^6 in qh": (
         ((qh, "d_image", _d_image_off_at_6),),
-        ("qh-recurrences", "qh-q1-reduction"),
+        ("qh-q1-reduction",),
     ),
     # every route but the diagonal one, and the reflection side, expand through op_eval
     "rising-factorial expansion off from (hp)_5": (
         ((operators, "op_eval", _op_eval_off_from_5), (fibonacci, "op_eval", _op_eval_off_from_5)),
         ("fib-negative-reflection", "fib-route-equivalence", "op-matrix-powers"),
     ),
-    # planted where the grid suites and gf-expansions image their inputs; both
-    # forms of op-cassini see it
+    # planted where the grid suites, gf-expansions and qh-recurrences image their
+    # inputs; both forms of op-cassini see it, and [n, k] of q-degree 6 or more
     "image top lane + 1 from 7 lanes": (
-        ((operators, "kpack", _image_top_lane_off_from_7_lanes),),
+        ((operators, "kpack", _image_top_lane_off_from_7_lanes), (qh, "kpack", _image_top_lane_off_from_7_lanes)),
         (
             "op-cassini",
             "op-addition",
@@ -231,11 +232,12 @@ MUTANTS = {
             "op-catalan",
             "op-docagne",
             "gf-expansions",
+            "qh-recurrences",
         ),
     ),
     # kmul is planted in kernels too, where kpow squares through it.  The grid suites
-    # multiply images, not term maps; op-cassini is reached through the D-shift steps
-    # of qh_powers, whose entries reach 10 terms only at its scale of 20
+    # and qh-recurrences multiply images, not term maps; op-cassini is reached through
+    # the D-shift steps of qh_powers, whose entries reach 10 terms only at its scale of 20
     "one-term product top coefficient + 1 from 10 terms": (
         (
             (algebra, "kmul", _one_term_product_off_from_10_terms),
@@ -246,7 +248,6 @@ MUTANTS = {
             "fib-partial-sum",
             "fib-odd-even-sums",
             "fib-doubling-sum",
-            "qh-recurrences",
             "qh-q1-reduction",
             "gf-expansions",
             "op-matrix-powers",

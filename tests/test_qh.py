@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hfib
+from hfib import qh
 from hfib.algebra import H, HP, Q, HPoly, d_image
+from hfib.kernels import kpack
 from hfib.fibonacci import hfib_diagonal
 from hfib.pascal import h_binomial
 from hfib.qh import (
@@ -20,7 +23,8 @@ from hfib.qh import (
     verify_qh,
     verify_qh_recurrences,
 )
-from oracles import oracle_q_binomial
+from hfib.report import IdentityReport
+from oracles import oracle_q_binomial, oracle_qh_pascal_cases
 from test_fibonacci import _shift_calls
 
 # regression pins on the measured experimental outcomes; these freeze
@@ -157,42 +161,118 @@ def test_experimental_checks_are_per_index(n_max: int = 6) -> None:
     assert any(not c.holds for c in literal)
 
 
-def test_experimental_sides_equal_the_literal_sums(monkeypatch: pytest.MonkeyPatch) -> None:
-    seen: dict[tuple[str, int], tuple[HPoly, HPoly]] = {}
-    record = ExperimentalReport.record
+def test_experimental_sides_decode_to_the_literal_sums(monkeypatch: pytest.MonkeyPatch) -> None:
+    # the two literal candidates are polynomials; the other seven are Z[q][D] images,
+    # which decode to the sums the candidates state in Q[h, hp, q]
+    seen: dict[tuple[str, int], tuple] = {}
+    record, layout, layouts = ExperimentalReport.record, qh._layout, []
 
     def capture(self, identity, n, lhs, rhs):
         seen[identity, n] = (lhs, rhs)
         return record(self, identity, n, lhs, rhs)
 
     monkeypatch.setattr(ExperimentalReport, "record", capture)
+    monkeypatch.setattr(qh, "_layout", lambda *args: layouts.append(layout(*args)) or layouts[-1])
     experimental_report(n_max=8)
+    ((width, stride),) = layouts
+
+    def decoded(identity: str, n: int, d_bits: int = stride) -> tuple[HPoly, HPoly]:
+        return tuple(qh._decode(x, width, d_bits) for x in seen[identity, n])
+
+    weight = H * HP
     for n in range(1, 9):
         shifted = q_fibonacci(n - 1).shift_hprime(1)
-        assert seen["recurrence-literal", n][1] == q_fibonacci(n) + Q ** (n - 1) * shifted
-        alt_shifted = _q_diagonal(n - 1, 1).shift_hprime(1)
-        assert seen["alt-weight-recurrence-literal", n][1] == (
-            _q_diagonal(n, 1) + Q ** (n - 1) * alt_shifted
-        )
+        assert seen["recurrence-literal", n] == (q_fibonacci(n + 1), q_fibonacci(n) + Q ** (n - 1) * shifted)
+        augmented = q_fibonacci(n) + Q ** (n - 1) * weight * shifted
+        assert decoded("recurrence-augmented", n) == (q_fibonacci(n + 1), augmented)
+        # at q = 1 the images are taken at D = 2^width
+        at_one = (q_fibonacci(n + 1).substitute_q(1), augmented.substitute_q(1))
+        assert decoded("recurrence-augmented-q1", n, width) == at_one
+        alt, alt_shifted = _q_diagonal(n, 1), _q_diagonal(n - 1, 1).shift_hprime(1)
+        literal = (_q_diagonal(n + 1, 1), alt + Q ** (n - 1) * alt_shifted)
+        assert seen["alt-weight-recurrence-literal", n] == literal
+        for identity, power in (("alt-weight-recurrence-augmented", n - 1), ("alt-weight-recurrence-qn-augmented", n)):
+            assert decoded(identity, n) == (_q_diagonal(n + 1, 1), alt + Q**power * weight * alt_shifted)
         partial = sum((Q**k * q_fibonacci(k).shift_hprime(1) for k in range(n + 1)), HPoly.zero())
-        assert seen["partial-sum", n][0] == H * HP * partial
+        assert decoded("partial-sum", n) == (weight * partial, q_fibonacci(n + 2) - 1)
         odd = even = HPoly.zero()
         for k in range(1, n + 1):
-            weight = d_image(n - k)
-            odd = odd + Q ** (2 * k) * weight * q_fibonacci(2 * k - 1).shift_hprime(n - k)
-            even = even + Q ** (2 * n - 2 * k) * weight * q_fibonacci(2 * k).shift_hprime(n - k)
-        assert seen["odd-index-sum", n][0] == odd
-        assert seen["even-index-sum-cleared", n][0] == even
+            w = d_image(n - k)
+            odd = odd + Q ** (2 * k) * w * q_fibonacci(2 * k - 1).shift_hprime(n - k)
+            even = even + Q ** (2 * n - 2 * k) * w * q_fibonacci(2 * k).shift_hprime(n - k)
+        assert decoded("odd-index-sum", n) == (odd, q_fibonacci(2 * n))
+        cleared = Q ** (2 * n - 1) * (q_fibonacci(2 * n + 1) - d_image(n))
+        assert decoded("even-index-sum-cleared", n) == (even, cleared)
 
 
-def test_recurrences_shift_each_binomial_once(monkeypatch: pytest.MonkeyPatch) -> None:
-    # 231 entries in rows 0..20 and 9 shifts of the stepped-reading search; shifting
-    # each entry in both rules makes 492
-    assert _shift_calls(monkeypatch, lambda: verify_qh_recurrences(20)) <= 240
+def test_recurrences_shift_only_in_the_stepped_search(monkeypatch: pytest.MonkeyPatch) -> None:
+    # the images take no hp-shift; the stepped reading's search shifts rows 0..2
+    # (1 + 2 + 3 entries) before its first failure at (2, 3), at any n_max
+    assert _shift_calls(monkeypatch, lambda: verify_qh_recurrences(20)) == 6
+    assert _shift_calls(monkeypatch, lambda: verify_qh_recurrences(1)) == 6
 
 
-def test_experimental_report_shifts_at_most_100_times_at_20(
+def test_experimental_report_shifts_only_for_the_literal_candidates(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    # 4 shifts per n; summing each left side afresh makes 750
-    assert _shift_calls(monkeypatch, lambda: experimental_report(20)) <= 100
+    # one shift per n for each literal candidate, none for the seven on images
+    assert _shift_calls(monkeypatch, lambda: experimental_report(20)) == 40
+
+
+@pytest.fixture
+def cold_caches():
+    hfib.clear_caches()
+    yield
+    hfib.clear_caches()
+
+
+def _plus_q_minus_1_q_at_6_3(q_binomial):
+    # vanishes at q = 1, so only the q-Pascal recurrences see it
+    return lambda n, k: q_binomial(n, k) + (Q - 1) * Q if (n, k) == (6, 3) else q_binomial(n, k)
+
+
+def _plus_5_q9_at_4_2(q_binomial):
+    # raises the q-degree of [4, 2] from 4 to 9, past every other entry of rows 0..5
+    return lambda n, k: q_binomial(n, k) + 5 * Q**9 if (n, k) == (4, 2) else q_binomial(n, k)
+
+
+@pytest.mark.parametrize(
+    "fault, first_failing_row",
+    [(None, None), (_plus_q_minus_1_q_at_6_3, 5), (_plus_5_q9_at_4_2, 3)],
+)
+def test_image_verdicts_and_witnesses_match_the_product_oracle(
+    fault, first_failing_row, cold_caches, monkeypatch
+) -> None:
+    if fault is not None:
+        monkeypatch.setattr(qh, "q_binomial", fault(qh.q_binomial))
+    for n_max in range(13):
+        oracle = IdentityReport("qh-recurrences")
+        for case in oracle_qh_pascal_cases(n_max):
+            oracle.check(*case)
+        report = verify_qh_recurrences(n_max)
+        assert report.cases == oracle.cases
+        # the failing params are the verdicts, and each failure renders both sides
+        assert report.failures == oracle.failures
+        assert bool(report.failures) == (first_failing_row is not None and n_max >= first_failing_row)
+
+
+z_q_d = st.dictionaries(
+    st.tuples(st.integers(min_value=0, max_value=6), st.integers(min_value=0, max_value=8)),
+    st.integers(min_value=-(2**40), max_value=2**40).filter(bool),
+    max_size=8,
+)
+
+
+def _expand(x: dict) -> HPoly:
+    # sum c q^e d_image(k) over the terms c q^e D^k of x, term by term
+    return sum((c * Q**e * d_image(k) for (k, e), c in x.items()), HPoly.zero())
+
+
+@given(z_q_d)
+def test_composition_rule_with_q(x: dict) -> None:
+    # D^w X expands to d_image(w) * expand(X)[hp -> hp + w], for every w up to the scale cap 20
+    expanded = _expand(x)
+    for w in range(21):
+        assert _expand({(k + w, e): c for (k, e), c in x.items()}) == d_image(w) * expanded.shift_hprime(w)
+    # the decoder reads the same expansion back from an image at q = 2^42, D = 2^(42 * 9)
+    assert qh._decode(kpack({9 * k + e: c for (k, e), c in x.items()}, 42), 42, 42 * 9) == expanded
