@@ -262,23 +262,16 @@ class _Suite(NamedTuple):
     bound: str  # the size flag it reads, --max or --order
     cap: int  # the largest value of its bound flag it takes
     reads: tuple[str, ...]  # the other flags only it reads
-    # run(args, experimental) returns its sub-reports and appends any q-layer report to
-    # `experimental`; it looks library functions up at call time, so patches take effect.
-    run: Callable[[argparse.Namespace, list], list[IdentityReport]]
+    # run(args) returns its sub-reports; it looks library functions up at call time,
+    # so patches take effect.
+    run: Callable[[argparse.Namespace], list[IdentityReport]]
 
 
-def _run_weighted(args, experimental: list) -> list[IdentityReport]:
+def _run_weighted(args) -> list[IdentityReport]:
     # Each flag defaults to None, so that a given flag can be told from an absent one.
     params = genfun.weighted_params(args.p, args.h, args.hp, args.order, args.tol)
     series = genfun.weighted_series_check(*params)
     return [series, genfun.verify_classical_weights()]
-
-
-def _run_qh(args, experimental: list) -> list[IdentityReport]:
-    reports = qh.verify_qh(args.max)
-    if args.experimental or args.strict or args.suite == "qh":
-        experimental.append(qh.experimental_report(args.max))
-    return reports
 
 
 # The verify suites in run order; `verify all` runs them all and takes every
@@ -291,13 +284,13 @@ def _run_qh(args, experimental: list) -> list[IdentityReport]:
 # 17 MB RSS at 200, 0.26 s and 17 MB at 400; qh 0.33 s at 20 (2.1 s on term maps).
 VERIFY_SUITES = {
     "pascal": _Suite(
-        "--max", 80, ("--seed",), lambda a, _: pascal.verify_pascal(a.max, seed=a.seed)
+        "--max", 80, ("--seed",), lambda a: pascal.verify_pascal(a.max, seed=a.seed)
     ),
-    "fib": _Suite("--max", 40, (), lambda a, _: fibonacci.verify_fibonacci(a.max)),
-    "operators": _Suite("--max", 20, (), lambda a, _: operators.verify_operators(a.max)),
-    "gf": _Suite("--order", 240, (), lambda a, _: genfun.verify_genfun(a.order)),
+    "fib": _Suite("--max", 40, (), lambda a: fibonacci.verify_fibonacci(a.max)),
+    "operators": _Suite("--max", 20, (), lambda a: operators.verify_operators(a.max)),
+    "gf": _Suite("--order", 240, (), lambda a: genfun.verify_genfun(a.order)),
     "weighted": _Suite("--order", 200, ("--p", "--h", "--hp", "--tol"), _run_weighted),
-    "qh": _Suite("--max", 20, ("--experimental", "--strict"), _run_qh),
+    "qh": _Suite("--max", 20, ("--experimental", "--strict"), lambda a: qh.verify_qh(a.max)),
 }
 
 # The one suite that reads each flag in a `reads`; `verify all` takes them all.
@@ -305,15 +298,15 @@ _FLAG_READER = {flag: name for name, suite in VERIFY_SUITES.items() for flag in 
 
 
 def _verify_groups(args) -> tuple[list[IdentityReport], list[dict]]:
-    """Build merged reports per requested group, plus experimental blobs."""
-    groups: list[IdentityReport] = []
-    experimental: list[qh.ExperimentalReport] = []
-    for name, suite in VERIFY_SUITES.items():
-        if args.suite in (name, "all"):
-            groups.append(merge_reports(name, suite.run(args, experimental)))
+    """Build merged reports per requested group, plus the q-layer's experimental blob if asked."""
+    chosen = [name for name in VERIFY_SUITES if args.suite in (name, "all")]
+    groups = [merge_reports(name, VERIFY_SUITES[name].run(args)) for name in chosen]
+    if not (args.experimental or args.strict or args.suite == "qh"):
+        return groups, []
+    experimental = qh.experimental_report(args.max)
     if args.strict:
-        groups.extend(qh.strict_report(report) for report in experimental)
-    return groups, [report.to_dict() for report in experimental]
+        groups.append(qh.strict_report(experimental))
+    return groups, [experimental.to_dict()]
 
 
 def _check_verify_bounds(args) -> None:

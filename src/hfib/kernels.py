@@ -113,8 +113,11 @@ def kunpack(image: int, bits: int) -> dict:
     off leaves the image of the rest times 2**bits, negative coefficients
     and cancelled lanes included.  A large image in lanes of 2 bits or more is
     read as the lower half of its lanes, taken unsigned, and the upper half
-    plus the carry (0 or 1); a 1-bit lane has no digit 1 to carry with.
+    plus the carry (0 or 1).  A 1-bit lane has only the digits -1 and 0, so
+    there a positive image has no map and raises ValueError.
     """
+    if bits == 1 and image > 0:
+        raise ValueError("a positive image has no lanes of 1 bit, whose digits are -1 and 0")
     size = image.bit_length()
     if size > max(_LEAF_BITS, bits) and bits > 1:
         low = -(-size // bits) // 2

@@ -87,8 +87,11 @@ def charlier(n: int, z, a) -> Fraction:
 def charlier_samples(count: int, rng: random.Random) -> list[tuple[Fraction, Fraction]]:
     """Exact rational sample points (h, hp) with pairwise-distinct coordinates.
 
-    h is kept nonzero because the Charlier link evaluates at a = 1/h.
+    h is kept nonzero because the Charlier link evaluates at a = 1/h; a
+    count above the number of distinct h values can never be drawn and raises ValueError.
     """
+    if count > 2482:  # the distinct nonzero values ±a/b of h, 1 <= a <= 99 and 1 <= b <= 20
+        raise ValueError(f"at most 2482 samples have distinct h, not {count}")
     samples: list[tuple[Fraction, Fraction]] = []
     seen_h: set[Fraction] = set()
     seen_hp: set[Fraction] = set()

@@ -14,11 +14,12 @@ rejection is recorded in the report.
 
 The Gaussian binomial comes from the product formula (Andrews, The
 Theory of Partitions, 1976, ch. 3), with no cache.  As h*hp*x[hp -> hp+1]
-is the image of D x, the recurrences and every experimental candidate
-with a D form are checked in Z[q][D] on integer images at q = 2^C,
-D = 2^(C N) (Kronecker, 1882), each Gaussian binomial imaged once (kpack)
-and a failing case decoded (kunpack) to its Q[h, hp, q] sides.  The
-q = 1 reduction, the independent link to the h-side, stays on Q[h, hp, q].
+is the image of D x, each case of the recurrences is, without its common
+D^k, an identity in Z[q], checked on integer images at q = 2^C (Kronecker,
+1882) made by the imaging of hfib.operators, a failing case decoded in
+Z[q] times d_image(k); the experimental candidates with a D form are
+compared on images at q = 2^C, D = 2^(C N).  The q = 1 reduction, the
+independent link to the h-side, stays on Q[h, hp, q].
 
 The q-Fibonacci layer is experimental.  q_fibonacci sums q^(k^2)-
 weighted diagonals (with the summation bound widened to the full
@@ -37,8 +38,8 @@ from typing import NamedTuple
 
 from hfib.algebra import H, HP, HPoly, Q, d_image
 from hfib.fibonacci import hfib_diagonal
-from hfib.kernels import kpack, kunpack
-from hfib.operators import _image_width, _l1
+from hfib.kernels import kunpack
+from hfib.operators import _image_width, _images, _l1
 from hfib.pascal import _in_row, h_binomial, pascal_rule_cases
 from hfib.report import SCHEMA, IdentityReport, PinnedConvention, _Record, suite_scale
 
@@ -121,19 +122,13 @@ def _layout(bound: int, degree: int) -> tuple[int, int]:
     return width, width * (degree + 1)
 
 
-def _decode(image: int, width: int, stride: int) -> HPoly:
-    """sum c q^e d_image(k) over the terms c q^e D^k of the element imaged at q = 2^width, D = 2^stride."""
-    lanes = stride // width
-    return sum((c * Q ** (e % lanes) * d_image(e // lanes) for e, c in kunpack(image, width).items()), HPoly.zero())
-
-
 def verify_qh_recurrences(n_max: int = 10) -> IdentityReport:
-    """Both q-Pascal recurrences on the (q, h) triangle, on Z[q][D] images.
+    """Both q-Pascal recurrences on the (q, h) triangle, on Z[q] images.
 
     [n+1, k] D^k = q^k [n, k] D^k + D [n, k-1] D^(k-1) and [k+1] [n+1, k+1] D^(k+1)
-    = [n+1] D [n, k] D^k, compared without the common D^k.  With M the largest
-    ||[n, k]||_1 and P the largest ||[m]||_1, ||lhs||_1 + ||rhs||_1 <= (3 + 2 P) M,
-    and q-degrees are at most n_max + 1 + the largest deg [n, k].
+    = [n+1] D [n, k] D^k, compared in Z[q] without the common D^k.  With M the largest
+    ||[n, k]||_1 and P the largest ||[m]||_1, ||lhs||_1 + ||rhs||_1 <= (3 + 2 P) M, whatever
+    the q-degrees; each side of a failing case is decoded in Z[q], times d_image(k).
     """
     report = IdentityReport("qh-recurrences")
     report.pin(
@@ -147,15 +142,13 @@ def verify_qh_recurrences(n_max: int = 10) -> IdentityReport:
         report.pin("evidence for the rejected stepped reading", f"additive recurrence first fails at (n, k) = {rejected}")
     rows = [[q_binomial(n, k) for k in range(n + 1)] for n in range(n_max + 2)]
     brackets = [q_int(m) for m in range(n_max + 2)]
-    flat = [x for row in rows for x in row]
-    bound = (3 + 2 * max(map(_l1, brackets))) * max(map(_l1, flat))
-    width, stride = _layout(bound, n_max + 1 + max(max(x._terms, default=0) for x in flat))
-    b = [[*(kpack(x._terms, width) for x in row), 0] for row in rows]  # the 0 is [n, n+1] and [n, -1]
-    p = [kpack(x._terms, width) for x in brackets]
+    width = _image_width((3 + 2 * max(map(_l1, brackets))) * max(_l1(x) for row in rows for x in row))
+    b = [[*_images(row, width), 0] for row in rows]  # the 0 is [n, n+1] and [n, -1]
+    p = _images(brackets, width)
 
     def check(params: dict, lhs: int, rhs: int, k: int) -> None:
-        if lhs != rhs:  # decoded with D^k put back, for the witness
-            lhs, rhs = (_decode(x << stride * k, width, stride) for x in (lhs, rhs))
+        if lhs != rhs:  # decoded in Z[q], where q^e has key e, with D^k put back, for the witness
+            lhs, rhs = (HPoly(kunpack(x, width)) * d_image(k) for x in (lhs, rhs))
         report.check(params, lhs, rhs)
 
     for n in range(n_max + 1):
@@ -273,11 +266,12 @@ def experimental_report(n_max: int | None = None) -> ExperimentalReport:
     binomials = {jk: q_binomial(*jk) for terms in diagonals for jk in terms}
     degree = 2 * top + max(k * k + k + max(x._terms, default=0) for (_, k), x in binomials.items())
     width, stride = _layout(1 + sum(map(_l1, binomials.values())), degree)
-    image = {jk: kpack(x._terms, width) for jk, x in binomials.items()}
-    fib, alt = ([sum(image[j, k] << width * (k * k + linear * k) + stride * k for j, k in terms) for terms in diagonals]
-                for linear in (0, 1))
+    image = dict(zip(binomials, _images(binomials.values(), width)))
+    near = diagonals[: top + 2]  # the candidates read A_m and F_m at q = 1 only up to m = top + 1
+    fib, alt = ([sum(image[j, k] << width * (k * k + linear * k) + stride * k for j, k in terms) for terms in reach]
+                for linear, reach in ((0, diagonals), (1, near)))
     # F_m at q = 1 and D = 2^width: each [j, k] is the sum of its coefficients there
-    at_one = [sum(sum(binomials[jk]._terms.values()) << width * jk[1] for jk in terms) for terms in diagonals]
+    at_one = [sum(sum(binomials[jk]._terms.values()) << width * jk[1] for jk in terms) for terms in near]
     partial = odd = even = 0
     for n in range(1, top + 1):
         literal = q_fibonacci(n) + Q ** (n - 1) * q_fibonacci(n - 1).shift_hprime(1)

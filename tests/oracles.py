@@ -144,6 +144,24 @@ def assert_matches(value, expr: sympy.Expr) -> None:
     assert sympy.simplify(got - want) == 0, f"{got} != {want}"
 
 
+def decode_q_d(image: int, width: int, stride: int) -> algebra.HPoly:
+    """sum c q^e d_image(k) over the terms c q^e D^k of the Z[q][D] element imaged at q = 2^width, D = 2^stride.
+
+    The two-level layout of qh.experimental_report, whose images the package
+    compares but never decodes.  Lanes of `width` bits are read from the
+    bottom as balanced digits, one per step, not by the package's codec;
+    lane i is q^(i mod N) D^(i div N) with N = stride / width.
+    """
+    lanes, half = stride // width, 1 << (width - 1)
+    out, i = algebra.HPoly.zero(), 0
+    while image:
+        c = ((image + half) & ((1 << width) - 1)) - half
+        if c:
+            out = out + c * algebra.Q ** (i % lanes) * algebra.d_image(i // lanes)
+        image, i = (image - c) >> width, i + 1
+    return out
+
+
 def oracle_qh_pascal_cases(n_max: int):
     """(params, lhs, rhs) of both q-Pascal rules on rows 0..n_max, built as products in Q[h, hp, q].
 

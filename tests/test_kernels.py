@@ -305,6 +305,19 @@ def test_split_images_match_the_lane_by_lane_codec(case: tuple) -> None:
     for other in (image * 3 - 1, -image, image + (1 << bits * (max(a) + 5))):
         if bits > 1 or other <= 0:
             assert kernels.kunpack(other, bits) == _unpack_lane_by_lane(other, bits)
+        else:
+            with pytest.raises(ValueError):
+                kernels.kunpack(other, bits)
+
+
+def test_a_positive_image_has_no_1_bit_lanes() -> None:
+    # the digits of a 1-bit lane are -1 and 0, so sum c 2^k is at most 0: a positive
+    # image is refused, below and above the split, and a negative one still decodes
+    for image in (1, 6, 1 << 20000, (1 << 20000) - 5):
+        with pytest.raises(ValueError, match="1 bit"):
+            kernels.kunpack(image, 1)
+    assert kernels.kunpack(-5, 1) == {0: -1, 2: -1}
+    assert kernels.kunpack(0, 1) == {}
 
 
 def test_an_image_is_the_map_at_two_to_the_bits() -> None:

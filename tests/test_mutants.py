@@ -220,10 +220,10 @@ MUTANTS = {
         ((operators, "op_eval", _op_eval_off_from_5), (fibonacci, "op_eval", _op_eval_off_from_5)),
         ("fib-negative-reflection", "fib-route-equivalence", "op-matrix-powers"),
     ),
-    # planted where the grid suites, gf-expansions and qh-recurrences image their
-    # inputs; both forms of op-cassini see it, and [n, k] of q-degree 6 or more
+    # planted in operators only, where the grid suites, gf-expansions and qh-recurrences
+    # image their inputs; both forms of op-cassini see it, and [n, k] of q-degree 6 or more
     "image top lane + 1 from 7 lanes": (
-        ((operators, "kpack", _image_top_lane_off_from_7_lanes), (qh, "kpack", _image_top_lane_off_from_7_lanes)),
+        ((operators, "kpack", _image_top_lane_off_from_7_lanes),),
         (
             "op-cassini",
             "op-addition",

@@ -141,6 +141,20 @@ def test_charlier_samples_distinct_and_nonzero() -> None:
     assert len(set(hps)) == len(hps)
 
 
+def test_charlier_samples_refuse_more_than_the_distinct_h_values() -> None:
+    # h = ±a/b with 1 <= a <= 99 and 1 <= b <= 20 takes this many distinct values
+    values = {sign * Fraction(a, b) for sign in (1, -1) for a in range(1, 100) for b in range(1, 21)}
+    assert len(values) == 2482
+    assert len({h for h, _ in charlier_samples(1000, random.Random(7))}) == 1000
+    rng = random.Random(99)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="2483"):
+        charlier_samples(2483, rng)
+    assert rng.getstate() == state  # refused before any draw
+    with pytest.raises(ValueError):
+        verify_charlier_link(2481)  # draws n + 2 samples
+
+
 def test_verify_recurrences_clean() -> None:
     report = verify_pascal_recurrences(10)
     assert report.passed

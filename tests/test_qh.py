@@ -24,7 +24,7 @@ from hfib.qh import (
     verify_qh_recurrences,
 )
 from hfib.report import IdentityReport
-from oracles import oracle_q_binomial, oracle_qh_pascal_cases
+from oracles import decode_q_d, oracle_q_binomial, oracle_qh_pascal_cases
 from test_fibonacci import _shift_calls
 
 # regression pins on the measured experimental outcomes; these freeze
@@ -177,7 +177,7 @@ def test_experimental_sides_decode_to_the_literal_sums(monkeypatch: pytest.Monke
     ((width, stride),) = layouts
 
     def decoded(identity: str, n: int, d_bits: int = stride) -> tuple[HPoly, HPoly]:
-        return tuple(qh._decode(x, width, d_bits) for x in seen[identity, n])
+        return tuple(decode_q_d(x, width, d_bits) for x in seen[identity, n])
 
     weight = H * HP
     for n in range(1, 9):
@@ -274,5 +274,6 @@ def test_composition_rule_with_q(x: dict) -> None:
     expanded = _expand(x)
     for w in range(21):
         assert _expand({(k + w, e): c for (k, e), c in x.items()}) == d_image(w) * expanded.shift_hprime(w)
-    # the decoder reads the same expansion back from an image at q = 2^42, D = 2^(42 * 9)
-    assert qh._decode(kpack({9 * k + e: c for (k, e), c in x.items()}, 42), 42, 42 * 9) == expanded
+    # the oracle decoder of the experimental images reads the same expansion back from
+    # an image at q = 2^42, D = 2^(42 * 9)
+    assert decode_q_d(kpack({9 * k + e: c for (k, e), c in x.items()}, 42), 42, 42 * 9) == expanded
